@@ -8,7 +8,9 @@ Subcommands: ``validate``, ``diff``, ``merge``, ``merge-driver``,
 invoked with the ancestor, current, and other file paths, it overwrites
 the current file with the merged document and exits 0 on a clean merge,
 1 when unresolved conflicts remain (the file still holds a loadable
-document with conflicting items at ancestor state), 2 on bad input.
+document with conflicting items at ancestor state), 2 on bad input or
+an internal error (reported as ``scenemerge: internal error: ...``).
+Output files are replaced whole, never truncated in place.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from .levelfile import (
     FORMAT_VERSION,
     LevelDocument,
     ParseError,
+    atomic_open,
     read_document,
     serialize,
     write_document,
 )
-from .merge import merge3
+from .merge import MergeInternalError, merge3
 from .report import render_report
 from .sim import PRESETS, SizeParams, run_simulation
 
@@ -90,7 +93,31 @@ def _cmd_diff(args) -> int:
     return EXIT_DIFFERENCES if stats.total_edited else EXIT_CLEAN
 
 
-def _run_merge(args, out_path, report_path) -> int:
+def _manifest_merger(config):
+    """The config's content-aware asset merge, or None for `merge3`'s atomic one."""
+    if config.assets_dir is None or not (config.strategies or config.validators):
+        return None
+    store = BlobStore(config.assets_dir)
+    strategies = {tag: CommandStrategy(argv) for tag, argv in config.strategies.items()}
+
+    def manifest_merger(base, mine_m, theirs_m, pol):
+        result = merge_manifests(
+            base,
+            mine_m,
+            theirs_m,
+            store,
+            pol,
+            strategies=strategies,
+            validators=config.validators,
+            type_map=config.asset_types,
+        )
+        return result.conflicts, result.manifest, result.dropped
+
+    return manifest_merger
+
+
+def _merge_files(args):
+    """Load the config and the three documents named in ``args``, then merge them."""
     config = load_config(getattr(args, "config", None))
     policy = config.merge_policy(getattr(args, "policy", None))
 
@@ -98,25 +125,12 @@ def _run_merge(args, out_path, report_path) -> int:
     mine = read_document(args.mine)
     theirs = read_document(args.theirs)
 
-    manifest_merger = None
-    if config.assets_dir is not None and (config.strategies or config.validators):
-        store = BlobStore(config.assets_dir)
-        strategies = {tag: CommandStrategy(argv) for tag, argv in config.strategies.items()}
+    outcome = merge3(ancestor.graph, mine.graph, theirs.graph, policy, _manifest_merger(config))
+    return config, policy, outcome
 
-        def manifest_merger(base, mine_m, theirs_m, pol):
-            result = merge_manifests(
-                base,
-                mine_m,
-                theirs_m,
-                store,
-                pol,
-                strategies=strategies,
-                validators=config.validators,
-                type_map=config.asset_types,
-            )
-            return result.conflicts, result.manifest, result.dropped
 
-    outcome = merge3(ancestor.graph, mine.graph, theirs.graph, policy, manifest_merger)
+def _run_merge(args, out_path, report_path) -> int:
+    config, policy, outcome = _merge_files(args)
 
     merged_doc = LevelDocument(FORMAT_VERSION, outcome.merged)
     if out_path == "-":
@@ -124,7 +138,7 @@ def _run_merge(args, out_path, report_path) -> int:
     else:
         write_document(merged_doc, out_path)
     if report_path:
-        with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
+        with atomic_open(report_path) as handle:
             handle.write(render_report(outcome, policy, config.report_meta()))
     return EXIT_DIFFERENCES if outcome.unresolved else EXIT_CLEAN
 
@@ -140,12 +154,7 @@ def _cmd_merge_driver(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    config = load_config(getattr(args, "config", None))
-    policy = config.merge_policy(getattr(args, "policy", None))
-    ancestor = read_document(args.ancestor)
-    mine = read_document(args.mine)
-    theirs = read_document(args.theirs)
-    outcome = merge3(ancestor.graph, mine.graph, theirs.graph, policy)
+    _, _, outcome = _merge_files(args)
     s = outcome.stats
     print(
         f"{s.ancestor_nodes} {s.ancestor_edges} {s.diff_a_edited} {s.diff_b_edited} "
@@ -249,6 +258,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except OSError as exc:
         print(f"scenemerge: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MergeInternalError as exc:
+        # a fault in scenemerge, not in its input
+        print(f"scenemerge: internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except SceneMergeError as exc:
         print(f"scenemerge: {exc}", file=sys.stderr)

@@ -67,7 +67,12 @@ class NodeDelta:
 
 @dataclass(frozen=True)
 class DiffResult:
-    """Per-node classification plus the deltas needed to replay the edit."""
+    """Per-node classification plus the deltas needed to replay the edit.
+
+    ``added``, ``deleted`` and ``intrinsic`` (the intrinsically Modified
+    nodes) are computed once by `classify`; the merge reads them per
+    deletion root, so they must not cost a pass over ``classes``.
+    """
 
     ancestor: LevelGraph
     version: LevelGraph
@@ -75,25 +80,12 @@ class DiffResult:
     deltas: Mapping[str, NodeDelta]
     added_edges: frozenset[Edge]
     removed_edges: frozenset[Edge]
+    added: frozenset[str]
+    deleted: frozenset[str]
+    intrinsic: frozenset[str]
 
     def nodes_in_class(self, cls: ChangeClass) -> list[str]:
         return sorted(n for n, c in self.classes.items() if c is cls)
-
-    @property
-    def added(self) -> set[str]:
-        return {n for n, c in self.classes.items() if c is ChangeClass.ADDED}
-
-    @property
-    def deleted(self) -> set[str]:
-        return {n for n, c in self.classes.items() if c is ChangeClass.DELETED}
-
-    @property
-    def intrinsic(self) -> set[str]:
-        return {
-            n
-            for n, c in self.classes.items()
-            if c is ChangeClass.MODIFIED and self.deltas[n].intrinsic
-        }
 
 
 @dataclass(frozen=True)
@@ -138,14 +130,24 @@ def _require_valid(graph: LevelGraph, role: str) -> None:
         raise InvalidGraphError(role, report)
 
 
-def classify(ancestor: LevelGraph, version: LevelGraph) -> DiffResult:
-    """Classify every node of ancestor-union-version against the ancestor."""
-    _require_valid(ancestor, "ancestor")
-    _require_valid(version, "version")
+def classify(
+    ancestor: LevelGraph, version: LevelGraph, *, validated: bool = False
+) -> DiffResult:
+    """Classify every node of ancestor-union-version against the ancestor.
+
+    Both graphs are validated first unless ``validated`` says the caller
+    has already done so; a merge validates each of its inputs once.
+    """
+    if not validated:
+        _require_valid(ancestor, "ancestor")
+        _require_valid(version, "version")
     check_same_level(ancestor, version, "ancestor", "version")
 
     classes: dict[str, ChangeClass] = {}
     deltas: dict[str, NodeDelta] = {}
+    added: set[str] = set()
+    deleted: set[str] = set()
+    intrinsic_set: set[str] = set()
     added_edges: set[Edge] = set()
     removed_edges: set[Edge] = set()
 
@@ -161,6 +163,7 @@ def classify(ancestor: LevelGraph, version: LevelGraph) -> DiffResult:
     for node_id in version.node_ids():
         if not ancestor.has_node(node_id):
             classes[node_id] = ChangeClass.ADDED
+            added.add(node_id)
             node = version.node(node_id)
             deltas[node_id] = NodeDelta(
                 property_sets=dict(node.properties),
@@ -172,6 +175,7 @@ def classify(ancestor: LevelGraph, version: LevelGraph) -> DiffResult:
     for node_id in ancestor.node_ids():
         if not version.has_node(node_id):
             classes[node_id] = ChangeClass.DELETED
+            deleted.add(node_id)
             continue
 
         old = ancestor.node(node_id)
@@ -205,6 +209,7 @@ def classify(ancestor: LevelGraph, version: LevelGraph) -> DiffResult:
         intrinsic = bool(sets or removals or reparented or kind_changes or in_edge_change)
         if intrinsic:
             classes[node_id] = ChangeClass.MODIFIED
+            intrinsic_set.add(node_id)
             deltas[node_id] = NodeDelta(
                 property_sets=sets,
                 property_removals=removals,
@@ -218,7 +223,7 @@ def classify(ancestor: LevelGraph, version: LevelGraph) -> DiffResult:
 
     # Propagate along Direct edges of the edited graph: a direct parent's
     # change is mirrored onto its whole direct subtree.
-    frontier = [n for n, c in classes.items() if c is ChangeClass.MODIFIED]
+    frontier = list(intrinsic_set)
     seen = set(frontier)
     while frontier:
         current = frontier.pop()
@@ -238,6 +243,9 @@ def classify(ancestor: LevelGraph, version: LevelGraph) -> DiffResult:
         deltas=deltas,
         added_edges=frozenset(added_edges),
         removed_edges=frozenset(removed_edges),
+        added=frozenset(added),
+        deleted=frozenset(deleted),
+        intrinsic=frozenset(intrinsic_set),
     )
 
 

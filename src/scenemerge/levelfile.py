@@ -27,8 +27,12 @@ Merge reports (``.lvlreport``) use the same tokenizer; see
 
 from __future__ import annotations
 
+import os
 import re
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from typing import Iterator, TextIO
 
 from .graph import DepKind, Edge, LevelGraph, Node, PropertyValue, SceneMergeError
 
@@ -212,7 +216,7 @@ def parse(text: str) -> LevelDocument:
         if not header_seen:
             if directive != "lvl":
                 raise ParseError("document must start with an 'lvl <version>' header", lineno)
-            if len(tokens) != 2 or not tokens[1].text.isdigit():
+            if len(tokens) != 2 or not re.fullmatch(r"[0-9]+", tokens[1].text):
                 raise ParseError("malformed header, expected 'lvl <version>'", lineno)
             version = int(tokens[1].text)
             if version != FORMAT_VERSION:
@@ -347,8 +351,36 @@ def read_document(path) -> LevelDocument:
         return parse(handle.read())
 
 
+@contextmanager
+def atomic_open(path) -> Iterator[TextIO]:
+    """Open a temp file beside ``path`` for writing; a clean exit moves it over ``path``.
+
+    `os.replace` swaps the whole file in at once, so a reader sees the old
+    bytes or the new ones, never a truncated file. On any error the temp
+    file is removed and ``path`` is left as it was. The new file keeps
+    the permission bits of the file it replaces; a symlink is followed,
+    so its target is the file replaced.
+    """
+    path = os.path.realpath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass  # a new file keeps the umask's bits
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):  # the original error is the one to report
+            os.unlink(tmp)
+        raise
+
+
 def write_document(doc: LevelDocument, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_open(path) as handle:
         handle.write(serialize(doc))
 
 

@@ -29,8 +29,8 @@ from enum import Enum
 from typing import Mapping, Union
 
 from .diff import (
-    ChangeClass,
     DiffResult,
+    InvalidGraphError,
     NodeDelta,
     check_same_level,
     classify,
@@ -403,33 +403,44 @@ def _deletion_roots(diff: DiffResult) -> list[str]:
     return roots
 
 
-def _anchored_adds(other: DiffResult, scope: set[str]) -> list[str]:
+def _by_new_direct_parent(diff: DiffResult, node_ids) -> dict[str, list[str]]:
+    """New Direct parent -> those of ``node_ids`` the branch put under it.
+
+    `classify` records a new Direct parent only on added and reparented
+    nodes, so over ``diff.added`` this indexes additions by parent and
+    over ``diff.intrinsic`` it indexes reparented survivors by their new
+    parent, at the cost of the diff, not the level.
+    """
+    index: dict[str, list[str]] = {}
+    for node_id in node_ids:
+        parent = diff.deltas[node_id].new_direct_parent
+        if parent is not None:
+            index.setdefault(parent, []).append(node_id)
+    return index
+
+
+def _anchored_adds(added_children: Mapping[str, list[str]], scope: set[str]) -> list[str]:
     """Other-branch additions whose Direct-parent chain lands in the scope."""
-    parent_of = {a: other.version.direct_parent(a) for a in other.added}
     anchored: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for added, parent in parent_of.items():
-            if added in anchored or parent is None:
-                continue
-            if parent in scope or parent in anchored:
+    frontier = list(scope)
+    while frontier:
+        for added in added_children.get(frontier.pop(), ()):
+            if added not in anchored:
                 anchored.add(added)
-                changed = True
+                frontier.append(added)
     return sorted(anchored)
 
 
-def _reparent_ins(other: DiffResult, target_set: set[str], scope: set[str]) -> list[str]:
+def _reparent_ins(
+    reparented_into: Mapping[str, list[str]], target_set: set[str], scope: set[str]
+) -> list[str]:
     """Surviving nodes the other branch reparented into the doomed subtree."""
-    result = []
-    for node_id in other.ancestor.node_ids():
-        if node_id in scope or not other.version.has_node(node_id):
-            continue
-        old = other.ancestor.direct_parent(node_id)
-        new = other.version.direct_parent(node_id)
-        if new is not None and new != old and new in target_set:
-            result.append(node_id)
-    return sorted(result)
+    return sorted(
+        node_id
+        for target in target_set
+        for node_id in reparented_into.get(target, ())
+        if node_id not in scope
+    )
 
 
 def _alive_chain(ancestor: LevelGraph, root_id: str, state: _State) -> list[str]:
@@ -482,15 +493,13 @@ def _apply_deletions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> l
     clean: dict[str, tuple[set[str], Branch]] = {}
 
     for branch, diff, other in ((Branch.A, diff_a, diff_b), (Branch.B, diff_b, diff_a)):
+        added_children = _by_new_direct_parent(other, other.added)
+        reparented_into = _by_new_direct_parent(other, other.intrinsic)
         for root_id in _deletion_roots(diff):
             scope = direct_subtree(ancestor, root_id) & diff.deleted
-            touched_mods = sorted(
-                m
-                for m in scope
-                if other.classes.get(m) is ChangeClass.MODIFIED and other.deltas[m].intrinsic
-            )
-            anchored = _anchored_adds(other, scope)
-            reparent_ins = _reparent_ins(other, scope | set(anchored), scope)
+            touched_mods = sorted(scope & other.intrinsic)
+            anchored = _anchored_adds(added_children, scope)
+            reparent_ins = _reparent_ins(reparented_into, scope | set(anchored), scope)
             if touched_mods or anchored or reparent_ins:
                 conflicts.append(
                     DeleteModifyConflict(
@@ -540,7 +549,8 @@ def _apply_modifications(
     version_b = diff_b.version
     conflicts: list[Conflict] = []
 
-    for node_id in ancestor.node_ids():
+    # only an intrinsic modification changes a node's properties or Direct parent
+    for node_id in sorted(diff_a.intrinsic | diff_b.intrinsic):
         if node_id not in state.nodes:
             continue
         anc_node = ancestor.node(node_id)
@@ -1012,6 +1022,12 @@ def repair_cycles(graph: LevelGraph) -> tuple[LevelGraph, list[Edge]]:
     return state.to_graph(), removed
 
 
+def _require_valid(graph: LevelGraph, role: str) -> None:
+    report = validate(graph)
+    if not report.ok:
+        raise InvalidGraphError(role, report)
+
+
 def merge3(
     ancestor: LevelGraph,
     mine: LevelGraph,
@@ -1032,8 +1048,11 @@ def merge3(
     (conflicts, merged manifest, dropped edits).
     """
     start = time.perf_counter()
-    diff_a = classify(ancestor, mine)
-    diff_b = classify(ancestor, theirs)
+    _require_valid(ancestor, "ancestor")
+    _require_valid(mine, "version")
+    diff_a = classify(ancestor, mine, validated=True)
+    _require_valid(theirs, "version")
+    diff_b = classify(ancestor, theirs, validated=True)
     check_same_level(mine, theirs, "mine", "theirs")
 
     state = _State.from_graph(ancestor)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -160,7 +161,110 @@ class TestMergeDriverCommand:
         assert main(["merge-driver", "/no/such/base.lvl", current, other]) == 2
 
 
+FIG3 = ["fig3-base.lvl", "fig3-mine.lvl", "fig3-theirs.lvl"]
+
+
+class TestFailedMerges:
+    def _driver_args(self, tmp_path):
+        return [copy_fixture(name, tmp_path) for name in FIG3]
+
+    def test_failed_serialize_leaves_current_file_intact(self, tmp_path, monkeypatch):
+        import scenemerge.levelfile as levelfile
+
+        ancestor, current, other = self._driver_args(tmp_path)
+        before = Path(current).read_bytes()
+
+        def broken(doc):
+            raise RuntimeError("interrupted mid-write")
+
+        monkeypatch.setattr(levelfile, "serialize", broken)
+        with pytest.raises(RuntimeError):
+            main(["merge-driver", ancestor, current, other, "--report", str(tmp_path / "r")])
+        assert Path(current).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == FIG3  # no temp file left behind
+
+    def test_failed_replace_removes_the_written_temp_file(self, tmp_path, monkeypatch):
+        ancestor, current, other = self._driver_args(tmp_path)
+        before = Path(current).read_bytes()
+
+        def broken(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", broken)
+        assert main(["merge-driver", ancestor, current, other]) == 2
+        assert Path(current).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == FIG3  # no temp file left behind
+
+    def test_replaced_file_keeps_its_permission_bits(self, tmp_path):
+        ancestor, current, other = self._driver_args(tmp_path)
+        os.chmod(current, 0o640)
+        assert main(["merge-driver", ancestor, current, other]) == 0
+        assert os.stat(current).st_mode & 0o777 == 0o640
+
+    def test_internal_error_is_told_apart_from_bad_input(self, tmp_path, monkeypatch, capsys):
+        import scenemerge.cli as cli
+        from scenemerge.merge import MergeInternalError
+
+        ancestor, current, other = self._driver_args(tmp_path)
+
+        def broken(*args):
+            raise MergeInternalError("merge produced an invalid graph")
+
+        monkeypatch.setattr(cli, "merge3", broken)
+        assert main(["merge-driver", ancestor, current, other]) == 2
+        assert capsys.readouterr().err == (
+            "scenemerge: internal error: merge produced an invalid graph\n"
+        )
+        assert main(["merge-driver", "/no/such/base.lvl", current, other]) == 2
+        assert "internal error" not in capsys.readouterr().err
+
+
 class TestStatsCommand:
+    def test_stats_merges_assets_like_merge(self, tmp_path, monkeypatch, capsys):
+        import sys
+
+        from scenemerge import PropertyValue, write_document
+        from scenemerge.assets import BlobStore
+        from scenemerge.levelfile import LevelDocument
+        from conftest import D, g
+
+        store = BlobStore(tmp_path / "blobs")
+        base_d, mine_d, theirs_d = (store.put(t) for t in (b"a\n", b"a\nb\n", b"c\na\n"))
+        log = tmp_path / "strategy.log"
+        script = tmp_path / "concat.py"
+        script.write_text(
+            "import sys\n"
+            "base, mine, theirs, out = sys.argv[1:]\n"
+            f"open({str(log)!r}, 'a').write('ran\\n')\n"
+            "open(out, 'wb').write(open(mine, 'rb').read() + open(theirs, 'rb').read())\n"
+        )
+
+        def level(digest, extra):
+            nodes = [("r", "Scene"), ("s", "Script", {"src": PropertyValue.asset_ref("n.txt")})]
+            nodes += [(n, "Prop") for n in extra]
+            edges = [("r", "s", D)] + [("r", n, D) for n in extra]
+            return LevelDocument(1, g("r", nodes, edges, {"n.txt": digest}))
+
+        paths = [str(tmp_path / f"{n}.lvl") for n in ("base", "mine", "theirs")]
+        for path, doc in zip(paths, (level(base_d, []), level(mine_d, ["m"]), level(theirs_d, ["t"]))):
+            write_document(doc, path)
+        conf = tmp_path / "scenemerge.conf"
+        conf.write_text(f"assets-dir blobs\nstrategy txt {sys.executable} {script}\n")
+        monkeypatch.setenv("SCENEMERGE_CONFIG", str(conf))
+
+        report_path = tmp_path / "merged.lvlreport"
+        assert main(["merge", *paths, "--output", str(tmp_path / "m.lvl"),
+                     "--report", str(report_path)]) == 0
+        stats = parse_report(report_path.read_text()).stats
+        keys = ("ancestor_nodes", "ancestor_edges", "diff_a_nodes", "diff_b_nodes",
+                "merged_nodes", "merged_edges")
+        expected = [str(int(stats[k])) for k in keys]
+
+        capsys.readouterr()
+        assert main(["stats", *paths]) == 0
+        assert capsys.readouterr().out.split()[:6] == expected
+        assert log.read_text() == "ran\n" * 2  # stats ran the strategy, as merge did
+
     def test_identity_row(self, capsys):
         path = str(fixture_path("fig3-base.lvl"))
         assert main(["stats", path, path, path]) == 0

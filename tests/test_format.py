@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenemerge import (
@@ -196,3 +196,33 @@ def test_parse_serialize_round_trip(doc):
     again = parse(text)
     assert again == doc
     assert serialize(again) == text  # canonicalization is idempotent
+
+
+# -- parser fuzzing -----------------------------------------------------------
+
+_fuzz_token = st.one_of(
+    st.sampled_from(
+        ["lvl", "root", "node", "prop", "edge", "asset", "direct", "indirect", "bool",
+         "int", "real", "text", "ref", "true", "1", "-0", "1e999", "nan", "r", "a"]
+    ),
+    st.text(max_size=8),
+    st.text(max_size=8).map(lambda s: f'"{s}"'),  # raw: escapes may be malformed
+)
+_fuzz_lines = st.lists(st.lists(_fuzz_token, max_size=6).map(" ".join), max_size=8)
+
+_fuzz_text = st.one_of(
+    st.text(),
+    _fuzz_lines.map("\n".join),
+    _fuzz_lines.map(lambda lines: "\n".join(["lvl 1", "root r", "node r S", *lines])),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fuzz_text)
+@example('lvl "²"\n')  # a digit to str.isdigit() that int() rejects
+def test_parse_raises_only_parse_error(text):
+    try:
+        doc = parse(text)
+    except ParseError:
+        return
+    assert isinstance(doc, LevelDocument)

@@ -143,6 +143,15 @@ class TestCheckScenario:
 
 
 class TestScaleRuns:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("policy", list(PolicyKind), ids=lambda p: p.value)
+    def test_laws_hold_on_3k_node_random_op_levels(self, seed, policy):
+        # big enough that deletions meet concurrent edits: every seed conflicts
+        size = SizeParams(nodes=3000, edges=3400, ops_per_branch=200)
+        verdict = check_scenario(generate(seed, size, MergePolicy(policy)))
+        assert verdict.passed, verdict.violations
+        assert verdict.outcome.conflicts
+
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_each_benchmark_row_merges_within_its_targets(self, preset):
         from scenemerge import merge3
