@@ -33,11 +33,13 @@ from .levelfile import (
 )
 from .merge import MergeInternalError, merge3
 from .report import render_report
-from .sim import PRESETS, SizeParams, run_simulation
 
 EXIT_CLEAN = 0
 EXIT_DIFFERENCES = 1
 EXIT_ERROR = 2
+
+# `sim.PRESETS`' names, so that a merge never imports the simulator
+_SIZE_PRESETS = ("lab", "planets", "room", "vikings")
 
 
 def _cmd_validate(args) -> int:
@@ -164,6 +166,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim import PRESETS, SizeParams, run_simulation
+
     if args.size == "custom":
         size = SizeParams(
             nodes=args.nodes, edges=args.edges, ops_per_branch=args.ops_per_branch
@@ -237,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=100)
     p.add_argument(
-        "--size", default="custom", choices=["custom", *sorted(PRESETS)],
+        "--size", default="custom", choices=["custom", *_SIZE_PRESETS],
     )
     p.add_argument("--nodes", type=int, default=20)
     p.add_argument("--edges", type=int, default=24)

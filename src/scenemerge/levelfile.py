@@ -34,11 +34,23 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Iterator, TextIO
 
-from .graph import DepKind, Edge, LevelGraph, Node, PropertyValue, SceneMergeError
+from .graph import (
+    DepKind,
+    Edge,
+    LevelGraph,
+    Node,
+    PropertyValue,
+    SceneMergeError,
+    _gc_paused,
+)
 
 FORMAT_VERSION = 1
 
 _BARE_TOKEN = re.compile(r"[A-Za-z0-9_.+/:@-]+")
+# a line `_split_line` would cut into bare tokens at spaces and tabs only
+_PLAIN_LINE = re.compile(r"[A-Za-z0-9_.+/:@\- \t]*")
+_INT_LITERAL = re.compile(r"-?\d+")
+_DEP_KINDS = {kind.value: kind for kind in DepKind}
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
@@ -137,6 +149,18 @@ def _split_line(line: str, lineno: int) -> list[_Token]:
     return tokens
 
 
+def _line_texts(line: str, lineno: int) -> list[str]:
+    """The token texts `_split_line` gives, by `str.split` where it is the same."""
+    if _PLAIN_LINE.fullmatch(line):
+        return line.split()
+    return [token.text for token in _split_line(line, lineno)]
+
+
+def _column(line: str, lineno: int, index: int) -> int:
+    """Column of token ``index`` of a line that is known to tokenize."""
+    return _split_line(line, lineno)[index].column
+
+
 # -- values ------------------------------------------------------------------
 
 
@@ -153,42 +177,46 @@ def format_value(value: PropertyValue) -> str:
     return f"{value.kind} {_format_token(str(value.value))}"
 
 
-def _parse_value(tokens: list[_Token], start: int, lineno: int) -> PropertyValue:
-    if start >= len(tokens):
+def _parse_value(texts: list[str], start: int, line: str, lineno: int) -> PropertyValue:
+    """Read ``<tag> <literal>`` from token ``start`` of ``line``, split as ``texts``."""
+    if start >= len(texts):
         raise ParseError("missing property value", lineno)
-    tag = tokens[start].text
-    if start + 1 >= len(tokens):
-        raise ParseError(f"missing literal after {tag!r}", lineno, tokens[start].column)
-    literal = tokens[start + 1]
-    if len(tokens) > start + 2:
-        raise ParseError("trailing tokens after value", lineno, tokens[start + 2].column)
+    tag = texts[start]
+    if start + 1 >= len(texts):
+        raise ParseError(f"missing literal after {tag!r}", lineno, _column(line, lineno, start))
+    literal = texts[start + 1]
+    if len(texts) > start + 2:
+        raise ParseError(
+            "trailing tokens after value", lineno, _column(line, lineno, start + 2)
+        )
     try:
         if tag == "bool":
-            if literal.text not in ("true", "false"):
+            if literal not in ("true", "false"):
                 raise ValueError
-            return PropertyValue.boolean(literal.text == "true")
+            return PropertyValue.boolean(literal == "true")
         if tag == "int":
-            if not re.fullmatch(r"-?\d+", literal.text):
+            if not _INT_LITERAL.fullmatch(literal):
                 raise ValueError
-            return PropertyValue.integer(int(literal.text))
+            return PropertyValue.integer(int(literal))
         if tag == "real":
-            return PropertyValue.real(float(literal.text))
+            return PropertyValue.real(float(literal))
         if tag == "text":
-            return PropertyValue.text(literal.text)
+            return PropertyValue.text(literal)
         if tag == "ref":
-            return PropertyValue.node_ref(literal.text)
+            return PropertyValue.node_ref(literal)
         if tag == "asset":
-            return PropertyValue.asset_ref(literal.text)
+            return PropertyValue.asset_ref(literal)
     except ValueError:
         raise ParseError(
-            f"invalid {tag} literal {literal.text!r}", lineno, literal.column
+            f"invalid {tag} literal {literal!r}", lineno, _column(line, lineno, start + 1)
         ) from None
-    raise ParseError(f"unknown property type tag {tag!r}", lineno, tokens[start].column)
+    raise ParseError(f"unknown property type tag {tag!r}", lineno, _column(line, lineno, start))
 
 
 # -- document parsing --------------------------------------------------------
 
 
+@_gc_paused()
 def parse(text: str) -> LevelDocument:
     """Parse a level document.
 
@@ -197,30 +225,35 @@ def parse(text: str) -> LevelDocument:
     `graph.validate`; everything a document cannot meaningfully express
     twice (duplicate ids, duplicate edges, duplicate keys) is an error
     here, with line/column positions.
+
+    Token columns are computed only for an error, by tokenizing that
+    line again.
     """
     header_seen = False
     version = None
     root: tuple[str, int] | None = None
-    nodes: dict[str, tuple[Node, int]] = {}
+    nodes: dict[str, tuple[str, int]] = {}
     props: dict[tuple[str, str], tuple[PropertyValue, int]] = {}
     edges: dict[tuple[str, str], tuple[DepKind, int]] = {}
     assets: dict[str, tuple[str, int]] = {}
 
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
-        tokens = _split_line(line, lineno)
+        tokens = _line_texts(line, lineno)
         if not tokens:
             continue
-        directive = tokens[0].text
+        directive = tokens[0]
 
         if not header_seen:
             if directive != "lvl":
                 raise ParseError("document must start with an 'lvl <version>' header", lineno)
-            if len(tokens) != 2 or not re.fullmatch(r"[0-9]+", tokens[1].text):
+            if len(tokens) != 2 or not re.fullmatch(r"[0-9]+", tokens[1]):
                 raise ParseError("malformed header, expected 'lvl <version>'", lineno)
-            version = int(tokens[1].text)
+            version = int(tokens[1])
             if version != FORMAT_VERSION:
-                raise ParseError(f"unsupported format version {version}", lineno, tokens[1].column)
+                raise ParseError(
+                    f"unsupported format version {version}", lineno, _column(line, lineno, 1)
+                )
             header_seen = True
             continue
 
@@ -229,63 +262,64 @@ def parse(text: str) -> LevelDocument:
                 raise ParseError("expected 'root <id>'", lineno)
             if root is not None:
                 raise ParseError(f"duplicate root directive (first at line {root[1]})", lineno)
-            root = (tokens[1].text, lineno)
+            root = (tokens[1], lineno)
         elif directive == "node":
             if len(tokens) != 3:
                 raise ParseError("expected 'node <id> <kind>'", lineno)
-            node_id = tokens[1].text
+            node_id, kind = tokens[1], tokens[2]
             if node_id in nodes:
                 raise ParseError(
                     f"duplicate node id {node_id!r} (first defined at line {nodes[node_id][1]})",
                     lineno,
-                    tokens[1].column,
+                    _column(line, lineno, 1),
                 )
-            if not node_id or not tokens[2].text:
+            if not node_id or not kind:
                 raise ParseError("node id and kind must be non-empty", lineno)
-            nodes[node_id] = (Node(node_id, tokens[2].text), lineno)
+            nodes[node_id] = (kind, lineno)
         elif directive == "prop":
             if len(tokens) < 4:
                 raise ParseError("expected 'prop <node> <key> <type> <value>'", lineno)
-            owner, key = tokens[1].text, tokens[2].text
+            owner, key = tokens[1], tokens[2]
             if not key:
-                raise ParseError("property key must be non-empty", lineno, tokens[2].column)
+                raise ParseError("property key must be non-empty", lineno, _column(line, lineno, 2))
             if (owner, key) in props:
                 raise ParseError(
                     f"duplicate property {key!r} on node {owner!r} "
                     f"(first set at line {props[(owner, key)][1]})",
                     lineno,
-                    tokens[2].column,
+                    _column(line, lineno, 2),
                 )
-            props[(owner, key)] = (_parse_value(tokens, 3, lineno), lineno)
+            props[(owner, key)] = (_parse_value(tokens, 3, line, lineno), lineno)
         elif directive == "edge":
             if len(tokens) != 4:
                 raise ParseError("expected 'edge <parent> <child> <direct|indirect>'", lineno)
-            parent, child, kind_text = tokens[1].text, tokens[2].text, tokens[3].text
-            if kind_text not in ("direct", "indirect"):
+            parent, child, kind_text = tokens[1], tokens[2], tokens[3]
+            dep_kind = _DEP_KINDS.get(kind_text)
+            if dep_kind is None:
                 raise ParseError(
-                    f"unknown dependency kind {kind_text!r}", lineno, tokens[3].column
+                    f"unknown dependency kind {kind_text!r}", lineno, _column(line, lineno, 3)
                 )
             if parent == child:
-                raise ParseError(f"self-loop edge on {parent!r}", lineno, tokens[1].column)
+                raise ParseError(f"self-loop edge on {parent!r}", lineno, _column(line, lineno, 1))
             if (parent, child) in edges:
                 raise ParseError(
                     f"duplicate edge {parent!r} -> {child!r} "
                     f"(first at line {edges[(parent, child)][1]})",
                     lineno,
-                    tokens[1].column,
+                    _column(line, lineno, 1),
                 )
-            edges[(parent, child)] = (DepKind(kind_text), lineno)
+            edges[(parent, child)] = (dep_kind, lineno)
         elif directive == "asset":
             if len(tokens) != 3:
                 raise ParseError("expected 'asset <id> <digest>'", lineno)
-            asset_id = tokens[1].text
+            asset_id = tokens[1]
             if asset_id in assets:
                 raise ParseError(
                     f"duplicate asset {asset_id!r} (first at line {assets[asset_id][1]})",
                     lineno,
-                    tokens[1].column,
+                    _column(line, lineno, 1),
                 )
-            assets[asset_id] = (tokens[2].text, lineno)
+            assets[asset_id] = (tokens[2], lineno)
         elif directive == "lvl":
             raise ParseError("duplicate header", lineno)
         else:
@@ -310,8 +344,8 @@ def parse(text: str) -> LevelDocument:
     for (owner, key), (value, _) in props.items():
         props_by_owner.setdefault(owner, {})[key] = value
     built_nodes = [
-        Node(node_id, node.kind, props_by_owner.get(node_id, {}))
-        for node_id, (node, _) in nodes.items()
+        Node(node_id, kind, props_by_owner.get(node_id, {}))
+        for node_id, (kind, _) in nodes.items()
     ]
 
     graph = LevelGraph(

@@ -43,6 +43,7 @@ from .graph import (
     Node,
     PropertyValue,
     SceneMergeError,
+    _gc_paused,
     component_heights,
     direct_subtree,
     strongly_connected_components,
@@ -1028,6 +1029,7 @@ def _require_valid(graph: LevelGraph, role: str) -> None:
         raise InvalidGraphError(role, report)
 
 
+@_gc_paused()
 def merge3(
     ancestor: LevelGraph,
     mine: LevelGraph,
@@ -1049,9 +1051,9 @@ def merge3(
     """
     start = time.perf_counter()
     _require_valid(ancestor, "ancestor")
-    _require_valid(mine, "version")
+    _require_valid(mine, "mine")
     diff_a = classify(ancestor, mine, validated=True)
-    _require_valid(theirs, "version")
+    _require_valid(theirs, "theirs")
     diff_b = classify(ancestor, theirs, validated=True)
     check_same_level(mine, theirs, "mine", "theirs")
 

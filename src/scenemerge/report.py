@@ -161,7 +161,7 @@ def _quoted(text: str) -> str:
 _RESOLUTIONS = {r.value for r in Resolution}
 
 
-def _read_value(tokens, pos: int, lineno: int, tagged: bool):
+def _read_value(tokens, pos: int, line: str, lineno: int, tagged: bool):
     """Read ``-``, a tagged property value, or a bare token.
 
     Returns (value, next_pos). ``tagged`` distinguishes property values
@@ -174,7 +174,7 @@ def _read_value(tokens, pos: int, lineno: int, tagged: bool):
     if text == "-":
         return None, pos + 1
     if tagged:
-        value = _parse_value(tokens[: pos + 2], pos, lineno)
+        value = _parse_value([t.text for t in tokens[: pos + 2]], pos, line, lineno)
         return value, pos + 2
     return text, pos + 1
 
@@ -228,11 +228,11 @@ def parse_report(text: str) -> MergeReport:
             while pos < len(tokens):
                 marker = tokens[pos].text
                 if marker == "a":
-                    entry.value_a, pos = _read_value(tokens, pos + 1, lineno, tagged)
+                    entry.value_a, pos = _read_value(tokens, pos + 1, line, lineno, tagged)
                 elif marker == "b":
-                    entry.value_b, pos = _read_value(tokens, pos + 1, lineno, tagged)
+                    entry.value_b, pos = _read_value(tokens, pos + 1, line, lineno, tagged)
                 elif marker == "ancestor":
-                    entry.ancestor_value, pos = _read_value(tokens, pos + 1, lineno, tagged)
+                    entry.ancestor_value, pos = _read_value(tokens, pos + 1, line, lineno, tagged)
                 elif marker == "branch":
                     entry.branch = tokens[pos + 1].text
                     pos += 2

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,6 +138,20 @@ class TestMergeCommand:
         assert main(args + ["--output", str(one)]) == 0
         assert main(args + ["--output", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize(
+        "inputs, role",
+        [
+            (["fig3-base.lvl", "cyclic.lvl", "fig3-theirs.lvl"], "mine"),
+            (["fig3-base.lvl", "fig3-mine.lvl", "cyclic.lvl"], "theirs"),
+        ],
+    )
+    def test_invalid_input_is_named_by_its_side(self, inputs, role, tmp_path, capsys):
+        paths = [str(fixture_path(name)) for name in inputs]
+        assert main(["merge", *paths, "--output", str(tmp_path / "m.lvl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenemerge: {role} graph is invalid:\n")
+        assert "cycle" in err
 
 
 class TestMergeDriverCommand:
@@ -420,6 +436,30 @@ class TestAssetAwareMerge:
 
 
 class TestSimulateCommand:
+    def test_size_choices_are_the_simulator_presets(self):
+        from scenemerge import cli, sim
+
+        assert cli._SIZE_PRESETS == tuple(sorted(sim.PRESETS))
+
+    def test_unknown_size_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--size", "huge"])
+        assert exit_info.value.code == 2
+        assert (
+            "argument --size: invalid choice: 'huge' "
+            "(choose from 'custom', 'lab', 'planets', 'room', 'vikings')"
+        ) in capsys.readouterr().err
+
+    def test_importing_the_cli_leaves_the_simulator_unloaded(self):
+        import scenemerge
+
+        env = {**os.environ, "PYTHONPATH": str(Path(scenemerge.__file__).resolve().parents[1])}
+        probe = "import scenemerge.cli, sys; print('scenemerge.sim' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "False\n"
+
     def test_smoke_run_writes_results(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SCENEMERGE_CONFIG", raising=False)
         out = tmp_path / "results.json"

@@ -14,7 +14,13 @@ from scenemerge import (
     parse,
     serialize,
 )
-from scenemerge.levelfile import FORMAT_VERSION, LevelDocument, canonical_bytes
+from scenemerge.levelfile import (
+    FORMAT_VERSION,
+    LevelDocument,
+    _line_texts,
+    _split_line,
+    canonical_bytes,
+)
 from conftest import D, I, fixture_text, g
 
 
@@ -106,6 +112,50 @@ class TestParse:
             parse(bad)
         assert err.value.line >= 1
         assert err.value.column >= 1
+
+    _HEAD = "lvl 1\nroot r\nnode r S\nnode a X\n"
+
+    @pytest.mark.parametrize(
+        "text, line, column, reason",
+        [
+            ("lvl  7\n", 1, 6, "unsupported format version 7"),
+            (
+                "lvl 1\nroot r\nnode r S\nnode  r X\n",
+                4, 7, "duplicate node id 'r' (first defined at line 3)",
+            ),
+            (
+                'lvl 1\nroot r\nnode r S\nnode "r" X\n',
+                4, 6, "duplicate node id 'r' (first defined at line 3)",
+            ),
+            (
+                _HEAD + "prop r k int 1\nprop r  k int 2\n",
+                6, 9, "duplicate property 'k' on node 'r' (first set at line 5)",
+            ),
+            (_HEAD + 'prop r "" int 1\n', 5, 8, "property key must be non-empty"),
+            (_HEAD + "edge r a sideways\n", 5, 10, "unknown dependency kind 'sideways'"),
+            (_HEAD + "edge\ta a direct\n", 5, 6, "self-loop edge on 'a'"),
+            (
+                _HEAD + "edge r a direct\nedge  r a indirect\n",
+                6, 7, "duplicate edge 'r' -> 'a' (first at line 5)",
+            ),
+            (
+                _HEAD + "asset x d1\nasset   x d2\n",
+                6, 9, "duplicate asset 'x' (first at line 5)",
+            ),
+            (_HEAD + "prop r k int 1.5\n", 5, 14, "invalid int literal '1.5'"),
+            (_HEAD + 'prop "r" k int "x y"\n', 5, 16, "invalid int literal 'x y'"),
+            (_HEAD + "prop r k quaternion 1\n", 5, 10, "unknown property type tag 'quaternion'"),
+            (_HEAD + "prop r k int 1  2\n", 5, 17, "trailing tokens after value"),
+            (_HEAD + "prop r k  int\n", 5, 11, "missing literal after 'int'"),
+            (_HEAD + 'prop r k text "abc\n', 5, 15, "unterminated quoted string"),
+            (_HEAD + "prop r k text \x0b\n", 5, 15, "unexpected character '\\x0b'"),
+            (_HEAD + "node b\xa0X\n", 5, 7, "unexpected character '\\xa0'"),
+        ],
+    )
+    def test_diagnostic_positions_are_pinned(self, text, line, column, reason):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column, err.value.reason) == (line, column, reason)
 
 
 class TestSerialize:
@@ -226,3 +276,31 @@ def test_parse_raises_only_parse_error(text):
     except ParseError:
         return
     assert isinstance(doc, LevelDocument)
+
+
+# -- tokenizer fast path --------------------------------------------------------
+
+# bare-token characters, the two separators, the quoting characters, and
+# characters that `str.split` (but not `_split_line`) takes for whitespace
+_line_char = st.one_of(
+    st.sampled_from(list("aZ09_.+/:@-un \t\"\\")),
+    st.sampled_from(list("\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u2029\u3000²é")),
+    st.characters(blacklist_categories=("Cs",)),
+)
+
+
+def _tokenized(split, line):
+    try:
+        return split(line)
+    except ParseError as err:
+        return (err.line, err.column, err.reason)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet=_line_char, max_size=24))
+@example("a\x0bb")  # one token to `_split_line`'s error, two to `str.split`
+@example("node\u3000a X")
+@example('text "a b"  c\t')
+def test_fast_tokenizer_matches_split_line(line):
+    expected = _tokenized(lambda text: [t.text for t in _split_line(text, 7)], line)
+    assert _tokenized(lambda text: _line_texts(text, 7), line) == expected

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenemerge import (
     Edge,
@@ -14,6 +16,8 @@ from scenemerge import (
     height,
     validate,
 )
+from scenemerge.graph import _full_report
+from scenemerge.sim import SizeParams, apply_script, generate
 from conftest import D, I, g
 
 
@@ -221,3 +225,72 @@ class TestModel:
             graph = g(ids[0], [(i, "X") for i in ids], edges)
             for edge in graph.edges():
                 assert height(graph, edge.child) >= 1
+
+
+# -- the one-pass accept path against the full checker ------------------------
+
+
+def _mutants(graph: LevelGraph, rng: random.Random):
+    """(violation, graph) for each way of breaking a valid level."""
+    root, nodes, assets = graph.root, list(graph.nodes()), graph.assets
+    edges = {(e.parent, e.child): e.kind for e in graph.edges()}
+
+    def build(nodes=nodes, edges=edges):
+        return LevelGraph(root, nodes, [Edge(p, c, k) for (p, c), k in edges.items()], assets)
+
+    def with_property(value):
+        holder = rng.choice(nodes)
+        changed = Node(holder.id, holder.kind, {**holder.properties, "zz": value})
+        return build(nodes=[changed if n is holder else n for n in nodes])
+
+    others = sorted(n.id for n in nodes if n.id != root)
+    parent, child = rng.choice(sorted(pair for pair in edges if pair[0] != root))
+    yield "cycle", build(edges={**edges, (child, parent): I})
+    child = rng.choice([c for c in others if len(graph.parents(c)) == 1])
+    yield "unreachable", build(edges={k: v for k, v in edges.items() if k[1] != child})
+    child = rng.choice([c for c in others if graph.direct_parent(c) is not None])
+    second = rng.choice([n for n in others if n != child and (n, child) not in edges])
+    yield "multiple-direct-parents", build(edges={**edges, (second, child): D})
+    yield "dangling-edge", build(edges={**edges, (rng.choice(others), "ghost"): I})
+    yield "bad-ref", with_property(PropertyValue.node_ref("ghost"))
+    yield "unmanifested-asset", with_property(PropertyValue.asset_ref("ghost.png"))
+    yield "root-in-edge", build(edges={**edges, (rng.choice(others), root): I})
+    yield "missing-root", build(nodes=[n for n in nodes if n.id != root])
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_validate_reports_what_the_full_checker_reports(seed):
+    scenario = generate(seed, SizeParams(nodes=120, edges=150, ops_per_branch=8))
+    levels = [
+        scenario.base,
+        apply_script(scenario.base, scenario.script_a),
+        apply_script(scenario.base, scenario.script_b),
+    ]
+    rng = random.Random(seed)
+    for level in levels:
+        assert validate(level).ok and _full_report(level).ok
+        for code, broken in _mutants(level, rng):
+            report = validate(broken)
+            assert report == _full_report(broken)
+            assert code in [v.code for v in report.violations]
+
+
+_small_ids = st.sampled_from(["r", "a", "b", "c", "d"])
+
+
+@st.composite
+def _small_graphs(draw):
+    ids = draw(st.lists(_small_ids, min_size=1, unique=True))
+    pairs = draw(st.lists(st.tuples(_small_ids, _small_ids), unique=True, max_size=8))
+    edges = [Edge(p, c, draw(st.sampled_from([D, I]))) for p, c in pairs]
+    targets = draw(st.lists(_small_ids, max_size=2))
+    refs = {f"k{i}": PropertyValue.node_ref(t) for i, t in enumerate(targets)}
+    props = {**refs, "tex": PropertyValue.asset_ref(draw(st.sampled_from(["x.png", "y.png"])))}
+    nodes = [Node(i, "X", props if i == ids[-1] else {}) for i in ids]
+    return LevelGraph(draw(_small_ids), nodes, edges, {"x.png": "0"})
+
+
+@settings(max_examples=600, deadline=None)
+@given(_small_graphs())
+def test_validate_matches_the_full_checker_on_small_graphs(graph):
+    assert validate(graph) == _full_report(graph)
