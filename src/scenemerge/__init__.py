@@ -17,10 +17,8 @@ from .diff import (
     GraphMismatchError,
     InvalidGraphError,
     NodeDelta,
-    Subgraph,
     classify,
     diff_stats,
-    induced_diff_graph,
 )
 from .graph import (
     DepKind,
@@ -33,7 +31,6 @@ from .graph import (
     ValidationReport,
     Violation,
     direct_subtree,
-    height,
     validate,
 )
 from .levelfile import (
@@ -60,12 +57,7 @@ from .merge import (
     PropertyConflict,
     ReparentConflict,
     Resolution,
-    apply_additions,
-    apply_deletions,
-    apply_modifications,
     merge3,
-    repair_cycles,
-    resolve_conflicts,
 )
 
 __version__ = "0.1.0"

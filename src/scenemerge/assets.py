@@ -30,7 +30,15 @@ from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 from .graph import SceneMergeError
-from .merge import AssetConflict, Branch, DroppedEdit, MergePolicy, _took
+from .merge import (
+    CONFLICT,
+    AssetConflict,
+    Branch,
+    DroppedEdit,
+    MergePolicy,
+    _settle_asset,
+    merge_cell,
+)
 
 
 class BlobStoreError(SceneMergeError):
@@ -135,16 +143,13 @@ class AtomicStrategy:
     """Digest-level three-way logic; the default for unregistered tags."""
 
     def merge3(self, ancestor, mine, theirs):
-        da = ancestor.digest if ancestor else None
-        dm = mine.digest if mine else None
-        dt = theirs.digest if theirs else None
-        if dm == dt:
-            return AssetMergeResult.merged(mine) if mine else AssetMergeResult.deleted()
-        if dm == da:
-            return AssetMergeResult.merged(theirs) if theirs else AssetMergeResult.deleted()
-        if dt == da:
-            return AssetMergeResult.merged(mine) if mine else AssetMergeResult.deleted()
-        return AssetMergeResult.conflict()
+        digests = [blob.digest if blob else None for blob in (ancestor, mine, theirs)]
+        taken = merge_cell(*digests)
+        if taken is CONFLICT:
+            return AssetMergeResult.conflict()
+        if taken is None:
+            return AssetMergeResult.deleted()
+        return AssetMergeResult.merged(mine if taken == digests[1] else theirs)
 
 
 class CommandStrategy:
@@ -280,13 +285,8 @@ def merge_manifests(
         dt = theirs.get(asset_id)
         tag = type_tag_for(asset_id, type_map)
 
-        if dm == dt:
-            chosen = dm
-        elif dm == da:
-            chosen = dt
-        elif dt == da:
-            chosen = dm
-        else:
+        chosen = merge_cell(da, dm, dt)
+        if chosen is CONFLICT:
             strategy = strategies.get(tag, atomic)
             result = strategy.merge3(
                 blob_for(asset_id, tag, da),
@@ -300,22 +300,7 @@ def merge_manifests(
             else:
                 conflict = AssetConflict(asset_id, dm, dt, da)
                 conflicts.append(conflict)
-                winner = policy.winner
-                if winner is None:
-                    chosen = da
-                else:
-                    chosen = dm if winner is Branch.A else dt
-                    lost = dt if winner is Branch.A else dm
-                    conflict.resolution = _took(winner)
-                    dropped.append(
-                        DroppedEdit(
-                            winner.other,
-                            None,
-                            f"delete asset {asset_id}"
-                            if lost is None
-                            else f"asset {asset_id} -> {lost}",
-                        )
-                    )
+                chosen = _settle_asset(conflict, policy.winner, dropped)
 
         # gate: a candidate that differs from the ancestor must pass its
         # type's validator before being admitted

@@ -19,13 +19,12 @@ import argparse
 import sys
 
 from .assets import BlobStore, CommandStrategy, merge_manifests
-from .config import ConfigError, load_config
+from .config import load_config
 from .diff import ChangeClass, classify, diff_stats
 from .graph import SceneMergeError, validate
 from .levelfile import (
     FORMAT_VERSION,
     LevelDocument,
-    ParseError,
     atomic_open,
     read_document,
     serialize,
@@ -257,17 +256,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError) as exc:
-        print(f"scenemerge: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"scenemerge: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except MergeInternalError as exc:
         # a fault in scenemerge, not in its input
         print(f"scenemerge: internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except SceneMergeError as exc:
+    except (OSError, SceneMergeError) as exc:
         print(f"scenemerge: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -18,7 +18,6 @@ from .graph import (
     DepKind,
     Edge,
     LevelGraph,
-    Node,
     PropertyValue,
     SceneMergeError,
     validate,
@@ -100,14 +99,6 @@ class DiffStats:
         return self.added + self.deleted + self.modified_intrinsic + self.modified_propagated
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """Nodes and edges induced by the edited nodes on a version graph."""
-
-    nodes: Mapping[str, Node]
-    edges: tuple[Edge, ...]
-
-
 def check_same_level(a: LevelGraph, b: LevelGraph, role_a: str, role_b: str) -> None:
     """Reject graph pairs that cannot be versions of the same level."""
     if a.root != b.root:
@@ -151,8 +142,8 @@ def classify(
     added_edges: set[Edge] = set()
     removed_edges: set[Edge] = set()
 
-    ancestor_pairs = {(e.parent, e.child): e.kind for e in ancestor.edges()}
-    version_pairs = {(e.parent, e.child): e.kind for e in version.edges()}
+    ancestor_pairs = ancestor._edges
+    version_pairs = version._edges
     for pair, kind in version_pairs.items():
         if pair not in ancestor_pairs:
             added_edges.add(Edge(pair[0], pair[1], kind))
@@ -247,28 +238,6 @@ def classify(
         deleted=frozenset(deleted),
         intrinsic=frozenset(intrinsic_set),
     )
-
-
-def induced_diff_graph(version: LevelGraph, diff: DiffResult) -> Subgraph:
-    """The subgraph of ``version`` induced by its Added and Modified nodes.
-
-    Deleted nodes are absent from the version by definition and are
-    reported separately by the classification.
-    """
-    if diff.version != version:
-        raise GraphMismatchError("diff was not produced against this version graph")
-    edited = {
-        n
-        for n, c in diff.classes.items()
-        if c in (ChangeClass.ADDED, ChangeClass.MODIFIED)
-    }
-    nodes = {n: version.node(n) for n in sorted(edited)}
-    edges = tuple(
-        e
-        for e in sorted(version.edges(), key=Edge.sort_key)
-        if e.parent in edited and e.child in edited
-    )
-    return Subgraph(nodes=nodes, edges=edges)
 
 
 def diff_stats(diff: DiffResult) -> DiffStats:

@@ -154,9 +154,6 @@ class Edge:
     child: str
     kind: DepKind
 
-    def sort_key(self) -> tuple[str, str]:
-        return (self.parent, self.child)
-
 
 class LevelGraph:
     """An immutable level graph plus its asset manifest.
@@ -167,7 +164,7 @@ class LevelGraph:
     construction order.
     """
 
-    __slots__ = ("root", "_nodes", "_edges", "_out", "_in", "assets", "_heights")
+    __slots__ = ("root", "_nodes", "_edges", "_out", "_in", "assets")
 
     def __init__(
         self,
@@ -176,24 +173,44 @@ class LevelGraph:
         edges: Iterable[Edge] = (),
         assets: Mapping[str, str] | None = None,
     ):
-        self.root = root
-        self._nodes: dict[str, Node] = {}
-        for node in sorted(nodes, key=lambda n: n.id):
-            if node.id in self._nodes:
+        node_map: dict[str, Node] = {}
+        for node in nodes:
+            if node.id in node_map:
                 raise ValueError(f"duplicate node id {node.id!r}")
-            self._nodes[node.id] = node
-        self._edges: dict[tuple[str, str], DepKind] = {}
+            node_map[node.id] = node
+        edge_map: dict[tuple[str, str], DepKind] = {}
+        for edge in edges:
+            key = (edge.parent, edge.child)
+            if key in edge_map:
+                raise ValueError(f"duplicate edge {edge.parent!r} -> {edge.child!r}")
+            edge_map[key] = edge.kind
+        self._fill(root, node_map, edge_map, assets)
+
+    @classmethod
+    def _of(
+        cls,
+        root: str,
+        nodes: Mapping[str, Node],
+        edges: Mapping[tuple[str, str], DepKind],
+        assets: Mapping[str, str] | None,
+    ) -> "LevelGraph":
+        """A graph over an id -> node and a (parent, child) -> kind mapping."""
+        graph = cls.__new__(cls)
+        graph._fill(root, nodes, edges, assets)
+        return graph
+
+    def _fill(self, root, nodes, edges, assets) -> None:
+        # nodes, edges and assets are stored sorted, so every reader
+        # iterates them in canonical order
+        self.root = root
+        self._nodes: dict[str, Node] = {key: nodes[key] for key in sorted(nodes)}
+        self._edges: dict[tuple[str, str], DepKind] = {key: edges[key] for key in sorted(edges)}
         self._out: dict[str, list[tuple[str, DepKind]]] = {}
         self._in: dict[str, list[tuple[str, DepKind]]] = {}
-        for edge in sorted(edges, key=Edge.sort_key):
-            key = (edge.parent, edge.child)
-            if key in self._edges:
-                raise ValueError(f"duplicate edge {edge.parent!r} -> {edge.child!r}")
-            self._edges[key] = edge.kind
-            self._out.setdefault(edge.parent, []).append((edge.child, edge.kind))
-            self._in.setdefault(edge.child, []).append((edge.parent, edge.kind))
+        for (parent, child), kind in self._edges.items():
+            self._out.setdefault(parent, []).append((child, kind))
+            self._in.setdefault(child, []).append((parent, kind))
         self.assets: dict[str, str] = dict(sorted(assets.items())) if assets else {}
-        self._heights: dict[str, int] | None = None
 
     # -- queries ---------------------------------------------------------
 
@@ -241,9 +258,6 @@ class LevelGraph:
             if kind is DepKind.DIRECT and (best is None or parent < best):
                 best = parent
         return best
-
-    def replace_assets(self, assets: Mapping[str, str]) -> "LevelGraph":
-        return LevelGraph(self.root, self._nodes.values(), self.edges(), assets)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LevelGraph):
@@ -449,23 +463,6 @@ def _full_report(graph: LevelGraph) -> ValidationReport:
 
 
 # -- structural queries ------------------------------------------------------
-
-
-def height(graph: LevelGraph, node_id: str) -> int:
-    """Length of the longest directed path from the root to the node.
-
-    Computed on the condensation, so members of a cycle share their
-    component's height and the value is defined even mid-repair.
-    Nodes unreachable from the root get height 0.
-    """
-    if not graph.has_node(node_id):
-        raise UnknownNodeError(node_id)
-    if graph._heights is None:
-        def successors(nid: str) -> list[str]:
-            return [c for c, _ in graph.children(nid) if graph.has_node(c)]
-
-        graph._heights = component_heights(graph.node_ids(), successors, graph.root)
-    return graph._heights[node_id]
 
 
 def direct_subtree(graph: LevelGraph, node_id: str) -> set[str]:

@@ -36,7 +36,6 @@ from typing import Iterator, TextIO
 
 from .graph import (
     DepKind,
-    Edge,
     LevelGraph,
     Node,
     PropertyValue,
@@ -343,15 +342,13 @@ def parse(text: str) -> LevelDocument:
     props_by_owner: dict[str, dict[str, PropertyValue]] = {}
     for (owner, key), (value, _) in props.items():
         props_by_owner.setdefault(owner, {})[key] = value
-    built_nodes = [
-        Node(node_id, kind, props_by_owner.get(node_id, {}))
-        for node_id, (kind, _) in nodes.items()
-    ]
-
-    graph = LevelGraph(
+    graph = LevelGraph._of(
         root[0],
-        built_nodes,
-        [Edge(p, c, kind) for (p, c), (kind, _) in edges.items()],
+        {
+            node_id: Node(node_id, kind, props_by_owner.get(node_id, {}))
+            for node_id, (kind, _) in nodes.items()
+        },
+        {pair: kind for pair, (kind, _) in edges.items()},
         {aid: digest for aid, (digest, _) in assets.items()},
     )
     return LevelDocument(version, graph)
@@ -361,20 +358,17 @@ def serialize(doc: LevelDocument) -> str:
     """Render the canonical byte form of a document (see module docstring)."""
     graph = doc.graph
     lines = [f"lvl {doc.format_version}", f"root {_format_token(graph.root)}"]
-    for node_id in sorted(graph.node_ids()):
-        node = graph.node(node_id)
+    # a graph stores its nodes and edges in canonical order
+    for node_id, node in graph._nodes.items():
         lines.append(f"node {_format_token(node_id)} {_format_token(node.kind)}")
-    for node_id in sorted(graph.node_ids()):
-        node = graph.node(node_id)
+    for node_id, node in graph._nodes.items():
         for key in sorted(node.properties):
             lines.append(
                 f"prop {_format_token(node_id)} {_format_token(key)} "
                 f"{format_value(node.properties[key])}"
             )
-    for edge in sorted(graph.edges(), key=Edge.sort_key):
-        lines.append(
-            f"edge {_format_token(edge.parent)} {_format_token(edge.child)} {edge.kind.value}"
-        )
+    for (parent, child), kind in graph._edges.items():
+        lines.append(f"edge {_format_token(parent)} {_format_token(child)} {kind.value}")
     for asset_id in sorted(graph.assets):
         lines.append(f"asset {_format_token(asset_id)} {_format_token(graph.assets[asset_id])}")
     return "\n".join(lines) + "\n"

@@ -30,8 +30,8 @@ from typing import Mapping, Union
 
 from .diff import (
     DiffResult,
-    InvalidGraphError,
     NodeDelta,
+    _require_valid,
     check_same_level,
     classify,
     diff_stats,
@@ -79,6 +79,28 @@ class Resolution(Enum):
 
 def _took(branch: Branch) -> Resolution:
     return Resolution.TOOK_A if branch is Branch.A else Resolution.TOOK_B
+
+
+CONFLICT = object()
+"""What `merge_cell` returns when both branches changed a cell differently."""
+
+
+def merge_cell(base, mine, theirs):
+    """Three-way merge of one independent cell: the merged value, or CONFLICT.
+
+    Agreement wins, then a one-sided change; two different changes
+    conflict (the diff3 rule on a single value, after Khanna, Kunal and
+    Pierce, "A Formal Investigation of Diff3", FSTTCS 2007). Every cell
+    of a merge goes through here: a property, a Direct parent, an
+    indirect edge's presence, and an asset's digest.
+    """
+    if mine == theirs:
+        return mine
+    if mine == base:
+        return theirs
+    if theirs == base:
+        return mine
+    return CONFLICT
 
 
 @dataclass(frozen=True)
@@ -166,8 +188,6 @@ class DeleteModifyConflict:
     _touched_mods: tuple[str, ...] = field(default=(), repr=False)
     _anchored: tuple[str, ...] = field(default=(), repr=False)
     _reparent_ins: tuple[str, ...] = field(default=(), repr=False)
-    _other_diff: DiffResult | None = field(default=None, repr=False, compare=False)
-    _ancestor: LevelGraph | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -225,12 +245,11 @@ class MergeOutcome:
 class _State:
     """The merge pipeline's working graph; mutation stays inside this module."""
 
-    __slots__ = ("root", "nodes", "edges", "out_", "in_", "assets", "relinks", "owners")
+    __slots__ = ("root", "nodes", "out_", "in_", "assets", "relinks", "owners")
 
     def __init__(self) -> None:
         self.root = ""
         self.nodes: dict[str, Node] = {}
-        self.edges: dict[tuple[str, str], DepKind] = {}
         self.out_: dict[str, dict[str, DepKind]] = {}
         self.in_: dict[str, dict[str, DepKind]] = {}
         self.assets: dict[str, str] = {}
@@ -241,24 +260,22 @@ class _State:
     def from_graph(cls, graph: LevelGraph) -> "_State":
         state = cls()
         state.root = graph.root
-        state.nodes = {n.id: n for n in graph.nodes()}
-        for edge in graph.edges():
-            state._link(edge.parent, edge.child, edge.kind)
+        state.nodes = dict(graph._nodes)
+        state.out_ = {parent: dict(children) for parent, children in graph._out.items()}
+        state.in_ = {child: dict(parents) for child, parents in graph._in.items()}
         state.assets = dict(graph.assets)
         return state
 
     def to_graph(self) -> LevelGraph:
-        return LevelGraph(
-            self.root,
-            self.nodes.values(),
-            [Edge(p, c, k) for (p, c), k in self.edges.items()],
-            self.assets,
-        )
+        edges = {
+            (parent, child): kind
+            for parent, children in self.out_.items()
+            for child, kind in children.items()
+        }
+        return LevelGraph._of(self.root, self.nodes, edges, self.assets)
 
-    def _link(self, parent: str, child: str, kind: DepKind) -> None:
-        self.edges[(parent, child)] = kind
-        self.out_.setdefault(parent, {})[child] = kind
-        self.in_.setdefault(child, {})[parent] = kind
+    def edge_kind(self, parent: str, child: str) -> DepKind | None:
+        return self.out_.get(parent, {}).get(child)
 
     def set_edge(
         self,
@@ -268,14 +285,14 @@ class _State:
         owner: Branch | None = None,
         relink: bool = False,
     ) -> None:
-        self._link(parent, child, kind)
+        self.out_.setdefault(parent, {})[child] = kind
+        self.in_.setdefault(child, {})[parent] = kind
         if owner is not None:
             self.owners[(parent, child)] = owner
         if relink:
             self.relinks.add((parent, child))
 
     def remove_edge(self, parent: str, child: str) -> None:
-        self.edges.pop((parent, child), None)
         out = self.out_.get(parent)
         if out is not None:
             out.pop(child, None)
@@ -302,15 +319,10 @@ class _State:
         return best
 
     def reachable_set(self) -> set[str]:
-        seen = {self.root} if self.root in self.nodes else set()
-        frontier = list(seen)
-        while frontier:
-            current = frontier.pop()
-            for child in self.out_.get(current, ()):
-                if child not in seen and child in self.nodes:
-                    seen.add(child)
-                    frontier.append(child)
-        return seen
+        reached: set[str] = set()
+        if self.root in self.nodes:
+            self.grow_reachable(reached, self.root)
+        return reached
 
     def reaches_from_root(self, target: str) -> bool:
         if target == self.root:
@@ -357,17 +369,17 @@ def _apply_additions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> l
             for key in sorted(set(node_a.properties) | set(node_b.properties)):
                 va = node_a.properties.get(key)
                 vb = node_b.properties.get(key)
-                if va is not None and vb is not None and va != vb:
+                value = merge_cell(None, va, vb)  # an addition has no base value
+                if value is CONFLICT:
                     conflicts.append(AddAddConflict(node_id, key, va, vb))
                 else:
-                    props[key] = va if va is not None else vb
+                    props[key] = value
             merged_nodes[node_id] = Node(node_id, node_a.kind, props)
         else:
             source = diff_a.version if node_id in added_a else diff_b.version
             merged_nodes[node_id] = source.node(node_id)
 
-    for node_id, node in merged_nodes.items():
-        state.nodes[node_id] = node
+    state.nodes.update(merged_nodes)
 
     for node_id in merged_nodes:
         in_a = node_id in added_a
@@ -511,8 +523,6 @@ def _apply_deletions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> l
                         _touched_mods=tuple(touched_mods),
                         _anchored=tuple(anchored),
                         _reparent_ins=tuple(reparent_ins),
-                        _other_diff=other,
-                        _ancestor=ancestor,
                     )
                 )
             elif root_id in clean:
@@ -560,56 +570,47 @@ def _apply_modifications(
         props_a = version_a.node(node_id).properties if in_a else anc_node.properties
         props_b = version_b.node(node_id).properties if in_b else anc_node.properties
 
-        current = dict(state.nodes[node_id].properties)
-        changed = False
+        node = state.nodes[node_id]
+        current = dict(node.properties)
         for key in sorted(set(anc_node.properties) | set(props_a) | set(props_b)):
             base = anc_node.properties.get(key)
             mine = props_a.get(key)
             theirs = props_b.get(key)
-            if mine == base and theirs == base:
-                continue
-            if mine == theirs:
-                value = mine
-            elif mine == base:
-                value = theirs
-            elif theirs == base:
-                value = mine
-            elif (
-                policy.numeric_averaging
-                and mine is not None
-                and theirs is not None
-                and mine.kind == "real"
-                and theirs.kind == "real"
-                and anc_node.kind in policy.averageable_kinds
-            ):
+            value = merge_cell(base, mine, theirs)
+            if value is CONFLICT:
+                if not (
+                    policy.numeric_averaging
+                    and mine is not None
+                    and theirs is not None
+                    and mine.kind == "real"
+                    and theirs.kind == "real"
+                    and anc_node.kind in policy.averageable_kinds
+                ):
+                    conflicts.append(PropertyConflict(node_id, key, mine, theirs, base))
+                    continue
                 value = PropertyValue.real((float(mine.value) + float(theirs.value)) / 2.0)
-            else:
-                conflicts.append(PropertyConflict(node_id, key, mine, theirs, base))
-                continue
             if value is None:
                 current.pop(key, None)
             else:
                 current[key] = value
-            changed = True
-        if changed:
-            state.nodes[node_id] = Node(node_id, anc_node.kind, current)
+        if current != node.properties:
+            state.nodes[node_id] = Node(node_id, node.kind, current)
 
         base_dp = ancestor.direct_parent(node_id)
         dp_a = version_a.direct_parent(node_id) if in_a else base_dp
         dp_b = version_b.direct_parent(node_id) if in_b else base_dp
-        if dp_a != base_dp or dp_b != base_dp:
-            if dp_a != base_dp and dp_b != base_dp and dp_a != dp_b:
-                conflicts.append(ReparentConflict(node_id, dp_a, dp_b))
-            else:
-                winner, owner = (dp_a, Branch.A) if dp_a != base_dp else (dp_b, Branch.B)
-                _set_direct_parent(state, node_id, winner, owner)
+        parent = merge_cell(base_dp, dp_a, dp_b)
+        if parent is CONFLICT:
+            conflicts.append(ReparentConflict(node_id, dp_a, dp_b))
+        elif parent != base_dp:
+            _set_direct_parent(state, node_id, parent, Branch.A if parent == dp_a else Branch.B)
 
     # indirect-presence cells, one per (parent, child) pair seen anywhere
     pairs: set[tuple[str, str]] = set()
     for graph in (ancestor, version_a, version_b):
-        for edge in graph.edges():
-            if edge.kind is DepKind.INDIRECT:
-                pairs.add((edge.parent, edge.child))
+        for pair, kind in graph._edges.items():
+            if kind is DepKind.INDIRECT:
+                pairs.add(pair)
     for parent, child in sorted(pairs):
         if parent not in state.nodes or child not in state.nodes:
             continue
@@ -624,8 +625,9 @@ def _apply_modifications(
             if version_b.has_node(parent) and version_b.has_node(child)
             else base
         )
-        merged = mine if mine == theirs else (theirs if mine == base else mine)
-        current = state.edges.get((parent, child))
+        # a boolean cell never conflicts
+        merged = merge_cell(base, mine, theirs)
+        current = state.edge_kind(parent, child)
         if merged:
             if current is None:
                 owner = Branch.A if mine and not base else Branch.B
@@ -654,38 +656,42 @@ def _merge_manifests_atomic(
     conflicts: list[Conflict] = []
     manifest: dict[str, str] = {}
     dropped: list[DroppedEdit] = []
-    winner = policy.winner
     for asset_id in sorted(set(base) | set(mine) | set(theirs)):
-        a = base.get(asset_id)
-        m = mine.get(asset_id)
-        t = theirs.get(asset_id)
-        if m == t:
-            take = m
-        elif m == a:
-            take = t
-        elif t == a:
-            take = m
-        else:
+        a, m, t = base.get(asset_id), mine.get(asset_id), theirs.get(asset_id)
+        take = merge_cell(a, m, t)
+        if take is CONFLICT:
             conflict = AssetConflict(asset_id, m, t, a)
             conflicts.append(conflict)
-            if winner is None:
-                take = a  # held at ancestor state
-            else:
-                take = m if winner is Branch.A else t
-                lost = t if winner is Branch.A else m
-                conflict.resolution = _took(winner)
-                dropped.append(
-                    DroppedEdit(
-                        winner.other,
-                        None,
-                        f"delete asset {asset_id}"
-                        if lost is None
-                        else f"asset {asset_id} -> {lost}",
-                    )
-                )
+            take = _settle_asset(conflict, policy.winner, dropped)
         if take is not None:
             manifest[asset_id] = take
     return conflicts, manifest, dropped
+
+
+def _settle_asset(
+    conflict: AssetConflict, winner: Branch | None, dropped: list[DroppedEdit]
+) -> str | None:
+    """The digest an asset conflict keeps under the policy's winner.
+
+    Without a winner the ancestor digest is held; otherwise the winner's
+    digest (None deletes the asset) is taken and the loser's edit is
+    recorded as dropped.
+    """
+    if winner is None:
+        return conflict.ancestor_digest
+    take, lost = conflict.digest_a, conflict.digest_b
+    if winner is Branch.B:
+        take, lost = lost, take
+    conflict.resolution = _took(winner)
+    asset_id = conflict.asset_id
+    dropped.append(
+        DroppedEdit(
+            winner.other,
+            None,
+            f"delete asset {asset_id}" if lost is None else f"asset {asset_id} -> {lost}",
+        )
+    )
+    return take
 
 
 # -- phase 5: resolution --------------------------------------------------------
@@ -714,50 +720,46 @@ def _restore_child_state(state: _State, node_id: str, ancestor: LevelGraph) -> N
             state.set_edge(parent, node_id, kind)
 
 
-def _restore_direct_parent(state: _State, node_id: str, ancestor: LevelGraph) -> None:
-    current = state.direct_parent(node_id)
-    if current is not None:
-        state.remove_edge(current, node_id)
-    anc_parent = ancestor.direct_parent(node_id)
-    if anc_parent is not None and anc_parent in state.nodes:
-        state.set_edge(anc_parent, node_id, DepKind.DIRECT)
-
-
-def _hold_delete_modify(state: _State, conflict: DeleteModifyConflict) -> None:
-    """Manual policy: hold every conflicting item at ancestor state."""
-    ancestor = conflict._ancestor
-    scope = set(conflict.subtree)
-    anchored = set(conflict._anchored)
+def _undo_moves_into(
+    state: _State, conflict: DeleteModifyConflict, ancestor: LevelGraph
+) -> list[tuple[str, str]]:
+    """Undo the other branch's moves into the doomed subtree: reparented survivors
+    go back to their ancestor parent, anchored additions go; returns the moved."""
+    doomed = {*conflict.subtree, *conflict._anchored}
+    moved = []
     for node_id in conflict._reparent_ins:
         if node_id not in state.nodes:
             continue
         current = state.direct_parent(node_id)
-        if current is not None and (current in scope or current in anchored):
-            _restore_direct_parent(state, node_id, ancestor)
+        if current in doomed:
+            state.remove_edge(current, node_id)
+            anc_parent = ancestor.direct_parent(node_id)
+            if anc_parent in state.nodes:
+                state.set_edge(anc_parent, node_id, DepKind.DIRECT)
+            moved.append((node_id, current))
     for added_id in conflict._anchored:
         if added_id in state.nodes:
             state.remove_node(added_id)
+    return moved
+
+
+def _hold_delete_modify(
+    state: _State, conflict: DeleteModifyConflict, ancestor: LevelGraph
+) -> None:
+    """Manual policy: hold every conflicting item at ancestor state."""
+    _undo_moves_into(state, conflict, ancestor)
     for node_id in conflict._touched_mods:
         if node_id in state.nodes:
             _restore_child_state(state, node_id, ancestor)
 
 
 def _win_delete(
-    state: _State, conflict: DeleteModifyConflict, winner: Branch, dropped: list[DroppedEdit]
+    state: _State, conflict: DeleteModifyConflict, other_diff: DiffResult, dropped: list[DroppedEdit]
 ) -> None:
-    loser = winner.other
-    other_diff = conflict._other_diff
-    ancestor = conflict._ancestor
-    scope = set(conflict.subtree)
-    anchored = set(conflict._anchored)
-
-    for node_id in conflict._reparent_ins:
-        if node_id not in state.nodes:
-            continue
-        current = state.direct_parent(node_id)
-        if current is not None and (current in scope or current in anchored):
-            _restore_direct_parent(state, node_id, ancestor)
-            dropped.append(DroppedEdit(loser, node_id, f"reparent under {current}"))
+    loser = conflict.deleting_branch.other
+    ancestor = other_diff.ancestor
+    for node_id, left in _undo_moves_into(state, conflict, ancestor):
+        dropped.append(DroppedEdit(loser, node_id, f"reparent under {left}"))
     for added_id in conflict._anchored:
         added = other_diff.version.node(added_id)
         recorded = other_diff.version.direct_parent(added_id)
@@ -769,17 +771,23 @@ def _win_delete(
                 f"({len(added.properties)} properties)",
             )
         )
-        if added_id in state.nodes:
-            state.remove_node(added_id)
     for node_id in conflict._touched_mods:
         for fragment in _describe_delta(other_diff.deltas[node_id]):
             dropped.append(DroppedEdit(loser, node_id, fragment))
+    scope = set(conflict.subtree)
     _cascade_delete(state, conflict.deleted_node, scope, conflict.deleting_branch, ancestor)
 
 
-def _resolve(state: _State, conflicts: list[Conflict], policy: MergePolicy) -> list[DroppedEdit]:
+def _resolve(
+    state: _State,
+    conflicts: list[Conflict],
+    policy: MergePolicy,
+    diff_a: DiffResult,
+    diff_b: DiffResult,
+) -> list[DroppedEdit]:
     dropped: list[DroppedEdit] = []
     winner = policy.winner
+    ancestor = diff_a.ancestor
     # deletions cascade last so other resolutions see their targets alive
     ordered = [c for c in conflicts if not isinstance(c, DeleteModifyConflict)]
     ordered += [c for c in conflicts if isinstance(c, DeleteModifyConflict)]
@@ -789,7 +797,7 @@ def _resolve(state: _State, conflicts: list[Conflict], policy: MergePolicy) -> l
             continue  # settled earlier (e.g. by the manifest merger)
         if winner is None:
             if isinstance(conflict, DeleteModifyConflict):
-                _hold_delete_modify(state, conflict)
+                _hold_delete_modify(state, conflict, ancestor)
             continue
 
         loser = winner.other
@@ -809,7 +817,6 @@ def _resolve(state: _State, conflicts: list[Conflict], policy: MergePolicy) -> l
             else:
                 description = f"set {conflict.key} = {format_value(lose)}"
             dropped.append(DroppedEdit(loser, conflict.node, description))
-            conflict.resolution = _took(winner)
         elif isinstance(conflict, ReparentConflict):
             take = conflict.parent_a if winner is Branch.A else conflict.parent_b
             lose = conflict.parent_b if winner is Branch.A else conflict.parent_a
@@ -818,27 +825,16 @@ def _resolve(state: _State, conflicts: list[Conflict], policy: MergePolicy) -> l
             dropped.append(
                 DroppedEdit(loser, conflict.node, f"reparent under {lose or 'nothing'}")
             )
-            conflict.resolution = _took(winner)
         elif isinstance(conflict, AssetConflict):
-            take = conflict.digest_a if winner is Branch.A else conflict.digest_b
-            lose = conflict.digest_b if winner is Branch.A else conflict.digest_a
+            take = _settle_asset(conflict, winner, dropped)
             if take is None:
                 state.assets.pop(conflict.asset_id, None)
             else:
                 state.assets[conflict.asset_id] = take
-            dropped.append(
-                DroppedEdit(
-                    loser,
-                    None,
-                    f"delete asset {conflict.asset_id}"
-                    if lose is None
-                    else f"asset {conflict.asset_id} -> {lose}",
-                )
-            )
-            conflict.resolution = _took(winner)
         elif isinstance(conflict, DeleteModifyConflict):
             if winner is conflict.deleting_branch:
-                _win_delete(state, conflict, winner, dropped)
+                other_diff = diff_b if winner is Branch.A else diff_a
+                _win_delete(state, conflict, other_diff, dropped)
             else:
                 dropped.append(
                     DroppedEdit(
@@ -848,7 +844,7 @@ def _resolve(state: _State, conflicts: list[Conflict], policy: MergePolicy) -> l
                         f"({len(conflict.subtree)} nodes)",
                     )
                 )
-            conflict.resolution = _took(winner)
+        conflict.resolution = _took(winner)
     return dropped
 
 
@@ -863,7 +859,7 @@ def _prune_relinks(state: _State) -> None:
     connectivity must not survive into the merged graph.
     """
     for parent, child in sorted(state.relinks):
-        kind = state.edges.get((parent, child))
+        kind = state.edge_kind(parent, child)
         if kind is None:
             continue
         owner = state.owners.get((parent, child))
@@ -885,18 +881,18 @@ def _repair_cycles_state(state: _State) -> tuple[list[Edge], list[DroppedEdit]]:
         cyclic = [
             comp
             for comp in components
-            if len(comp) > 1 or (comp[0], comp[0]) in state.edges
+            if len(comp) > 1 or state.edge_kind(comp[0], comp[0]) is not None
         ]
         if not cyclic:
             break
         component = min(cyclic, key=min)
         members = set(component)
-        internal = [pair for pair in state.edges if pair[0] in members and pair[1] in members]
-        indirect = [pair for pair in internal if state.edges[pair] is DepKind.INDIRECT]
+        internal = [(p, c) for p in component for c in state.out_.get(p, ()) if c in members]
+        indirect = [pc for pc in internal if state.edge_kind(*pc) is DepKind.INDIRECT]
         candidates = indirect or internal
         heights = component_heights(node_ids, successors, state.root)
         parent, child = min(candidates, key=lambda pc: (heights[pc[0]], pc[0], pc[1]))
-        kind = state.edges[(parent, child)]
+        kind = state.edge_kind(parent, child)
         owner = state.owners.get((parent, child))
         state.remove_edge(parent, child)
         removed.append(Edge(parent, child, kind))
@@ -945,88 +941,7 @@ def _repair_manifest_refs(
                 state.assets[asset_id] = digest
 
 
-# -- public operations -----------------------------------------------------------
-
-
-def apply_additions(
-    working: LevelGraph, diff_a: DiffResult, diff_b: DiffResult
-) -> tuple[LevelGraph, list[Conflict]]:
-    """Insert both branches' added nodes, each under its Direct parent.
-
-    An added node whose recorded parent is absent from the working graph
-    is attached under the scene root instead. Identical same-id
-    additions merge to one node; per-key value disagreements become
-    add/add conflicts.
-    """
-    state = _State.from_graph(working)
-    conflicts = _apply_additions(state, diff_a, diff_b)
-    return state.to_graph(), conflicts
-
-
-def apply_deletions(
-    working: LevelGraph, diff_a: DiffResult, diff_b: DiffResult
-) -> tuple[LevelGraph, list[Conflict]]:
-    """Apply both branches' deletions, deferring the conflicted ones.
-
-    A deletion conflicts when the other branch intrinsically modified a
-    node inside the doomed subtree, anchored an addition under it, or
-    reparented a survivor into it. Clean deletions cascade over the
-    Direct subtree and relink orphaned indirect subtrees to the deleted
-    node's parent, preserving edge kinds.
-    """
-    state = _State.from_graph(working)
-    conflicts = _apply_deletions(state, diff_a, diff_b)
-    return state.to_graph(), conflicts
-
-
-def apply_modifications(
-    working: LevelGraph, diff_a: DiffResult, diff_b: DiffResult, policy: MergePolicy
-) -> tuple[LevelGraph, list[Conflict]]:
-    """Merge property values, Direct parents, and indirect references.
-
-    Disjoint edits union; identical edits apply once; same-key value
-    disagreements conflict unless numeric averaging covers them; and
-    two branches assigning different Direct parents is a reparent
-    conflict. Conflicted items keep their ancestor state here and are
-    settled by `resolve_conflicts`.
-    """
-    state = _State.from_graph(working)
-    conflicts = _apply_modifications(state, diff_a, diff_b, policy)
-    return state.to_graph(), conflicts
-
-
-def resolve_conflicts(
-    working: LevelGraph, conflicts: list[Conflict], policy: MergePolicy
-) -> tuple[LevelGraph, list[Conflict], list[DroppedEdit]]:
-    """Settle collected conflicts per policy.
-
-    Manual leaves them unresolved with conflicting items at ancestor
-    state. A branch preference applies the winning edit (a winning
-    deletion re-runs the cascade; a winning modification cancels the
-    deletion) and records every losing fragment as a dropped edit.
-    """
-    state = _State.from_graph(working)
-    dropped = _resolve(state, conflicts, policy)
-    return state.to_graph(), conflicts, dropped
-
-
-def repair_cycles(graph: LevelGraph) -> tuple[LevelGraph, list[Edge]]:
-    """Break every cycle deterministically; returns removals in order.
-
-    Per cyclic strongly connected component, the candidates are its
-    internal Indirect edges, or all internal edges when no Indirect one
-    exists; the candidate with the lowest source height goes first,
-    ties broken by (parent, child) lexicographic order.
-    """
-    state = _State.from_graph(graph)
-    removed, _ = _repair_cycles_state(state)
-    return state.to_graph(), removed
-
-
-def _require_valid(graph: LevelGraph, role: str) -> None:
-    report = validate(graph)
-    if not report.ok:
-        raise InvalidGraphError(role, report)
+# -- the merge --------------------------------------------------------------------
 
 
 @_gc_paused()
@@ -1070,7 +985,7 @@ def merge3(
     conflicts += asset_conflicts
     state.assets = manifest
 
-    dropped = _resolve(state, conflicts, policy)
+    dropped = _resolve(state, conflicts, policy, diff_a, diff_b)
     dropped += asset_drops
     _prune_relinks(state)
     removed_edges, cycle_drops = _repair_cycles_state(state)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -341,20 +342,22 @@ def _driver_command() -> str:
     return f"{sys.executable} -m scenemerge.cli"
 
 
+def _driver_repo(repo: Path, policy: str, driver: str) -> None:
+    """A new repository whose ``.lvl`` files merge through the ``driver`` command."""
+    repo.mkdir()
+    _git_ok(repo, "init", "-q", "-b", "main")
+    (repo / ".gitattributes").write_text("*.lvl merge=scenemerge\n")
+    (repo / "scenemerge.conf").write_text(f"policy {policy}\n")
+    _git_ok(repo, "config", "merge.scenemerge.name", "level merge")
+    _git_ok(repo, "config", "merge.scenemerge.driver", driver)
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="git not available")
 def test_criterion_7_merge_driver_conformance(tmp_path):
-    driver = _driver_command()
+    driver = f"{_driver_command()} merge-driver %O %A %B --report merge.lvlreport"
 
     def setup_repo(repo: Path, policy: str) -> None:
-        repo.mkdir()
-        _git_ok(repo, "init", "-q", "-b", "main")
-        (repo / ".gitattributes").write_text("*.lvl merge=scenemerge\n")
-        (repo / "scenemerge.conf").write_text(f"policy {policy}\n")
-        _git_ok(repo, "config", "merge.scenemerge.name", "level merge")
-        _git_ok(
-            repo, "config", "merge.scenemerge.driver",
-            f"{driver} merge-driver %O %A %B --report merge.lvlreport",
-        )
+        _driver_repo(repo, policy, driver)
 
     # clean concurrent edits merge via the registered driver
     repo = tmp_path / "clean"
@@ -397,6 +400,68 @@ def test_criterion_7_merge_driver_conformance(tmp_path):
     assert [c.kind for c in report.conflicts] == ["delete-modify"]
     assert report.conflicts[0].node == "planet-front"
     report_pass("7", "registered driver merges cleanly and signals conflicts")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not available")
+def test_criss_cross_history_merges_through_a_virtual_ancestor(tmp_path):
+    """Each branch merges the other's first commit and resolves the fig4
+    conflict its own way, so the final merge has two merge bases. Git then
+    calls the driver to merge the two bases into a virtual ancestor (its
+    delete/modify conflict held at ancestor state), and again for the final
+    merge against it."""
+
+    def run(repo: Path) -> tuple[list[str], int, bytes, str]:
+        # the report and the driver's exit codes are kept outside the work tree
+        log, report = repo.parent / f"{repo.name}.codes", repo.parent / f"{repo.name}.lvlreport"
+        _driver_repo(
+            repo, "manual",
+            f"{_driver_command()} merge-driver %O %A %B --report {shlex.quote(str(report))}; "
+            f"code=$?; echo $code >> {shlex.quote(str(log))}; exit $code",
+        )
+
+        def commit(fixture: str, message: str) -> None:
+            shutil.copy(fixture_path(fixture), repo / "level.lvl")
+            _git_ok(repo, "add", ".")
+            _git_ok(repo, "commit", "-qm", message)
+
+        commit("fig4-base.lvl", "base")
+        _git_ok(repo, "checkout", "-qb", "other")
+        commit("fig4-theirs.lvl", "material edit")
+        _git_ok(repo, "checkout", "-q", "main")
+        commit("fig4-mine.lvl", "delete planet")
+        first_mine = _git(repo, "rev-parse", "HEAD").stdout.strip()
+        assert _git(repo, "merge", "other", "-m", "merge").returncode != 0
+        commit("fig4-merged-prefer-a.lvl", "keep the deletion")
+        _git_ok(repo, "checkout", "-q", "other")
+        assert _git(repo, "merge", first_mine, "-m", "merge").returncode != 0
+        commit("fig4-merged-prefer-b.lvl", "keep the edit")
+        _git_ok(repo, "checkout", "-q", "main")
+        bases = _git(repo, "merge-base", "--all", "main", "other").stdout.split()
+        assert len(bases) == 2
+
+        proc = _git(repo, "merge", "other", "-m", "final")
+        level = (repo / "level.lvl").read_bytes()
+        return log.read_text().split(), proc.returncode, level, report.read_text()
+
+    codes, returncode, merged_bytes, report = run(tmp_path / "first")
+    # two resolved merges, then the virtual ancestor and the final merge:
+    # each meets the delete/modify conflict and exits 1 with a loadable level
+    assert codes == ["1", "1", "1", "1"]
+    assert returncode != 0
+    merged = parse(merged_bytes.decode("utf-8")).graph
+    assert validate(merged).ok
+    from scenemerge.report import parse_report
+
+    assert [c.kind for c in parse_report(report).conflicts] == ["delete-modify"]
+    # the driver's inner merge is the ancestor the final merge ran against
+    virtual = merge3(load("fig4-base.lvl"), load("fig4-mine.lvl"), load("fig4-theirs.lvl"))
+    final = merge3(
+        virtual.merged, load("fig4-merged-prefer-a.lvl"), load("fig4-merged-prefer-b.lvl")
+    )
+    assert merged_bytes == canonical_bytes(final.merged)
+
+    again = run(tmp_path / "second")
+    assert again[:3] == (codes, returncode, merged_bytes)
 
 
 @settings(max_examples=1_000, deadline=None, derandomize=True)

@@ -12,7 +12,6 @@ from scenemerge import (
     PropertyValue,
     classify,
     diff_stats,
-    induced_diff_graph,
     read_document,
 )
 from scenemerge.sim import PRESETS, SizeParams, apply_script, generate
@@ -154,41 +153,6 @@ class TestClassify:
         diff = classify(base, version)
         assert diff.intrinsic == {"c", "b"} | {"c"}  # edge add anchors at child c
         assert diff.added == set() and diff.deleted == set()
-
-
-class TestInducedSubgraph:
-    def test_identity_is_empty(self, chain3):
-        diff = classify(chain3, chain3)
-        sub = induced_diff_graph(chain3, diff)
-        assert not sub.nodes and not sub.edges
-
-    def test_single_modified_leaf(self, chain3):
-        edited = g(
-            "root",
-            [("root", "Scene"), ("a", "GameObject"), ("b", "Transform", {"k": real(2.0)})],
-            [("root", "a", D), ("a", "b", D)],
-        )
-        diff = classify(chain3, edited)
-        sub = induced_diff_graph(edited, diff)
-        assert set(sub.nodes) == {"b"}
-        assert sub.edges == ()
-
-    def test_propagation_induces_edge(self, chain3):
-        edited = g(
-            "root",
-            [("root", "Scene"), ("a", "GameObject", {"k": real(2.0)}), ("b", "Transform")],
-            [("root", "a", D), ("a", "b", D)],
-        )
-        diff = classify(chain3, edited)
-        sub = induced_diff_graph(edited, diff)
-        assert set(sub.nodes) == {"a", "b"}
-        assert [(e.parent, e.child) for e in sub.edges] == [("a", "b")]
-
-    def test_mismatched_pairing_rejected(self, chain3):
-        diff = classify(chain3, chain3)
-        other = g("root", [("root", "Scene")])
-        with pytest.raises(GraphMismatchError):
-            induced_diff_graph(other, diff)
 
 
 class TestDiffStats:

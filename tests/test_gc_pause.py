@@ -25,13 +25,13 @@ def _graphs(*names):
 
 def test_parse_runs_paused_and_restores_the_collector(monkeypatch):
     seen = []
-    build = levelfile.LevelGraph
+    build = levelfile.LevelGraph._of
 
     def spy(*args, **kwargs):
         seen.append(gc.isenabled())
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(levelfile, "LevelGraph", spy)
+    monkeypatch.setattr(levelfile.LevelGraph, "_of", spy)
     parse(fixture_text("fig3-base.lvl"))
     assert seen == [False]
     assert gc.isenabled()

@@ -13,10 +13,9 @@ from scenemerge import (
     PropertyValue,
     UnknownNodeError,
     direct_subtree,
-    height,
     validate,
 )
-from scenemerge.graph import _full_report
+from scenemerge.graph import _full_report, component_heights
 from scenemerge.sim import SizeParams, apply_script, generate
 from conftest import D, I, g
 
@@ -89,12 +88,19 @@ class TestValidate:
         assert "missing-root" in codes(validate(graph))
 
 
+def heights(graph):
+    def successors(node_id):
+        return [child for child, _ in graph.children(node_id)]
+
+    return component_heights(graph.node_ids(), successors, graph.root)
+
+
 class TestHeight:
     def test_root_is_zero(self, chain3):
-        assert height(chain3, "root") == 0
+        assert heights(chain3)["root"] == 0
 
     def test_chain(self, chain3):
-        assert height(chain3, "b") == 2
+        assert heights(chain3)["b"] == 2
 
     def test_diamond_with_cross_edge(self):
         # longest path root -> a -> b -> c
@@ -103,7 +109,7 @@ class TestHeight:
             [("root", "S"), ("a", "X"), ("b", "X"), ("c", "X")],
             [("root", "a", D), ("root", "b", D), ("a", "c", I), ("b", "c", D), ("a", "b", I)],
         )
-        assert height(graph, "c") == 3
+        assert heights(graph)["c"] == 3
 
     def test_matches_longest_path_enumeration(self):
         # oracle: brute-force enumeration of all root-to-node paths
@@ -133,8 +139,9 @@ class TestHeight:
                     edges.append((ids[lo], ids[hi], I))
             graph = g(ids[0], nodes, edges)
             assert validate(graph).ok
+            computed = heights(graph)
             for node_id in ids:
-                assert height(graph, node_id) == brute_height(graph, node_id)
+                assert computed[node_id] == brute_height(graph, node_id)
 
     def test_cycle_members_share_component_height(self):
         graph = g(
@@ -142,11 +149,7 @@ class TestHeight:
             [("root", "S"), ("a", "X"), ("b", "X")],
             [("root", "a", D), ("a", "b", D), ("b", "a", I)],
         )
-        assert height(graph, "a") == height(graph, "b") == 1
-
-    def test_unknown_node(self, chain3):
-        with pytest.raises(UnknownNodeError):
-            height(chain3, "ghost")
+        assert heights(graph)["a"] == heights(graph)["b"] == 1
 
 
 class TestDirectSubtree:
@@ -223,8 +226,9 @@ class TestModel:
             ids = [f"n{i}" for i in range(n)]
             edges = [(ids[rng.randrange(i)], ids[i], D) for i in range(1, n)]
             graph = g(ids[0], [(i, "X") for i in ids], edges)
+            computed = heights(graph)
             for edge in graph.edges():
-                assert height(graph, edge.child) >= 1
+                assert computed[edge.child] >= 1
 
 
 # -- the one-pass accept path against the full checker ------------------------
