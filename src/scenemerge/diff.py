@@ -142,13 +142,11 @@ def classify(
     added_edges: set[Edge] = set()
     removed_edges: set[Edge] = set()
 
-    ancestor_pairs = ancestor._edges
-    version_pairs = version._edges
-    for pair, kind in version_pairs.items():
-        if pair not in ancestor_pairs:
+    for pair, kind in version._edges.items():
+        if pair not in ancestor._edges:
             added_edges.add(Edge(pair[0], pair[1], kind))
-    for pair, kind in ancestor_pairs.items():
-        if pair not in version_pairs:
+    for pair, kind in ancestor._edges.items():
+        if pair not in version._edges:
             removed_edges.add(Edge(pair[0], pair[1], kind))
 
     for node_id in version.node_ids():
