@@ -105,14 +105,14 @@ def check_same_level(a: LevelGraph, b: LevelGraph, role_a: str, role_b: str) -> 
         raise GraphMismatchError(
             f"root ids differ: {a.root!r} ({role_a}) vs {b.root!r} ({role_b})"
         )
-    for node_id in a.node_ids():
-        if b.has_node(node_id):
-            ka, kb = a.node(node_id).kind, b.node(node_id).kind
-            if ka != kb:
-                raise GraphMismatchError(
-                    f"node {node_id!r} has kind {ka!r} in {role_a} but {kb!r} in {role_b}; "
-                    "a kind change must be modeled as delete plus add under a new id"
-                )
+    b_nodes = b._nodes
+    for node_id, node in a._nodes.items():
+        other = b_nodes.get(node_id)
+        if other is not None and other.kind != node.kind:
+            raise GraphMismatchError(
+                f"node {node_id!r} has kind {node.kind!r} in {role_a} but {other.kind!r} "
+                f"in {role_b}; a kind change must be modeled as delete plus add under a new id"
+            )
 
 
 def _require_valid(graph: LevelGraph, role: str) -> None:
@@ -136,39 +136,35 @@ def classify(
 
     classes: dict[str, ChangeClass] = {}
     deltas: dict[str, NodeDelta] = {}
-    added: set[str] = set()
-    deleted: set[str] = set()
     intrinsic_set: set[str] = set()
-    added_edges: set[Edge] = set()
-    removed_edges: set[Edge] = set()
+    a_edges, v_edges = ancestor._edges, version._edges
+    added_edges = {Edge(p, c, v_edges[p, c]) for p, c in v_edges.keys() - a_edges.keys()}
+    removed_edges = {Edge(p, c, a_edges[p, c]) for p, c in a_edges.keys() - v_edges.keys()}
 
-    for pair, kind in version._edges.items():
-        if pair not in ancestor._edges:
-            added_edges.add(Edge(pair[0], pair[1], kind))
-    for pair, kind in ancestor._edges.items():
-        if pair not in version._edges:
-            removed_edges.add(Edge(pair[0], pair[1], kind))
+    a_nodes, v_nodes = ancestor._nodes, version._nodes
+    a_in, v_in = ancestor._in, version._in
+    added = v_nodes.keys() - a_nodes.keys()
+    deleted = a_nodes.keys() - v_nodes.keys()
+    for node_id in sorted(added):
+        classes[node_id] = ChangeClass.ADDED
+        deltas[node_id] = NodeDelta(
+            property_sets=dict(v_nodes[node_id].properties),
+            reparented=True,
+            new_direct_parent=version.direct_parent(node_id),
+            intrinsic=True,
+        )
 
-    for node_id in version.node_ids():
-        if not ancestor.has_node(node_id):
-            classes[node_id] = ChangeClass.ADDED
-            added.add(node_id)
-            node = version.node(node_id)
-            deltas[node_id] = NodeDelta(
-                property_sets=dict(node.properties),
-                reparented=True,
-                new_direct_parent=version.direct_parent(node_id),
-                intrinsic=True,
-            )
-
-    for node_id in ancestor.node_ids():
-        if not version.has_node(node_id):
+    for node_id, old in a_nodes.items():
+        if node_id in deleted:
             classes[node_id] = ChangeClass.DELETED
-            deleted.add(node_id)
+            continue
+        new = v_nodes[node_id]
+        # in-edge lists are sorted by parent, so equal lists mean no
+        # reparent, no kind flip and no in-edge change
+        if (old is new or old == new) and a_in.get(node_id) == v_in.get(node_id):
+            classes[node_id] = ChangeClass.UNCHANGED
             continue
 
-        old = ancestor.node(node_id)
-        new = version.node(node_id)
         sets = {
             key: value
             for key, value in new.properties.items()
@@ -182,8 +178,8 @@ def classify(
 
         kind_changes = set()
         in_edge_change = False
-        old_in = {p: k for p, k in ancestor.parents(node_id)}
-        new_in = {p: k for p, k in version.parents(node_id)}
+        old_in = dict(a_in.get(node_id, ()))
+        new_in = dict(v_in.get(node_id, ()))
         for parent, kind in new_in.items():
             if parent not in old_in:
                 in_edge_change = True
@@ -192,7 +188,7 @@ def classify(
         for parent in old_in:
             # an in-edge that died with its deleted parent is cascade
             # fallout, not an edit of this node
-            if parent not in new_in and version.has_node(parent):
+            if parent not in new_in and parent in v_nodes:
                 in_edge_change = True
 
         intrinsic = bool(sets or removals or reparented or kind_changes or in_edge_change)
@@ -239,15 +235,7 @@ def classify(
 
 
 def diff_stats(diff: DiffResult) -> DiffStats:
-    added = deleted = intrinsic = propagated = 0
-    for node_id, cls in diff.classes.items():
-        if cls is ChangeClass.ADDED:
-            added += 1
-        elif cls is ChangeClass.DELETED:
-            deleted += 1
-        elif cls is ChangeClass.MODIFIED:
-            if diff.deltas[node_id].intrinsic:
-                intrinsic += 1
-            else:
-                propagated += 1
-    return DiffStats(added, deleted, intrinsic, propagated)
+    # every added, intrinsic and propagated node carries a delta; a
+    # deleted node does not
+    added, intrinsic = len(diff.added), len(diff.intrinsic)
+    return DiffStats(added, len(diff.deleted), intrinsic, len(diff.deltas) - added - intrinsic)

@@ -543,41 +543,3 @@ def strongly_connected_components(
                         break
                 components.append(component)
     return components
-
-
-def component_heights(
-    vertices: Iterable[str],
-    successors: Callable[[str], Iterable[str]],
-    root: str,
-) -> dict[str, int]:
-    """Longest-path distance from the root on the condensation.
-
-    Components unreachable from the root's component get height 0; all
-    members of a component share its height.
-    """
-    vertex_list = list(vertices)
-    components = strongly_connected_components(vertex_list, successors)
-    comp_of: dict[str, int] = {}
-    for i, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = i
-
-    comp_succ: list[set[int]] = [set() for _ in components]
-    for v in vertex_list:
-        cv = comp_of[v]
-        for w in successors(v):
-            if w in comp_of and comp_of[w] != cv:
-                comp_succ[cv].add(comp_of[w])
-
-    heights: list[int | None] = [None] * len(components)
-    if root in comp_of:
-        heights[comp_of[root]] = 0
-    # Tarjan emits components in reverse topological order
-    for ci in reversed(range(len(components))):
-        h = heights[ci]
-        if h is None:
-            continue
-        for cj in comp_succ[ci]:
-            if heights[cj] is None or heights[cj] < h + 1:
-                heights[cj] = h + 1
-    return {v: heights[comp_of[v]] or 0 for v in vertex_list}

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Union
+from typing import Container, Mapping, Union
 
 from .diff import (
     DiffResult,
@@ -44,7 +44,6 @@ from .graph import (
     PropertyValue,
     SceneMergeError,
     _gc_paused,
-    component_heights,
     direct_subtree,
     strongly_connected_components,
     validate,
@@ -243,9 +242,14 @@ class MergeOutcome:
 
 
 class _State:
-    """The merge pipeline's working graph; mutation stays inside this module."""
+    """The merge pipeline's working graph; mutation stays inside this module.
 
-    __slots__ = ("root", "nodes", "out_", "in_", "assets", "relinks", "owners")
+    ``touched`` holds every node whose in-edges may differ from the
+    ancestor's: the child of each edge set or removed, and each added
+    node. Structural repair reads it to stay within the edited region.
+    """
+
+    __slots__ = ("root", "nodes", "out_", "in_", "assets", "relinks", "owners", "touched")
 
     def __init__(self) -> None:
         self.root = ""
@@ -255,6 +259,7 @@ class _State:
         self.assets: dict[str, str] = {}
         self.relinks: set[tuple[str, str]] = set()
         self.owners: dict[tuple[str, str], Branch] = {}
+        self.touched: set[str] = set()
 
     @classmethod
     def from_graph(cls, graph: LevelGraph) -> "_State":
@@ -277,6 +282,10 @@ class _State:
     def edge_kind(self, parent: str, child: str) -> DepKind | None:
         return self.out_.get(parent, {}).get(child)
 
+    def add_nodes(self, nodes: Mapping[str, Node]) -> None:
+        self.nodes.update(nodes)
+        self.touched.update(nodes)
+
     def set_edge(
         self,
         parent: str,
@@ -287,6 +296,7 @@ class _State:
     ) -> None:
         self.out_.setdefault(parent, {})[child] = kind
         self.in_.setdefault(child, {})[parent] = kind
+        self.touched.add(child)
         if owner is not None:
             self.owners[(parent, child)] = owner
         if relink:
@@ -299,6 +309,7 @@ class _State:
         in_ = self.in_.get(child)
         if in_ is not None:
             in_.pop(parent, None)
+        self.touched.add(child)
         self.relinks.discard((parent, child))
         self.owners.pop((parent, child), None)
 
@@ -318,26 +329,38 @@ class _State:
                 best = parent
         return best
 
-    def reachable_set(self) -> set[str]:
-        reached: set[str] = set()
-        if self.root in self.nodes:
-            self.grow_reachable(reached, self.root)
-        return reached
+    def reaches_root(self, node_id: str, via: Container[str] = ()) -> bool:
+        """Whether a path of current edges leads to the node from the root
+        or from a member of ``via``.
 
-    def reaches_from_root(self, target: str) -> bool:
-        if target == self.root:
-            return target in self.nodes
-        seen = {self.root}
-        frontier = [self.root]
+        The walk goes backward along in-edges, so it costs the node's
+        ancestry, not the level.
+        """
+        seen = {node_id}
+        frontier = [node_id]
         while frontier:
             current = frontier.pop()
-            for child in self.out_.get(current, ()):
-                if child == target:
-                    return True
-                if child not in seen and child in self.nodes:
-                    seen.add(child)
-                    frontier.append(child)
+            if current == self.root or current in via:
+                return True
+            for parent in self.in_.get(current, ()):
+                if parent not in seen:
+                    seen.add(parent)
+                    frontier.append(parent)
         return False
+
+    def edited_region(self) -> set[str]:
+        """Forward closure of the touched nodes still in the graph.
+
+        Every cycle runs through an edge the merge set, since the ancestor
+        is acyclic, so it lies inside. A node outside it has the ancestor's
+        in-edges, from parents outside it too, so by induction along the
+        ancestor's paths it still reaches the root.
+        """
+        region: set[str] = set()
+        for node_id in self.touched:
+            if node_id in self.nodes:
+                self.grow_reachable(region, node_id)
+        return region
 
     def grow_reachable(self, reached: set[str], start: str) -> None:
         if start in reached:
@@ -379,7 +402,7 @@ def _apply_additions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> l
             source = diff_a.version if node_id in added_a else diff_b.version
             merged_nodes[node_id] = source.node(node_id)
 
-    state.nodes.update(merged_nodes)
+    state.add_nodes(merged_nodes)
 
     for node_id in merged_nodes:
         in_a = node_id in added_a
@@ -488,16 +511,17 @@ def _cascade_delete(
         state.remove_node(member)
     if not severed:
         return
-    reached = state.reachable_set()
     chain = _alive_chain(ancestor, root_id, state)
+    relinked: set[str] = set()
     for child in sorted(severed):
-        if child not in state.nodes or child in reached:
+        # a survivor below an earlier relinked one counts as reconnected
+        if child not in state.nodes or state.reaches_root(child, relinked):
             continue
         target = next((t for t in chain if t != child), state.root)
         if target == child:
             continue
         state.set_edge(target, child, severed[child], owner=branch, relink=True)
-        state.grow_reachable(reached, child)
+        relinked.add(child)
 
 
 def _apply_deletions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> list[Conflict]:
@@ -605,12 +629,22 @@ def _apply_modifications(
         elif parent != base_dp:
             _set_direct_parent(state, node_id, parent, Branch.A if parent == dp_a else Branch.B)
 
-    # indirect-presence cells, one per (parent, child) pair seen anywhere
-    pairs: set[tuple[str, str]] = set()
-    for graph in (ancestor, version_a, version_b):
-        for pair, kind in graph._edges.items():
-            if kind is DepKind.INDIRECT:
-                pairs.add(pair)
+    # Indirect-presence cells, one per (parent, child) pair some branch
+    # changed: an edge added or removed, or a kind flipped. A pair no
+    # branch changed merges to the ancestor's presence, and applying that
+    # leaves the working graph as it is. If the ancestor has the indirect
+    # edge, the graph still has an edge on the pair: only a deleted
+    # endpoint removes one before this point, and a Direct parent set over
+    # it is a kind flip. If not, the graph holds an indirect edge there
+    # only as a relink, which the removal rule spares.
+    pairs = {
+        (edge.parent, edge.child)
+        for diff in (diff_a, diff_b)
+        for edge in diff.added_edges | diff.removed_edges
+    }
+    for diff in (diff_a, diff_b):
+        for node_id in diff.intrinsic:
+            pairs.update((parent, node_id) for parent, _ in diff.deltas[node_id].dep_kind_changes)
     for parent, child in sorted(pairs):
         if parent not in state.nodes or child not in state.nodes:
             continue
@@ -864,20 +898,16 @@ def _prune_relinks(state: _State) -> None:
             continue
         owner = state.owners.get((parent, child))
         state.remove_edge(parent, child)
-        if not state.reaches_from_root(child):
+        if not state.reaches_root(child):
             state.set_edge(parent, child, kind, owner=owner, relink=True)
 
 
 def _repair_cycles_state(state: _State) -> tuple[list[Edge], list[DroppedEdit]]:
     removed: list[Edge] = []
     dropped: list[DroppedEdit] = []
+    region = sorted(state.edited_region())
     while True:
-        node_ids = sorted(state.nodes)
-
-        def successors(v: str) -> list[str]:
-            return sorted(state.out_.get(v, ()))
-
-        components = strongly_connected_components(node_ids, successors)
+        components = strongly_connected_components(region, lambda v: state.out_.get(v, ()))
         cyclic = [
             comp
             for comp in components
@@ -889,9 +919,7 @@ def _repair_cycles_state(state: _State) -> tuple[list[Edge], list[DroppedEdit]]:
         members = set(component)
         internal = [(p, c) for p in component for c in state.out_.get(p, ()) if c in members]
         indirect = [pc for pc in internal if state.edge_kind(*pc) is DepKind.INDIRECT]
-        candidates = indirect or internal
-        heights = component_heights(node_ids, successors, state.root)
-        parent, child = min(candidates, key=lambda pc: (heights[pc[0]], pc[0], pc[1]))
+        parent, child = min(indirect or internal)
         kind = state.edge_kind(parent, child)
         owner = state.owners.get((parent, child))
         state.remove_edge(parent, child)
@@ -908,8 +936,14 @@ def _repair_cycles_state(state: _State) -> tuple[list[Edge], list[DroppedEdit]]:
 
 
 def _reconnect_orphans(state: _State) -> None:
-    reached = state.reachable_set()
-    for node_id in sorted(state.nodes):
+    region = state.edited_region()
+    # every node outside the region reaches the root, and so does a
+    # region node with a parent outside it
+    reached: set[str] = set()
+    for node_id in region:
+        if node_id == state.root or any(p not in region for p in state.in_.get(node_id, ())):
+            state.grow_reachable(reached, node_id)
+    for node_id in sorted(region):
         if node_id in reached or node_id == state.root:
             continue
         state.set_edge(state.root, node_id, DepKind.INDIRECT)
@@ -956,8 +990,11 @@ def merge3(
 
     The result is always a loadable, valid level: after applying both
     branches' edits and resolving conflicts per policy, cycles created
-    by combined edge edits are broken (indirect-first, lowest height)
-    and any orphaned node is reconnected under the root. Every
+    by combined edge edits are broken and any orphaned node is
+    reconnected under the root. Cycle repair takes the cyclic component
+    whose smallest id is smallest and removes its lexicographically
+    smallest internal Indirect edge, or its smallest internal edge if it
+    has no Indirect one, until no cycle is left. Every
     non-conflicting edit from both branches survives into the merge.
 
     ``manifest_merger`` overrides the atomic digest-level asset merge;

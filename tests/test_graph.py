@@ -15,7 +15,7 @@ from scenemerge import (
     direct_subtree,
     validate,
 )
-from scenemerge.graph import _full_report, component_heights
+from scenemerge.graph import _full_report
 from scenemerge.sim import SizeParams, apply_script, generate
 from conftest import D, I, g
 
@@ -88,70 +88,6 @@ class TestValidate:
         assert "missing-root" in codes(validate(graph))
 
 
-def heights(graph):
-    def successors(node_id):
-        return [child for child, _ in graph.children(node_id)]
-
-    return component_heights(graph.node_ids(), successors, graph.root)
-
-
-class TestHeight:
-    def test_root_is_zero(self, chain3):
-        assert heights(chain3)["root"] == 0
-
-    def test_chain(self, chain3):
-        assert heights(chain3)["b"] == 2
-
-    def test_diamond_with_cross_edge(self):
-        # longest path root -> a -> b -> c
-        graph = g(
-            "root",
-            [("root", "S"), ("a", "X"), ("b", "X"), ("c", "X")],
-            [("root", "a", D), ("root", "b", D), ("a", "c", I), ("b", "c", D), ("a", "b", I)],
-        )
-        assert heights(graph)["c"] == 3
-
-    def test_matches_longest_path_enumeration(self):
-        # oracle: brute-force enumeration of all root-to-node paths
-        def brute_height(graph, target):
-            best = 0
-            stack = [(graph.root, 0, {graph.root})]
-            while stack:
-                current, depth, seen = stack.pop()
-                if current == target:
-                    best = max(best, depth)
-                for child, _ in graph.children(current):
-                    if child not in seen:
-                        stack.append((child, depth + 1, seen | {child}))
-            return best
-
-        rng = random.Random(7)
-        for _ in range(30):
-            n = rng.randint(2, 9)
-            ids = [f"n{i}" for i in range(n)]
-            nodes = [(i, "X") for i in ids]
-            edges = []
-            for i in range(1, n):
-                edges.append((ids[rng.randrange(i)], ids[i], D))
-            for _ in range(rng.randint(0, 4)):
-                lo, hi = sorted(rng.sample(range(n), 2))
-                if (ids[lo], ids[hi]) not in [(p, c) for p, c, _ in edges]:
-                    edges.append((ids[lo], ids[hi], I))
-            graph = g(ids[0], nodes, edges)
-            assert validate(graph).ok
-            computed = heights(graph)
-            for node_id in ids:
-                assert computed[node_id] == brute_height(graph, node_id)
-
-    def test_cycle_members_share_component_height(self):
-        graph = g(
-            "root",
-            [("root", "S"), ("a", "X"), ("b", "X")],
-            [("root", "a", D), ("a", "b", D), ("b", "a", I)],
-        )
-        assert heights(graph)["a"] == heights(graph)["b"] == 1
-
-
 class TestDirectSubtree:
     def test_leaf_is_itself(self, chain3):
         assert direct_subtree(chain3, "b") == {"b"}
@@ -218,17 +154,6 @@ class TestModel:
             PropertyValue.real(float("nan"))
         with pytest.raises(ValueError):
             PropertyValue.real(float("inf"))
-
-    def test_height_monotone_along_edges_of_valid_graph(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            n = rng.randint(2, 10)
-            ids = [f"n{i}" for i in range(n)]
-            edges = [(ids[rng.randrange(i)], ids[i], D) for i in range(1, n)]
-            graph = g(ids[0], [(i, "X") for i in ids], edges)
-            computed = heights(graph)
-            for edge in graph.edges():
-                assert computed[edge.child] >= 1
 
 
 # -- the one-pass accept path against the full checker ------------------------
