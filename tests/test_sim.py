@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from scenemerge import MergePolicy, PolicyKind, canonical_bytes, classify, read_document, validate
@@ -151,6 +153,24 @@ class TestScaleRuns:
         verdict = check_scenario(generate(seed, size, MergePolicy(policy)))
         assert verdict.passed, verdict.violations
         assert verdict.outcome.conflicts
+
+    def test_laws_hold_on_10k_node_random_op_levels(self):
+        # the engine benchmark's level size, one generation for all policies
+        size = SizeParams(nodes=10_000, edges=11_000, ops_per_branch=600)
+        scenario = generate(1, size)
+        for policy in PolicyKind:
+            verdict = check_scenario(replace(scenario, policy=MergePolicy(policy)))
+            assert verdict.passed, (policy, verdict.violations)
+            assert verdict.outcome.conflicts
+
+    def test_laws_hold_where_a_large_random_op_merge_repairs_a_cycle(self):
+        # no 10k-node, 600-op seed searched closes a cycle; this one does
+        size = SizeParams(nodes=7_500, edges=8_250, ops_per_branch=600)
+        scenario = generate(9, size)
+        for policy in PolicyKind:
+            verdict = check_scenario(replace(scenario, policy=MergePolicy(policy)))
+            assert verdict.passed, (policy, verdict.violations)
+            assert verdict.outcome.removed_cycle_edges
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_each_benchmark_row_merges_within_its_targets(self, preset):
