@@ -5,15 +5,22 @@ import random
 import pytest
 
 from scenemerge import (
+    FORMAT_VERSION,
     ChangeClass,
     DepKind,
+    Edge,
     GraphMismatchError,
     InvalidGraphError,
+    LevelDocument,
+    LevelGraph,
     PropertyValue,
     classify,
     diff_stats,
+    parse,
     read_document,
+    serialize,
 )
+from scenemerge.diff import NodeDelta
 from scenemerge.sim import PRESETS, SizeParams, apply_script, generate
 from conftest import D, I, fixture_path, g, real
 
@@ -23,6 +30,42 @@ U, A, DEL, M = (
     ChangeClass.DELETED,
     ChangeClass.MODIFIED,
 )
+
+
+def _reparsed(graph):
+    """The graph through a file round trip: equal nodes, none shared."""
+    return parse(serialize(LevelDocument(FORMAT_VERSION, graph))).graph
+
+
+def _detailed_intrinsics(ancestor, version) -> dict[str, NodeDelta]:
+    """The intrinsic delta of every surviving node, each compared in full
+    through the public graph API with no unchanged-node shortcut."""
+    deltas = {}
+    for node_id in ancestor.node_ids():
+        if not version.has_node(node_id):
+            continue
+        old, new = ancestor.node(node_id), version.node(node_id)
+        sets = {k: v for k, v in new.properties.items() if old.properties.get(k) != v}
+        removals = frozenset(k for k in old.properties if k not in new.properties)
+        old_parent, new_parent = ancestor.direct_parent(node_id), version.direct_parent(node_id)
+        old_in, new_in = dict(ancestor.parents(node_id)), dict(version.parents(node_id))
+        kind_changes = frozenset(
+            (p, k) for p, k in new_in.items() if p in old_in and old_in[p] is not k
+        )
+        in_edge_change = any(p not in old_in for p in new_in) or any(
+            p not in new_in and version.has_node(p) for p in old_in
+        )
+        reparented = old_parent != new_parent
+        if sets or removals or reparented or kind_changes or in_edge_change:
+            deltas[node_id] = NodeDelta(
+                property_sets=sets,
+                property_removals=removals,
+                reparented=reparented,
+                new_direct_parent=new_parent if reparented else None,
+                dep_kind_changes=kind_changes,
+                intrinsic=True,
+            )
+    return deltas
 
 
 class TestClassify:
@@ -130,6 +173,58 @@ class TestClassify:
             assert diff.added == set(version.node_ids()) - set(scenario.base.node_ids())
             assert diff.deleted == set(scenario.base.node_ids()) - set(version.node_ids())
 
+    def test_unchanged_shortcut_matches_full_comparison(self):
+        # versions from apply_script share the base's unchanged node
+        # objects; reparsed versions share none, so the shortcut compares
+        # by value
+        equal_node_edits = 0
+        for seed in range(40):
+            scenario = generate(seed + 300, SizeParams(nodes=30, edges=40, ops_per_branch=8))
+            base = scenario.base
+            for script in (scenario.script_a, scenario.script_b):
+                version = apply_script(base, script)
+                for ancestor, edited in ((base, version), (_reparsed(base), _reparsed(version))):
+                    diff = classify(ancestor, edited)
+                    expected = _detailed_intrinsics(ancestor, edited)
+                    assert diff.intrinsic - diff.added == set(expected), seed
+                    assert {n: diff.deltas[n] for n in expected} == expected, seed
+                    a_ids, v_ids = set(ancestor.node_ids()), set(edited.node_ids())
+                    # added ids sorted first, then the ancestor's in sorted order
+                    assert list(diff.classes) == sorted(v_ids - a_ids) + sorted(a_ids)
+                    a_edges, v_edges = set(ancestor.edges()), set(edited.edges())
+                    a_pairs = {(e.parent, e.child) for e in a_edges}
+                    v_pairs = {(e.parent, e.child) for e in v_edges}
+                    assert diff.added_edges == {
+                        e for e in v_edges if (e.parent, e.child) not in a_pairs
+                    }
+                    assert diff.removed_edges == {
+                        e for e in a_edges if (e.parent, e.child) not in v_pairs
+                    }
+                    equal_node_edits += sum(
+                        ancestor.node(n) == edited.node(n) for n in expected
+                    )
+        # the scenarios edit in-edges of nodes whose content is unchanged
+        assert equal_node_edits > 20, equal_node_edits
+
+    def test_in_edge_edits_of_an_unchanged_node_are_intrinsic(self):
+        base = g(
+            "root",
+            [("root", "Scene"), ("a", "GameObject"), ("b", "Prop"), ("c", "Light")],
+            [("root", "a", D), ("root", "b", D), ("a", "c", D), ("b", "c", I)],
+        )
+        nodes = list(base.nodes())
+        # the same node objects throughout; only c's in-edges differ
+        tree = [Edge("root", "a", D), Edge("root", "b", D)]
+        flipped = LevelGraph("root", nodes, [*tree, Edge("a", "c", I), Edge("b", "c", D)])
+        dropped = LevelGraph("root", nodes, [*tree, Edge("a", "c", D)])
+        diff = classify(base, flipped)
+        assert diff.intrinsic == {"c"}
+        assert diff.deltas["c"].dep_kind_changes == {("a", I), ("b", D)}
+        assert diff.deltas["c"].new_direct_parent == "b"
+        diff = classify(base, dropped)
+        assert diff.intrinsic == {"c"} and not diff.deltas["c"].reparented
+        assert diff.removed_edges == {Edge("b", "c", I)}
+
     def test_round_trip_reports_exactly_touched_intrinsics(self):
         # scripts built to avoid cancellation and cascade fallout
         from scenemerge.sim import AddIndirectEdge, Reparent, SetProperty
@@ -173,6 +268,25 @@ class TestDiffStats:
         assert stats.modified_intrinsic == 1
         assert stats.modified_propagated == 3
         assert stats.total_edited == 10
+
+    def test_counts_match_a_pass_over_the_classes(self):
+        for seed in range(30):
+            scenario = generate(seed + 700, SizeParams(nodes=25, edges=32, ops_per_branch=10))
+            version = apply_script(scenario.base, scenario.script_b)
+            diff = classify(scenario.base, version)
+            classes = list(diff.classes.items())
+            propagated = sum(
+                c is M and not diff.deltas[n].intrinsic for n, c in classes
+            )
+            expected = (
+                sum(c is A for _, c in classes),
+                sum(c is DEL for _, c in classes),
+                sum(c is M and diff.deltas[n].intrinsic for n, c in classes),
+                propagated,
+            )
+            stats = diff_stats(diff)
+            assert (stats.added, stats.deleted, stats.modified_intrinsic,
+                    stats.modified_propagated) == expected, seed
 
     def test_synthetic_diff_built_to_545_edits(self):
         scenario = generate(99, PRESETS["planets"])

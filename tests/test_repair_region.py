@@ -250,6 +250,50 @@ def test_region_repair_matches_whole_level_repair_on_random_states():
     assert min(hits) > 10, hits
 
 
+def test_reaches_root_walks_back_to_the_root_or_a_via_member():
+    #   root -> a -> b      c <-> d (cut off)      e -> d
+    nodes = ["root", "a", "b", "c", "d", "e"]
+    state = _State.from_graph(
+        LevelGraph._of(
+            "root",
+            {n: Node(n, "Scene" if n == "root" else "X") for n in nodes},
+            {("root", "a"): D, ("a", "b"): D},
+            {},
+        )
+    )
+    state.set_edge("c", "d", D)
+    state.set_edge("d", "c", I)
+    state.set_edge("e", "d", I)
+    assert state.reaches_root("root") and state.reaches_root("b")
+    # a cycle the root does not reach ends the walk without an answer
+    assert not state.reaches_root("c") and not state.reaches_root("d")
+    assert state.reaches_root("c", via={"e"}) and state.reaches_root("d", via={"d"})
+    assert not state.reaches_root("c", via={"a", "b"})
+    state.set_edge("b", "e", I)
+    assert state.reaches_root("c")
+    state.remove_edge("a", "b")
+    assert not state.reaches_root("c") and state.reaches_root("c", via={"b"})
+
+
+def test_edited_region_is_the_forward_closure_of_touched_nodes():
+    for seed in range(200):
+        rng = random.Random(seed)
+        ancestor = _random_level(rng)
+        doomed = rng.choice([n for n in ancestor.node_ids() if n != ancestor.root])
+        state = _random_state(rng, ancestor, doomed)
+        expected: set[str] = set()
+        for node_id in state.touched & set(state.nodes):
+            _grow(state, expected, node_id)
+        region = state.edited_region()
+        assert region == expected, seed
+        # outside the region every node keeps the ancestor's in-edges, and
+        # so still reaches the root
+        outside = set(state.nodes) - region
+        for node_id in outside:
+            assert state.in_.get(node_id, {}) == dict(ancestor.parents(node_id)), seed
+        assert outside <= _reachable(state), seed
+
+
 # -- no merge walks the whole level ----------------------------------------------------
 
 
