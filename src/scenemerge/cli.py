@@ -21,7 +21,7 @@ import sys
 from .assets import BlobStore, CommandStrategy, merge_manifests
 from .config import load_config
 from .diff import ChangeClass, classify, diff_stats
-from .graph import SceneMergeError, validate
+from .graph import SceneMergeError, _gc_paused, validate
 from .levelfile import (
     FORMAT_VERSION,
     LevelDocument,
@@ -80,7 +80,7 @@ def _describe_changes(diff) -> list[str]:
 
 def _cmd_diff(args) -> int:
     ancestor = read_document(args.ancestor)
-    version = read_document(args.version)
+    version = read_document(args.version, base=ancestor)
     diff = classify(ancestor.graph, version.graph)
     stats = diff_stats(diff)
     print(
@@ -122,9 +122,12 @@ def _merge_files(args):
     config = load_config(getattr(args, "config", None))
     policy = config.merge_policy(getattr(args, "policy", None))
 
-    ancestor = read_document(args.ancestor)
-    mine = read_document(args.mine)
-    theirs = read_document(args.theirs)
+    # each branch is read as the ancestor's lines patched, and the
+    # collector sweeps the three documents' objects once
+    with _gc_paused():
+        ancestor = read_document(args.ancestor)
+        mine = read_document(args.mine, base=ancestor)
+        theirs = read_document(args.theirs, base=ancestor)
 
     outcome = merge3(ancestor.graph, mine.graph, theirs.graph, policy, _manifest_merger(config))
     return config, policy, outcome

@@ -20,7 +20,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 
 class SceneMergeError(Exception):
@@ -193,24 +193,50 @@ class LevelGraph:
         nodes: Mapping[str, Node],
         edges: Mapping[tuple[str, str], DepKind],
         assets: Mapping[str, str] | None,
+        base: "LevelGraph | None" = None,
+        changed: Collection[tuple[str, str]] = (),
     ) -> "LevelGraph":
-        """A graph over an id -> node and a (parent, child) -> kind mapping."""
+        """A graph over an id -> node and a (parent, child) -> kind mapping.
+
+        ``base`` is a graph whose edges differ from ``edges`` only in the
+        ``changed`` pairs; every node at neither end of one keeps the
+        base's adjacency lists.
+        """
         graph = cls.__new__(cls)
-        graph._fill(root, nodes, edges, assets)
+        graph._fill(root, nodes, edges, assets, base, changed)
         return graph
 
-    def _fill(self, root, nodes, edges, assets) -> None:
-        # nodes, edges and assets are stored sorted, so every reader
-        # iterates them in canonical order
+    def _fill(self, root, nodes, edges, assets, base=None, changed=()) -> None:
+        # nodes, edges, assets and each node's adjacency list are stored
+        # sorted, so every reader iterates them in canonical order
         self.root = root
         self._nodes: dict[str, Node] = {key: nodes[key] for key in sorted(nodes)}
         self._edges: dict[tuple[str, str], DepKind] = {key: edges[key] for key in sorted(edges)}
+        self.assets: dict[str, str] = dict(sorted(assets.items())) if assets else {}
         self._out: dict[str, list[tuple[str, DepKind]]] = {}
         self._in: dict[str, list[tuple[str, DepKind]]] = {}
-        for (parent, child), kind in self._edges.items():
-            self._out.setdefault(parent, []).append((child, kind))
-            self._in.setdefault(child, []).append((parent, kind))
-        self.assets: dict[str, str] = dict(sorted(assets.items())) if assets else {}
+        if base is None:
+            for (parent, child), kind in self._edges.items():
+                self._out.setdefault(parent, []).append((child, kind))
+                self._in.setdefault(child, []).append((parent, kind))
+            return
+        self._out.update(base._out)
+        self._in.update(base._in)
+        for lists, side in ((self._out, 0), (self._in, 1)):
+            # a node's list changes only where it is this side of a changed pair
+            ends: dict[str, set[str]] = {}
+            for pair in changed:
+                ends.setdefault(pair[side], set()).add(pair[1 - side])
+            for node_id, others in ends.items():
+                others.update(other for other, _ in lists.get(node_id, ()))
+                pairs = [
+                    (node_id, other) if side == 0 else (other, node_id) for other in sorted(others)
+                ]
+                listed = [(pair[1 - side], self._edges[pair]) for pair in pairs if pair in self._edges]
+                if listed:
+                    lists[node_id] = listed
+                else:
+                    lists.pop(node_id, None)
 
     # -- queries ---------------------------------------------------------
 

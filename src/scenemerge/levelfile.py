@@ -21,6 +21,14 @@ Identifiers (node ids, kinds, property keys, asset ids) are written
 bare when they match ``[A-Za-z0-9_.+/:@-]+`` and double-quoted with
 backslash escapes otherwise. Text values are always quoted.
 
+A merge parses three versions of one level that share almost every
+line. ``parse(text, base=ancestor)`` reads a version against such a
+base: only the lines that are not in both texts are tokenized, the
+base's tables are patched with them, and every node whose lines are all
+shared is the base's own `Node`. The result equals ``parse(text)``;
+where that cannot be shown, the text is parsed whole, so errors are
+the same with or without a base.
+
 Merge reports (``.lvlreport``) use the same tokenizer; see
 `render_report` for the line inventory.
 """
@@ -31,7 +39,8 @@ import os
 import re
 import stat
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, TextIO
 
 from .graph import (
@@ -55,21 +64,40 @@ _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
 class ParseError(SceneMergeError):
-    """A syntax or consistency error in a level document or report."""
+    """A syntax or consistency error in a level document or report.
 
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    ``path`` names the file the text was read from, when it was.
+    """
+
+    def __init__(self, message: str, line: int, column: int = 1, path=None):
+        where = f"line {line}, column {column}: {message}"
+        super().__init__(where if path is None else f"{path}: {where}")
         self.line = line
         self.column = column
         self.reason = message
+        self.path = path
 
 
 @dataclass(frozen=True)
 class LevelDocument:
-    """A parsed level file: format version plus the graph (and manifest)."""
+    """A parsed level file: format version plus the graph (and manifest).
+
+    ``source`` is the text `parse` read, kept so that the document can be
+    the ``base`` of a later parse.
+    """
 
     format_version: int
     graph: LevelGraph
+    source: str | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def _line_set(self) -> frozenset[str] | None:
+        """The set of the source's lines; None if one repeats, as then it cannot be a base."""
+        if self.source is None:
+            return None
+        lines = self.source.split("\n")
+        unique = frozenset(lines)
+        return unique if len(unique) == len(lines) else None
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -215,35 +243,30 @@ def _parse_value(texts: list[str], start: int, line: str, lineno: int) -> Proper
 # -- document parsing --------------------------------------------------------
 
 
-@_gc_paused()
-def parse(text: str) -> LevelDocument:
-    """Parse a level document.
+def _walk(numbered_lines, version: int | None) -> tuple:
+    """Read ``(line number, line)`` pairs into ``(version, root, nodes, props, edges, assets)``.
 
-    Structural graph invariants that intermediate merge states may break
-    (acyclicity, reachability, single Direct parent) are left to
-    `graph.validate`; everything a document cannot meaningfully express
-    twice (duplicate ids, duplicate edges, duplicate keys) is an error
-    here, with line/column positions.
-
-    Token columns are computed only for an error, by tokenizing that
-    line again.
+    ``version`` is None until the ``lvl`` header has been read. The root
+    is an ``(id, line number)`` pair or None, and each table maps a key
+    the document can hold once to its value and the number of the line
+    that set it. Every error a single line can hold, and every key set
+    twice among these lines, raises `ParseError` here; the references
+    between lines are checked by the caller.
     """
-    header_seen = False
-    version = None
     root: tuple[str, int] | None = None
     nodes: dict[str, tuple[str, int]] = {}
     props: dict[tuple[str, str], tuple[PropertyValue, int]] = {}
     edges: dict[tuple[str, str], tuple[DepKind, int]] = {}
     assets: dict[str, tuple[str, int]] = {}
 
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in numbered_lines:
         line = line.rstrip("\r")
         tokens = _line_texts(line, lineno)
         if not tokens:
             continue
         directive = tokens[0]
 
-        if not header_seen:
+        if version is None:
             if directive != "lvl":
                 raise ParseError("document must start with an 'lvl <version>' header", lineno)
             if len(tokens) != 2 or not re.fullmatch(r"[0-9]+", tokens[1]):
@@ -253,7 +276,6 @@ def parse(text: str) -> LevelDocument:
                 raise ParseError(
                     f"unsupported format version {version}", lineno, _column(line, lineno, 1)
                 )
-            header_seen = True
             continue
 
         if directive == "root":
@@ -324,7 +346,38 @@ def parse(text: str) -> LevelDocument:
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
 
-    if not header_seen:
+    return version, root, nodes, props, edges, assets
+
+
+@_gc_paused()
+def parse(text: str, base: LevelDocument | None = None) -> LevelDocument:
+    """Parse a level document.
+
+    Structural graph invariants that intermediate merge states may break
+    (acyclicity, reachability, single Direct parent) are left to
+    `graph.validate`; everything a document cannot meaningfully express
+    twice (duplicate ids, duplicate edges, duplicate keys) is an error
+    here, with line/column positions.
+
+    Token columns are computed only for an error, by tokenizing that
+    line again.
+
+    ``base`` is an earlier parse of a version of the same level, such as
+    a merge's ancestor. The result is the same document, but only the
+    lines that differ from the base's are read, and every node whose
+    lines are all shared is the base's own `Node` object. Where that
+    cannot be shown to give ``parse(text)``, the text is parsed whole,
+    so errors are raised exactly as without a base.
+    """
+    if base is not None:
+        doc = _parse_against(text, base)
+        if doc is not None:
+            return doc
+
+    version, root, nodes, props, edges, assets = _walk(
+        enumerate(text.split("\n"), start=1), None
+    )
+    if version is None:
         raise ParseError("empty document, expected 'lvl <version>' header", 1)
     if root is None:
         raise ParseError("document has no root directive", 1)
@@ -351,7 +404,106 @@ def parse(text: str) -> LevelDocument:
         {pair: kind for pair, (kind, _) in edges.items()},
         {aid: digest for aid, (digest, _) in assets.items()},
     )
-    return LevelDocument(version, graph)
+    return LevelDocument(version, graph, text)
+
+
+def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
+    """``parse(text)``, by patching ``base`` with the lines not in both texts.
+
+    None where the patch cannot be shown equal to a whole parse: the
+    text has a CR, either text repeats a line, the text's first line is
+    not the base's header, a changed line does not read, or the patched
+    tables set a key twice, reference a node they lack or hold other
+    than one root. Line numbers only place errors, and an error here
+    means the text is parsed whole, so the changed lines go unnumbered.
+    """
+    base_lines = base._line_set
+    # with CRLF line ends every line would differ
+    if "\r" in text or base_lines is None:
+        return None
+    lines = text.split("\n")
+    # the base's one line that starts with `lvl` is its header
+    if lines[0] not in base_lines or _line_texts(lines[0], 1)[:1] != ["lvl"]:
+        return None
+    kept = set(lines)
+    if len(kept) != len(lines):
+        return None
+    try:
+        _, gone_root, gone_nodes, gone_props, gone_edges, gone_assets = _walk(
+            ((0, line) for line in base_lines - kept), base.format_version
+        )
+        _, new_root, new_nodes, new_props, new_edges, new_assets = _walk(
+            ((0, line) for line in kept - base_lines), base.format_version
+        )
+    except ParseError:
+        return None
+    graph = base.graph
+
+    if (gone_root is None) != (new_root is None):
+        return None
+    root = graph.root if new_root is None else new_root[0]
+
+    base_nodes = graph._nodes
+    for node_id in new_nodes:
+        if node_id in base_nodes and node_id not in gone_nodes:
+            return None  # a node declared twice
+    props: dict[str, dict[str, PropertyValue]] = {}
+    for owner, key in gone_props:
+        if owner not in props:
+            props[owner] = dict(base_nodes[owner].properties)
+        del props[owner][key]
+    for (owner, key), (value, _) in new_props.items():
+        if owner not in props:
+            node = base_nodes.get(owner)
+            props[owner] = dict(node.properties) if node else {}
+        if key in props[owner]:
+            return None  # a property set twice
+        props[owner][key] = value
+
+    # a node is rebuilt only when its node line or one of its prop lines changed
+    nodes = dict(base_nodes)
+    for node_id in gone_nodes.keys() | new_nodes.keys() | props.keys():
+        node = base_nodes.get(node_id)
+        owned = props[node_id] if node_id in props else node.properties if node else {}
+        if node_id in new_nodes:
+            kind = new_nodes[node_id][0]
+        elif node is None or node_id in gone_nodes:
+            if owned:
+                return None  # a property of an undeclared node
+            nodes.pop(node_id, None)
+            continue
+        else:
+            kind = node.kind
+        nodes[node_id] = Node(node_id, kind, dict(sorted(owned.items())))
+    if root not in nodes:
+        return None
+
+    edges = dict(graph._edges)
+    for pair in gone_edges:
+        del edges[pair]
+    for pair, (kind, _) in new_edges.items():
+        if pair in edges or pair[0] not in nodes or pair[1] not in nodes:
+            return None
+        edges[pair] = kind
+    for node_id in gone_nodes.keys() - nodes.keys():
+        for child, _ in graph._out.get(node_id, ()):
+            if (node_id, child) in edges:
+                return None
+        for parent, _ in graph._in.get(node_id, ()):
+            if (parent, node_id) in edges:
+                return None
+
+    assets = dict(graph.assets)
+    for asset_id in gone_assets:
+        del assets[asset_id]
+    for asset_id, (digest, _) in new_assets.items():
+        if asset_id in assets:
+            return None
+        assets[asset_id] = digest
+
+    changed = gone_edges.keys() | new_edges.keys()
+    graph = LevelGraph._of(root, nodes, edges, assets, graph, changed)
+    return LevelDocument(base.format_version, graph, text)
 
 
 def serialize(doc: LevelDocument) -> str:
@@ -374,9 +526,14 @@ def serialize(doc: LevelDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_document(path) -> LevelDocument:
+def read_document(path, base: LevelDocument | None = None) -> LevelDocument:
+    """Parse the file at ``path`` (against ``base``, as `parse` does); errors name the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+        text = handle.read()
+    try:
+        return parse(text, base=base)
+    except ParseError as exc:
+        raise ParseError(exc.reason, exc.line, exc.column, path) from None
 
 
 @contextmanager

@@ -957,15 +957,23 @@ def _repair_manifest_refs(
 
     A branch can win an asset deletion while the other branch's property
     referencing that asset survives; the reference wins and the entry is
-    restored from whichever side still has the digest.
+    restored from whichever side still has the digest. Every merged value
+    comes from a valid input, so only an asset id of an input manifest
+    that the merged manifest lacks can dangle.
     """
+    missing = {
+        asset_id
+        for graph in (mine, theirs, ancestor)
+        for asset_id in graph.assets
+        if asset_id not in state.assets
+    }
+    if not missing:
+        return
     for node in state.nodes.values():
         for value in node.properties.values():
-            if value.kind != "asset":
+            if value.kind != "asset" or value.value not in missing:
                 continue
-            asset_id = str(value.value)
-            if asset_id in state.assets:
-                continue
+            asset_id = value.value
             digest = (
                 mine.assets.get(asset_id)
                 or theirs.assets.get(asset_id)

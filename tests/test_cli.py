@@ -153,6 +153,24 @@ class TestMergeCommand:
         assert err.startswith(f"scenemerge: {role} graph is invalid:\n")
         assert "cycle" in err
 
+    @pytest.mark.parametrize("command", ["merge", "merge-driver"])
+    def test_malformed_third_file_is_named_with_its_position(self, command, tmp_path, capsys):
+        ancestor = copy_fixture("fig3-base.lvl", tmp_path)
+        current = copy_fixture("fig3-mine.lvl", tmp_path)
+        other = tmp_path / "other.lvl"
+        # the base with one edge line broken: `other` is read whole, not patched
+        lines = fixture_text("fig3-base.lvl").split("\n")
+        lineno = lines.index("edge bunny bunny-material direct") + 1
+        lines[lineno - 1] = "edge bunny bunny-material sideways"
+        other.write_text("\n".join(lines))
+        before = Path(current).read_bytes()
+        assert main([command, ancestor, current, str(other)]) == 2
+        assert capsys.readouterr().err == (
+            f"scenemerge: {other}: line {lineno}, column 27: "
+            "unknown dependency kind 'sideways'\n"
+        )
+        assert Path(current).read_bytes() == before
+
 
 class TestMergeDriverCommand:
     def test_clean_merge_overwrites_current(self, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,9 @@ from scenemerge.levelfile import (
     _line_texts,
     _split_line,
     canonical_bytes,
+    read_document,
 )
+from scenemerge.sim import SizeParams, apply_script, generate
 from conftest import D, I, fixture_text, g
 
 
@@ -304,3 +308,136 @@ def _tokenized(split, line):
 def test_fast_tokenizer_matches_split_line(line):
     expected = _tokenized(lambda text: [t.text for t in _split_line(text, 7)], line)
     assert _tokenized(lambda text: _line_texts(text, 7), line) == expected
+
+
+# -- parsing against a base -----------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _sim_texts(seed: int) -> tuple[str, str, str]:
+    """The canonical base, mine and theirs of a small simulator scenario."""
+    sc = generate(seed, SizeParams(nodes=6, edges=7, ops_per_branch=2))
+    graphs = (sc.base, apply_script(sc.base, sc.script_a), apply_script(sc.base, sc.script_b))
+    return tuple(serialize(LevelDocument(FORMAT_VERSION, graph)) for graph in graphs)
+
+
+def _insertable(base_text: str) -> list[str]:
+    """Lines that read, or nearly read, next to the lines of ``base_text``."""
+    ids = sorted({line.split()[1] for line in base_text.split("\n") if line.startswith("node ")})
+    some = ids[len(ids) // 2]
+    return [
+        "node extra Thing", f"node {some} Thing", "prop extra k int 1",
+        f"prop {some} k int 1", f"edge {ids[0]} extra direct", f"edge {some} {ids[0]} indirect",
+        f"edge {some} {some} direct", "asset extra.png 00", f"root {some}", "root extra", "lvl 1",
+    ]
+
+
+@st.composite
+def _edited_texts(draw):
+    """A simulator base, and one of its versions' text with raw line edits."""
+    texts = _sim_texts(draw(st.integers(1, 30)))
+    lines = draw(st.sampled_from(texts)).split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from([
+            "delete", "duplicate", "respace", "insert", "replace", "swap", "corrupt", "cr",
+            "blank", "drop-node",
+        ]))
+        if edit == "delete" and len(lines) > 1:
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif edit == "respace":  # the same fact on a line that differs
+            lines.insert(draw(st.integers(0, len(lines))), lines[i].replace(" ", "  ", 1))
+        elif edit in ("insert", "replace"):
+            line = draw(st.one_of(
+                st.sampled_from(_insertable(texts[0])), _fuzz_lines.map(" ".join)
+            ))
+            lines[i : i + (edit == "replace")] = [line]
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "corrupt":
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_fuzz_token)
+            lines[i] = " ".join(tokens)
+        elif edit == "cr":
+            lines[i] += "\r"
+        elif edit == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t"])))
+        elif edit == "drop-node":  # its prop and edge lines stay
+            node_lines = [line for line in lines if line.startswith("node ")]
+            if node_lines:
+                lines.remove(draw(st.sampled_from(node_lines)))
+    return texts[0], "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _parsed(text, base=None):
+    try:
+        return parse(text, base=base)
+    except ParseError as err:
+        return (err.line, err.column, err.reason)
+
+
+def _owned_lines(text: str) -> dict[str, set[str]]:
+    """Each node id's node and prop lines, in a text that parses."""
+    owned: dict[str, set[str]] = {}
+    for line in text.split("\n"):
+        tokens = _line_texts(line, 1)
+        if tokens and tokens[0] in ("node", "prop"):
+            owned.setdefault(tokens[1], set()).add(line)
+    return owned
+
+
+_BASE = _sim_texts(1)[0]
+_ASSET = next(line for line in _BASE.split("\n") if line.startswith("asset "))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_edited_texts())
+@example((_BASE, _BASE.replace("\nroot root\n", "\nroot extra\n")))  # an undeclared root
+@example((_BASE, _BASE + _ASSET.replace(" ", "  ", 1) + "\n"))  # an asset listed twice
+@example((_BASE, "\n".join(  # n0001 and its props and in-edge gone, its out-edges kept
+    line for line in _BASE.split("\n")
+    if not line.startswith(("node n0001 ", "prop n0001 ", "edge root n0001 "))
+)))
+@example((_BASE, _BASE.replace("\nnode ", "\r\nnode ", 1)))
+def test_parse_against_a_base_equals_a_whole_parse(texts):
+    base_text, text = texts
+    base = parse(base_text)
+    whole, patched = _parsed(text), _parsed(text, base)
+    if isinstance(whole, tuple):
+        assert patched == whole  # the same error, at the same line and column
+        return
+    assert isinstance(patched, LevelDocument)
+    assert patched == whole
+    assert serialize(patched) == serialize(whole)
+    # graph equality leaves out the adjacency lists
+    assert (patched.graph._out, patched.graph._in) == (whole.graph._out, whole.graph._in)
+    lines = text.split("\n")
+    if "\r" in text or len(set(lines)) != len(lines) or lines[0] != base_text.split("\n")[0]:
+        return  # read whole
+    base_owned = _owned_lines(base_text)
+    for node_id, owned in _owned_lines(text).items():
+        same = owned == base_owned.get(node_id)
+        assert (patched.graph.node(node_id) is base.graph._nodes.get(node_id)) is same
+
+
+def test_a_branch_parsed_against_its_ancestor_shares_the_unchanged_nodes():
+    base_text, mine_text, _ = _sim_texts(3)
+    base = parse(base_text)
+    mine = parse(mine_text, base=base)
+    assert mine == parse(mine_text)
+    shared = [n for n in mine.graph.node_ids() if mine.graph.node(n) is base.graph._nodes.get(n)]
+    assert 0 < len(shared) < mine.graph.node_count
+    # a document read with a base serves as a base in turn
+    assert parse(base_text, base=mine) == base
+
+
+def test_read_document_names_the_file_and_keeps_the_position(tmp_path):
+    path = tmp_path / "bad.lvl"
+    path.write_text("lvl 1\nroot r\nnode r S\nprop r k int 1.5\n")
+    with pytest.raises(ParseError) as err:
+        read_document(path, base=parse(fixture_text("fig3-base.lvl")))
+    assert (err.value.line, err.value.column, err.value.reason) == (4, 14, "invalid int literal '1.5'")
+    assert str(err.value) == f"{path}: line 4, column 14: invalid int literal '1.5'"

@@ -8,8 +8,9 @@ import threading
 import pytest
 
 from scenemerge import InvalidGraphError, ParseError, levelfile, merge3, parse
+from scenemerge.cli import main
 from scenemerge.graph import _gc_paused
-from conftest import fixture_text
+from conftest import fixture_path, fixture_text
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +62,15 @@ def test_a_caller_who_disabled_the_collector_finds_it_disabled():
     with pytest.raises(ParseError):
         parse("lvl 2\n")
     assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_merge_command_leaves_the_collector_as_the_caller_left_it(enabled, tmp_path):
+    if not enabled:
+        gc.disable()
+    paths = [str(fixture_path(f"fig3-{role}.lvl")) for role in ("base", "mine", "theirs")]
+    assert main(["merge", *paths, "--output", str(tmp_path / "merged.lvl")]) == 0
+    assert gc.isenabled() is enabled
 
 
 def test_nested_pause_does_not_re_enable_early():

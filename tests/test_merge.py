@@ -712,3 +712,18 @@ class TestMergeLaws:
         out2 = merge3(base, mine, theirs2, MANUAL)
         assert out2.merged.assets == {"x.obj": "111"}
         assert validate(out2.merged).ok
+
+    def test_new_reference_restores_an_asset_the_other_branch_deleted(self):
+        base = g("r", [("r", "Scene")], assets={"x.obj": "111", "y.png": "222"})
+        mine = g("r", [("r", "Scene")], assets={"y.png": "222"})  # A deletes x.obj
+        theirs = g(  # B adds a node that references it
+            "r",
+            [("r", "Scene"), ("n", "Mesh", {"src": PropertyValue.asset_ref("x.obj")})],
+            [("r", "n", D)],
+            assets={"x.obj": "111", "y.png": "222"},
+        )
+        for a, b in ((mine, theirs), (theirs, mine)):
+            out = merge3(base, a, b, MANUAL)
+            assert out.merged.node("n").properties["src"] == PropertyValue.asset_ref("x.obj")
+            assert out.merged.assets == {"x.obj": "111", "y.png": "222"}
+            assert validate(out.merged).ok
