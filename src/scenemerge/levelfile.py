@@ -66,7 +66,7 @@ _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 class ParseError(SceneMergeError):
     """A syntax or consistency error in a level document or report.
 
-    ``path`` names the file the text was read from, when it was.
+    The message names ``path``, the file the text was read from, when given.
     """
 
     def __init__(self, message: str, line: int, column: int = 1, path=None):
@@ -75,7 +75,6 @@ class ParseError(SceneMergeError):
         self.line = line
         self.column = column
         self.reason = message
-        self.path = path
 
 
 @dataclass(frozen=True)
