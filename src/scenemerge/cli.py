@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .assets import BlobStore, CommandStrategy, merge_manifests
 from .config import load_config
 from .diff import ChangeClass, classify, diff_stats
 from .graph import SceneMergeError, _gc_paused, validate
@@ -98,6 +97,9 @@ def _manifest_merger(config):
     """The config's content-aware asset merge, or None for `merge3`'s atomic one."""
     if config.assets_dir is None or not (config.strategies or config.validators):
         return None
+    # only here: `assets` imports subprocess, tempfile and hashlib
+    from .assets import BlobStore, CommandStrategy, merge_manifests
+
     store = BlobStore(config.assets_dir)
     strategies = {tag: CommandStrategy(argv) for tag, argv in config.strategies.items()}
 
@@ -122,12 +124,10 @@ def _merge_files(args):
     config = load_config(getattr(args, "config", None))
     policy = config.merge_policy(getattr(args, "policy", None))
 
-    # each branch is read as the ancestor's lines patched, and the
-    # collector sweeps the three documents' objects once
-    with _gc_paused():
-        ancestor = read_document(args.ancestor)
-        mine = read_document(args.mine, base=ancestor)
-        theirs = read_document(args.theirs, base=ancestor)
+    # each branch is read as the ancestor's lines patched
+    ancestor = read_document(args.ancestor)
+    mine = read_document(args.mine, base=ancestor)
+    theirs = read_document(args.theirs, base=ancestor)
 
     outcome = merge3(ancestor.graph, mine.graph, theirs.graph, policy, _manifest_merger(config))
     return config, policy, outcome
@@ -147,16 +147,22 @@ def _run_merge(args, out_path, report_path) -> int:
     return EXIT_DIFFERENCES if outcome.unresolved else EXIT_CLEAN
 
 
+# The merge commands build and free hundreds of thousands of acyclic
+# objects. Each runs under one collector pause that ends only after its
+# documents and outcome are freed, so no collection sweeps them.
+@_gc_paused()
 def _cmd_merge(args) -> int:
     return _run_merge(args, args.output, args.report)
 
 
+@_gc_paused()
 def _cmd_merge_driver(args) -> int:
     args.mine = args.current
     args.theirs = args.other
     return _run_merge(args, args.current, args.report)
 
 
+@_gc_paused()
 def _cmd_stats(args) -> int:
     _, _, outcome = _merge_files(args)
     s = outcome.stats

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .graph import (
     DepKind,
@@ -99,14 +99,21 @@ class DiffStats:
         return self.added + self.deleted + self.modified_intrinsic + self.modified_propagated
 
 
-def check_same_level(a: LevelGraph, b: LevelGraph, role_a: str, role_b: str) -> None:
-    """Reject graph pairs that cannot be versions of the same level."""
+def check_same_level(
+    a: LevelGraph, b: LevelGraph, role_a: str, role_b: str, ids: Collection[str] | None = None
+) -> None:
+    """Reject graph pairs that cannot be versions of the same level.
+
+    ``ids`` limits the kind check to those ids of nodes in both graphs,
+    for a caller that has already checked the others.
+    """
     if a.root != b.root:
         raise GraphMismatchError(
             f"root ids differ: {a.root!r} ({role_a}) vs {b.root!r} ({role_b})"
         )
-    b_nodes = b._nodes
-    for node_id, node in a._nodes.items():
+    a_nodes, b_nodes = a._nodes, b._nodes
+    checked = a_nodes.items() if ids is None else [(i, a_nodes[i]) for i in sorted(ids)]
+    for node_id, node in checked:
         other = b_nodes.get(node_id)
         if other is not None and other.kind != node.kind:
             raise GraphMismatchError(
@@ -115,8 +122,12 @@ def check_same_level(a: LevelGraph, b: LevelGraph, role_a: str, role_b: str) -> 
             )
 
 
-def _require_valid(graph: LevelGraph, role: str) -> None:
-    report = validate(graph)
+def _require_valid(graph: LevelGraph, role: str, base: LevelGraph | None = None) -> None:
+    """Raise `InvalidGraphError` naming ``role`` unless ``graph`` is valid.
+
+    ``base`` is a valid graph that ``graph`` was edited from (see `validate`).
+    """
+    report = validate(graph, base=base)
     if not report.ok:
         raise InvalidGraphError(role, report)
 
@@ -126,12 +137,13 @@ def classify(
 ) -> DiffResult:
     """Classify every node of ancestor-union-version against the ancestor.
 
-    Both graphs are validated first unless ``validated`` says the caller
-    has already done so; a merge validates each of its inputs once.
+    Both graphs are validated first, the version against the ancestor,
+    unless ``validated`` says the caller has already done so; a merge
+    validates each of its inputs once.
     """
     if not validated:
         _require_valid(ancestor, "ancestor")
-        _require_valid(version, "version")
+        _require_valid(version, "version", base=ancestor)
     check_same_level(ancestor, version, "ancestor", "version")
 
     classes: dict[str, ChangeClass] = {}

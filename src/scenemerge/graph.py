@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import gc
 import math
-from contextlib import contextmanager
+from contextlib import ContextDecorator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Collection, Iterable, Iterator, Mapping
@@ -48,21 +48,26 @@ class DepKind(Enum):
 _VALUE_KINDS = ("bool", "int", "real", "text", "ref", "asset")
 
 
-@contextmanager
-def _gc_paused():
+class _gc_paused(ContextDecorator):
     """Pause the cyclic garbage collector for the duration of the block.
 
     Parsing and merging build hundreds of thousands of acyclic objects,
     and every full collection would scan all of them. The collector is
-    re-enabled only by the call that disabled it, so nested pauses and a
-    caller who keeps it off on purpose find it as they left it.
+    re-enabled only by the pause that disabled it, so nested pauses and a
+    caller who keeps it off on purpose find it as they left it. Nothing
+    is allocated after it is re-enabled, so no collection starts before
+    the block's caller allocates again.
     """
-    paused = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if paused:
+
+    def _recreate_cm(self) -> "_gc_paused":
+        return _gc_paused()  # each decorated call pauses on its own
+
+    def __enter__(self) -> None:
+        self.paused = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self.paused:
             gc.enable()
 
 
@@ -334,7 +339,7 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def validate(graph: LevelGraph) -> ValidationReport:
+def validate(graph: LevelGraph, base: LevelGraph | None = None) -> ValidationReport:
     """Report every violated graph invariant; an empty report means valid.
 
     Checked: the root exists and has no incoming edges, edges end on
@@ -342,11 +347,14 @@ def validate(graph: LevelGraph) -> ValidationReport:
     the root, no node has two Direct parents, node references resolve,
     and asset references appear in the manifest.
 
-    A valid graph is confirmed in one linear pass; only a graph that
-    fails it is run through the full checker, which names every
-    violation.
+    ``base``, when given, must be a graph already known to be valid, such
+    as the ancestor a branch was edited from; validity is then decided
+    from the differences against it. Otherwise a valid graph is confirmed
+    in one linear pass. Only a graph that fails is run through the full
+    checker, which names every violation, so the report is the same with
+    or without a base.
     """
-    if _is_valid(graph):
+    if (base is not None and _is_valid_against(graph, base)) or _is_valid(graph):
         return ValidationReport(())
     return _full_report(graph)
 
@@ -374,23 +382,108 @@ def _is_valid(graph: LevelGraph) -> bool:
         if direct > 1:
             return False
         pending[child] = len(parents)
-    taken = 0
-    frontier = [graph.root]
+    taken = _kahn_taken([graph.root], pending, out_edges)
+    return taken == len(nodes) and _refs_resolve(nodes.values(), nodes, graph.assets)
+
+
+def _is_valid_against(graph: LevelGraph, base: LevelGraph) -> bool:
+    """Whether ``graph`` is valid, given that ``base`` is, from the differences only.
+
+    A node is touched when it was added or its in-edge list is not the
+    base's (an in-edge lost to a deleted parent counts). Every node
+    outside the forward closure of the touched nodes keeps the base's
+    in-edges, and so do all its ancestors, so it is reachable and on no
+    cycle as in the base. The closure is valid exactly when each of its
+    nodes has at most one Direct parent, every node with no parent inside
+    the closure has one outside it, and Kahn's walk takes the whole
+    closure. Refs and assets are checked on added and changed nodes,
+    or on every node once a node or asset id was removed. A changed root
+    gives False whether or not the graph is valid; the caller then checks
+    the whole graph.
+    """
+    nodes, in_edges, out_edges = graph._nodes, graph._in, graph._out
+    base_nodes, base_in = base._nodes, base._in
+    root = graph.root
+    if root != base.root or root not in nodes or root in in_edges:
+        return False
+    if not (in_edges.keys() <= nodes.keys() and out_edges.keys() <= nodes.keys()):
+        return False
+    added = nodes.keys() - base_nodes.keys()
+    touched = set(added)
+    for node_id, parents in in_edges.items():
+        old = base_in.get(node_id)
+        if parents is not old and parents != old:
+            touched.add(node_id)
+    touched.update(node_id for node_id in base_in.keys() - in_edges.keys() if node_id in nodes)
+
+    closure = set(touched)
+    frontier = list(touched)
     while frontier:
-        taken += 1
         for child, _ in out_edges.get(frontier.pop(), ()):
+            if child not in closure:
+                closure.add(child)
+                frontier.append(child)
+    pending: dict[str, int] = {}
+    ready = []
+    for node_id in closure:
+        parents = in_edges.get(node_id, ())
+        inside = direct = 0
+        for parent, kind in parents:
+            if parent in closure:
+                inside += 1
+            if kind is DepKind.DIRECT:
+                direct += 1
+        if direct > 1:
+            return False
+        if not inside:
+            if not parents:
+                return False
+            ready.append(node_id)
+        pending[node_id] = inside
+    if _kahn_taken(ready, pending, out_edges) != len(closure):
+        return False
+
+    deleted = len(base_nodes) - (len(nodes) - len(added))
+    if deleted or not base.assets.keys() <= graph.assets.keys():
+        checked = nodes.values()
+    else:
+        checked = [
+            node
+            for node_id, node in nodes.items()
+            if (old := base_nodes.get(node_id)) is not node and old != node
+        ]
+    return _refs_resolve(checked, nodes, graph.assets)
+
+
+def _kahn_taken(
+    ready: list[str], pending: dict[str, int], out_edges: Mapping[str, list[tuple[str, DepKind]]]
+) -> int:
+    """How many nodes Kahn's walk takes from ``ready``.
+
+    ``pending`` counts each node's parents not yet taken; a node is taken
+    once the count reaches 0, and every child of a taken node has a count.
+    """
+    taken = 0
+    while ready:
+        taken += 1
+        for child, _ in out_edges.get(ready.pop(), ()):
             left = pending[child] - 1
             pending[child] = left
             if not left:
-                frontier.append(child)
-    if taken != len(nodes):
-        return False
-    for node in nodes.values():
+                ready.append(child)
+    return taken
+
+
+def _refs_resolve(
+    checked: Iterable[Node], nodes: Mapping[str, Node], assets: Mapping[str, str]
+) -> bool:
+    """True iff every ref of the ``checked`` nodes names a node and every asset a manifest entry."""
+    for node in checked:
         for value in node.properties.values():
             if value.kind == "ref":
                 if value.value not in nodes:
                     return False
-            elif value.kind == "asset" and value.value not in graph.assets:
+            elif value.kind == "asset" and value.value not in assets:
                 return False
     return True
 

@@ -19,7 +19,9 @@ endings. Equal graphs therefore always serialize to identical bytes.
 
 Identifiers (node ids, kinds, property keys, asset ids) are written
 bare when they match ``[A-Za-z0-9_.+/:@-]+`` and double-quoted with
-backslash escapes otherwise. Text values are always quoted.
+backslash escapes otherwise. Text values follow the same rule: ``text
+omega`` is written bare, ``text "desk lamp"`` and the empty ``text ""``
+quoted.
 
 A merge parses three versions of one level that share almost every
 line. ``parse(text, base=ancestor)`` reads a version against such a
@@ -57,6 +59,8 @@ FORMAT_VERSION = 1
 _BARE_TOKEN = re.compile(r"[A-Za-z0-9_.+/:@-]+")
 # a line `_split_line` would cut into bare tokens at spaces and tabs only
 _PLAIN_LINE = re.compile(r"[A-Za-z0-9_.+/:@\- \t]*")
+# a text every line of which is plain
+_PLAIN_TEXT = re.compile(r"[A-Za-z0-9_.+/:@\- \t\n]*")
 _INT_LITERAL = re.compile(r"-?\d+")
 _DEP_KINDS = {kind.value: kind for kind in DepKind}
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
@@ -198,8 +202,6 @@ def format_value(value: PropertyValue) -> str:
         return f"int {value.value}"
     if value.kind == "real":
         return f"real {value.value!r}"
-    if value.kind == "text":
-        return f"text {_format_token(str(value.value))}"
     return f"{value.kind} {_format_token(str(value.value))}"
 
 
@@ -242,10 +244,11 @@ def _parse_value(texts: list[str], start: int, line: str, lineno: int) -> Proper
 # -- document parsing --------------------------------------------------------
 
 
-def _walk(numbered_lines, version: int | None) -> tuple:
+def _walk(numbered_lines, version: int | None, plain: bool = False) -> tuple:
     """Read ``(line number, line)`` pairs into ``(version, root, nodes, props, edges, assets)``.
 
-    ``version`` is None until the ``lvl`` header has been read. The root
+    ``version`` is None until the ``lvl`` header has been read; ``plain``
+    says every line is one `_line_texts` splits by `str.split`. The root
     is an ``(id, line number)`` pair or None, and each table maps a key
     the document can hold once to its value and the number of the line
     that set it. Every error a single line can hold, and every key set
@@ -259,8 +262,11 @@ def _walk(numbered_lines, version: int | None) -> tuple:
     assets: dict[str, tuple[str, int]] = {}
 
     for lineno, line in numbered_lines:
-        line = line.rstrip("\r")
-        tokens = _line_texts(line, lineno)
+        if plain:
+            tokens = line.split()
+        else:
+            line = line.rstrip("\r")
+            tokens = _line_texts(line, lineno)
         if not tokens:
             continue
         directive = tokens[0]
@@ -373,8 +379,10 @@ def parse(text: str, base: LevelDocument | None = None) -> LevelDocument:
         if doc is not None:
             return doc
 
+    # one match over a canonical document spares a match per line
+    plain = _PLAIN_TEXT.fullmatch(text) is not None
     version, root, nodes, props, edges, assets = _walk(
-        enumerate(text.split("\n"), start=1), None
+        enumerate(text.split("\n"), start=1), None, plain
     )
     if version is None:
         raise ParseError("empty document, expected 'lvl <version>' header", 1)
@@ -505,23 +513,31 @@ def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
     return LevelDocument(base.format_version, graph, text)
 
 
+class _Tokens(dict):
+    """`_format_token` of each string looked up, computed on its first lookup."""
+
+    def __missing__(self, value: str) -> str:
+        text = self[value] = _format_token(value)
+        return text
+
+
 def serialize(doc: LevelDocument) -> str:
     """Render the canonical byte form of a document (see module docstring)."""
     graph = doc.graph
-    lines = [f"lvl {doc.format_version}", f"root {_format_token(graph.root)}"]
+    # ids, kinds and keys repeat across lines; each is formatted once
+    token = _Tokens()
+    lines = [f"lvl {doc.format_version}", f"root {token[graph.root]}"]
     # a graph stores its nodes and edges in canonical order
     for node_id, node in graph._nodes.items():
-        lines.append(f"node {_format_token(node_id)} {_format_token(node.kind)}")
+        lines.append(f"node {token[node_id]} {token[node.kind]}")
     for node_id, node in graph._nodes.items():
-        for key in sorted(node.properties):
-            lines.append(
-                f"prop {_format_token(node_id)} {_format_token(key)} "
-                f"{format_value(node.properties[key])}"
-            )
+        properties = node.properties
+        for key in sorted(properties):
+            lines.append(f"prop {token[node_id]} {token[key]} {format_value(properties[key])}")
     for (parent, child), kind in graph._edges.items():
-        lines.append(f"edge {_format_token(parent)} {_format_token(child)} {kind.value}")
+        lines.append(f"edge {token[parent]} {token[child]} {kind.value}")
     for asset_id in sorted(graph.assets):
-        lines.append(f"asset {_format_token(asset_id)} {_format_token(graph.assets[asset_id])}")
+        lines.append(f"asset {token[asset_id]} {token[graph.assets[asset_id]]}")
     return "\n".join(lines) + "\n"
 
 

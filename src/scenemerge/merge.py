@@ -1011,11 +1011,12 @@ def merge3(
     """
     start = time.perf_counter()
     _require_valid(ancestor, "ancestor")
-    _require_valid(mine, "mine")
+    _require_valid(mine, "mine", base=ancestor)
     diff_a = classify(ancestor, mine, validated=True)
-    _require_valid(theirs, "theirs")
+    _require_valid(theirs, "theirs", base=ancestor)
     diff_b = classify(ancestor, theirs, validated=True)
-    check_same_level(mine, theirs, "mine", "theirs")
+    # classify checked every other shared id against the ancestor
+    check_same_level(mine, theirs, "mine", "theirs", ids=diff_a.added & diff_b.added)
 
     state = _State.from_graph(ancestor)
     conflicts: list[Conflict] = []

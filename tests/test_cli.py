@@ -478,6 +478,18 @@ class TestSimulateCommand:
         )
         assert done.stdout == "False\n"
 
+    def test_importing_the_cli_leaves_assets_and_its_imports_unloaded(self):
+        import scenemerge
+
+        # -S: no site hook may load these modules first
+        env = {**os.environ, "PYTHONPATH": str(Path(scenemerge.__file__).resolve().parents[1])}
+        names = ("scenemerge.assets", "subprocess", "tempfile", "hashlib")
+        probe = f"import scenemerge.cli, sys; print([n for n in {names!r} if n in sys.modules])"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "[]\n"
+
     def test_smoke_run_writes_results(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SCENEMERGE_CONFIG", raising=False)
         out = tmp_path / "results.json"

@@ -73,6 +73,33 @@ def test_a_merge_command_leaves_the_collector_as_the_caller_left_it(enabled, tmp
     assert gc.isenabled() is enabled
 
 
+def test_a_merge_command_starts_no_collection(tmp_path):
+    from scenemerge.levelfile import FORMAT_VERSION, LevelDocument, write_document
+    from scenemerge.sim import PRESETS, apply_script, generate
+
+    sc = generate(1, PRESETS["lab"])
+    graphs = (sc.base, apply_script(sc.base, sc.script_a), apply_script(sc.base, sc.script_b))
+    paths = [str(tmp_path / f"{role}.lvl") for role in ("base", "mine", "theirs")]
+    for path, graph in zip(paths, graphs):
+        write_document(LevelDocument(FORMAT_VERSION, graph), path)
+    argv = ["merge", *paths, "--output", str(tmp_path / "merged.lvl")]
+    assert main(argv) == 0  # the first call compiles argparse's patterns
+    started = []
+
+    def watch(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()  # an empty young generation, as in a fresh driver process
+    gc.callbacks.append(watch)
+    try:
+        assert main(argv) == 0
+    finally:
+        gc.callbacks.remove(watch)
+    assert started == []
+    assert gc.isenabled()
+
+
 def test_nested_pause_does_not_re_enable_early():
     with _gc_paused():
         with _gc_paused():

@@ -594,6 +594,28 @@ class TestMergeLaws:
         with pytest.raises(GraphMismatchError, match="kind"):
             merge3(base, mine, theirs, MANUAL)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_add_add_kind_mismatch_names_the_smallest_id_in_both_orders(self, swap):
+        from scenemerge import GraphMismatchError
+
+        # "s" is shared with the ancestor, so only the ids both branches
+        # added are compared between them: "m" before "z", "k" agrees
+        base = g("r", [("r", "Scene"), ("s", "Mesh")], [("r", "s", D)])
+        added = [("k", "Light"), ("z", "Light"), ("m", "Light")]
+        mine = g("r", [("r", "Scene"), ("s", "Mesh"), *added],
+                 [("r", "s", D)] + [("r", n, D) for n, _ in added])
+        theirs = g("r", [("r", "Scene"), ("s", "Mesh"), ("k", "Light"), ("z", "Camera"), ("m", "Camera")],
+                   [("r", "s", D)] + [("r", n, D) for n, _ in added])
+        first, second = ("Camera", "Light") if swap else ("Light", "Camera")
+        if swap:
+            mine, theirs = theirs, mine
+        with pytest.raises(GraphMismatchError) as raised:
+            merge3(base, mine, theirs, MANUAL)
+        assert str(raised.value) == (
+            f"node 'm' has kind {first!r} in mine but {second!r} in theirs; "
+            "a kind change must be modeled as delete plus add under a new id"
+        )
+
     def test_overlapping_deletions_with_a_rescued_member(self):
         # A deletes the whole box; B reparents the item out first and then
         # deletes only the box. The deletions agree on the box; A's intent

@@ -1,0 +1,212 @@
+"""`validate(graph, base=...)` against the whole check, and merge3's input errors.
+
+A branch is checked against its valid ancestor from the differences
+only. These tests break random valid branches in every way a level can
+be invalid and require the same report as `validate(graph)`, built both
+with fresh adjacency lists and with the ancestor's lists shared, as
+`parse(text, base=...)` shares them.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scenemerge import (
+    DepKind,
+    Edge,
+    GraphMismatchError,
+    InvalidGraphError,
+    LevelGraph,
+    Node,
+    PropertyValue,
+    SceneMergeError,
+    merge3,
+    validate,
+)
+from scenemerge.diff import check_same_level
+from scenemerge.sim import SizeParams, apply_script, generate
+
+SIZE = SizeParams(nodes=40, edges=48, ops_per_branch=6)
+
+BREAKS = (
+    "cycle",
+    "orphan",
+    "dangling-edge",
+    "second-direct-parent",
+    "root-in-edge",
+    "ref-to-deleted",
+    "asset-dropped",
+    "kind-change",
+    "add-add-kind",
+)
+
+
+class _Level:
+    """Mutable tables of one level, for breaking it on purpose."""
+
+    def __init__(self, graph: LevelGraph):
+        self.root = graph.root
+        self.nodes = dict(graph._nodes)
+        self.edges = dict(graph._edges)
+        self.assets = dict(graph.assets)
+
+    def parents(self, node_id):
+        return [p for (p, c) in self.edges if c == node_id]
+
+    def ancestors(self, node_id):
+        seen, frontier = set(), [node_id]
+        while frontier:
+            for parent in self.parents(frontier.pop()):
+                if parent not in seen:
+                    seen.add(parent)
+                    frontier.append(parent)
+        return seen
+
+    def graph(self, base: LevelGraph | None = None) -> LevelGraph:
+        if base is None:
+            edges = [Edge(p, c, k) for (p, c), k in self.edges.items()]
+            return LevelGraph(self.root, self.nodes.values(), edges, self.assets)
+        # every node at neither end of a changed pair keeps the base's lists
+        pairs = self.edges.keys() | base._edges.keys()
+        changed = [pair for pair in pairs if self.edges.get(pair) is not base._edges.get(pair)]
+        return LevelGraph._of(self.root, self.nodes, self.edges, self.assets, base, changed)
+
+
+def _break(name: str, level: _Level, base: _Level, rng: random.Random, tag: str) -> None:
+    """Apply one invalidating edit to ``level``; ``base`` gains what it must share."""
+    ids = sorted(level.nodes)
+    others = [n for n in ids if n != level.root]
+    shared = [n for n in others if base.nodes.get(n) is level.nodes[n]]
+    if name == "cycle":
+        for child in rng.sample(others, len(others)):
+            above = sorted(level.ancestors(child) - {level.root})
+            if above:
+                level.edges[child, rng.choice(above)] = DepKind.INDIRECT
+                return
+    elif name == "orphan" and others:
+        node_id = rng.choice(others)
+        for parent in level.parents(node_id):
+            del level.edges[parent, node_id]
+    elif name == "dangling-edge":
+        pair = (rng.choice(ids), "ghost") if rng.random() < 0.5 else ("ghost", rng.choice(others or ids))
+        level.edges[pair] = DepKind.INDIRECT
+    elif name == "second-direct-parent":
+        for child in rng.sample(others, len(others)):
+            parents = level.parents(child)
+            if any(level.edges[p, child] is DepKind.DIRECT for p in parents):
+                candidates = [n for n in ids if n != child and n not in parents]
+                if candidates:
+                    level.edges[rng.choice(candidates), child] = DepKind.DIRECT
+                    return
+    elif name == "root-in-edge" and others:
+        level.edges[rng.choice(others), level.root] = DepKind.INDIRECT
+    elif name == "ref-to-deleted":
+        # an unchanged node of both keeps a ref to a leaf the branch deleted
+        leaves = [n for n in others if n in base.nodes and not any(p == n for p, _ in level.edges)]
+        holders = [n for n in shared if n not in leaves]
+        if leaves and holders:
+            target, holder = rng.choice(leaves), rng.choice(holders)
+            old = level.nodes[holder]
+            node = Node(holder, old.kind, {**old.properties, "link": PropertyValue.node_ref(target)})
+            level.nodes[holder] = base.nodes[holder] = node
+            del level.nodes[target]
+            for parent in level.parents(target):
+                del level.edges[parent, target]
+    elif name == "asset-dropped":
+        # an unchanged node of both uses an asset the branch's manifest drops
+        kept = sorted(level.assets.keys() & base.assets.keys())
+        if kept and shared:
+            asset_id, holder = rng.choice(kept), rng.choice(shared)
+            old = level.nodes[holder]
+            node = Node(holder, old.kind, {**old.properties, "skin": PropertyValue.asset_ref(asset_id)})
+            level.nodes[holder] = base.nodes[holder] = node
+            del level.assets[asset_id]
+    elif name == "kind-change" and shared:
+        old = level.nodes[rng.choice(shared)]
+        level.nodes[old.id] = Node(old.id, old.kind + "X", old.properties)
+    elif name == "add-add-kind":
+        # both branches add "twin"; each tags its kind
+        level.nodes["twin"] = Node("twin", f"Kind{tag}")
+        level.edges[level.root, "twin"] = DepKind.DIRECT
+
+
+@st.composite
+def scenarios(draw):
+    """A valid ancestor and two branches, each broken by a few random edits."""
+    sc = generate(draw(st.integers(1, 10_000)), SIZE)
+    base = _Level(sc.base)
+    branches = [_Level(apply_script(sc.base, script)) for script in (sc.script_a, sc.script_b)]
+    for level, tag in zip(branches, "AB"):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        for name in draw(st.lists(st.sampled_from(BREAKS), max_size=3)):
+            _break(name, level, base, rng, tag)
+    ancestor = base.graph()
+    assert validate(ancestor).ok
+    return ancestor, branches
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+def test_validate_against_the_ancestor_equals_the_whole_check(scenario):
+    ancestor, branches = scenario
+    for level in branches:
+        for version in (level.graph(), level.graph(base=ancestor)):
+            assert validate(version, base=ancestor) == validate(version)
+
+
+def _seed_error(ancestor, mine, theirs):
+    """The error merge3 raised when every input was validated whole, or None."""
+
+    def require(graph, role):
+        report = validate(graph)
+        if not report.ok:
+            raise InvalidGraphError(role, report)
+
+    try:
+        require(ancestor, "ancestor")
+        require(mine, "mine")
+        check_same_level(ancestor, mine, "ancestor", "version")
+        require(theirs, "theirs")
+        check_same_level(ancestor, theirs, "ancestor", "version")
+        check_same_level(mine, theirs, "mine", "theirs")
+    except SceneMergeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios(), st.booleans())
+def test_merge3_raises_what_it_raised_with_whole_validation(scenario, shared_lists):
+    ancestor, branches = scenario
+    mine, theirs = (level.graph(base=ancestor if shared_lists else None) for level in branches)
+    expected = _seed_error(ancestor, mine, theirs)
+    if expected is None:
+        merge3(ancestor, mine, theirs)
+        return
+    with pytest.raises(SceneMergeError) as raised:
+        merge3(ancestor, mine, theirs)
+    assert (type(raised.value), str(raised.value)) == expected
+
+
+def test_an_input_both_invalid_and_kind_mismatched_reports_as_before():
+    sc = generate(7, SIZE)
+    base = _Level(sc.base)
+    mine, theirs = _Level(sc.base), _Level(sc.base)
+    rng = random.Random(7)
+    _break("kind-change", mine, base, rng, "A")
+    _break("cycle", theirs, base, rng, "B")
+    _break("add-add-kind", mine, base, rng, "A")
+    _break("add-add-kind", theirs, base, rng, "B")
+    ancestor = base.graph()
+    # mine's kind change is named before theirs is validated
+    with pytest.raises(GraphMismatchError, match="in ancestor but") as raised:
+        merge3(ancestor, mine.graph(), theirs.graph())
+    assert (GraphMismatchError, str(raised.value)) == _seed_error(ancestor, mine.graph(), theirs.graph())
+    # the other way round, the invalid branch comes first
+    with pytest.raises(InvalidGraphError, match="mine graph is invalid") as raised:
+        merge3(ancestor, theirs.graph(), mine.graph())
+    assert (InvalidGraphError, str(raised.value)) == _seed_error(ancestor, theirs.graph(), mine.graph())
