@@ -1,10 +1,13 @@
-"""Atomic asset merging with pluggable per-type strategies and a code gate.
+"""Content-aware asset merging: per-type strategy commands and a validator gate.
 
 Assets are opaque blobs identified by a path-like id; level documents
 carry only the manifest (id to content digest) while blob content lives
-in a content-addressed store next to the level. Three-way manifest
-merging is atomic at digest level by default; when both branches change
-one asset differently, the id's type tag picks a registered strategy.
+in a content-addressed store next to the level. `merge.merge3` merges
+manifests in one loop, one three-way digest cell per asset id, and a
+`ManifestMerger` built here adds a content step to that loop. When both
+branches changed an asset differently and both still hold it, the id's
+type tag picks a registered strategy; under a tag with no strategy the
+cell stays a digest-level conflict and no blob is read for it.
 
 Strategies and validators are external commands, so existing mergers
 integrate without bindings:
@@ -27,7 +30,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from .graph import SceneMergeError
 from .merge import (
@@ -36,8 +39,7 @@ from .merge import (
     Branch,
     DroppedEdit,
     MergePolicy,
-    _settle_asset,
-    merge_cell,
+    _merge_manifests,
 )
 
 
@@ -110,48 +112,6 @@ class BlobStore:
         return digest
 
 
-@dataclass(frozen=True)
-class AssetMergeResult:
-    """Outcome of one strategy invocation."""
-
-    kind: str  # "merged" | "conflict" | "deleted"
-    blob: AssetBlob | None = None
-
-    @staticmethod
-    def merged(blob: AssetBlob) -> "AssetMergeResult":
-        return AssetMergeResult("merged", blob)
-
-    @staticmethod
-    def conflict() -> "AssetMergeResult":
-        return AssetMergeResult("conflict")
-
-    @staticmethod
-    def deleted() -> "AssetMergeResult":
-        return AssetMergeResult("deleted")
-
-
-class AssetMergeStrategy(Protocol):
-    def merge3(
-        self,
-        ancestor: AssetBlob | None,
-        mine: AssetBlob | None,
-        theirs: AssetBlob | None,
-    ) -> AssetMergeResult: ...
-
-
-class AtomicStrategy:
-    """Digest-level three-way logic; the default for unregistered tags."""
-
-    def merge3(self, ancestor, mine, theirs):
-        digests = [blob.digest if blob else None for blob in (ancestor, mine, theirs)]
-        taken = merge_cell(*digests)
-        if taken is CONFLICT:
-            return AssetMergeResult.conflict()
-        if taken is None:
-            return AssetMergeResult.deleted()
-        return AssetMergeResult.merged(mine if taken == digests[1] else theirs)
-
-
 class CommandStrategy:
     """External three-way merger following the strategy command protocol."""
 
@@ -161,13 +121,8 @@ class CommandStrategy:
         self.argv = list(argv)
 
     def merge3(self, ancestor, mine, theirs):
-        some = mine or theirs or ancestor
-        if some is None:
-            return AssetMergeResult.deleted()
-        if mine is None or theirs is None:
-            # presence changes stay atomic; strategies merge content only
-            return AtomicStrategy().merge3(ancestor, mine, theirs)
-        suffix = os.path.splitext(some.id)[1] or ".blob"
+        """The merged content, or None for a conflict; ``ancestor`` may be None."""
+        suffix = os.path.splitext(mine.id)[1] or ".blob"
         with tempfile.TemporaryDirectory(prefix="scenemerge-strategy-") as tmp:
             tmp_path = Path(tmp)
             paths = []
@@ -184,6 +139,7 @@ class CommandStrategy:
                     [*self.argv, *paths, str(out_path)],
                     capture_output=True,
                     text=True,
+                    errors="replace",
                 )
             except OSError as exc:
                 raise StrategyError(f"cannot run strategy {self.argv}: {exc}") from exc
@@ -192,11 +148,9 @@ class CommandStrategy:
                     raise StrategyError(
                         f"strategy {self.argv} exited 0 without writing {out_path}"
                     )
-                return AssetMergeResult.merged(
-                    AssetBlob(some.id, some.type_tag, out_path.read_bytes())
-                )
+                return out_path.read_bytes()
             if proc.returncode == 1:
-                return AssetMergeResult.conflict()
+                return None
             raise StrategyError(
                 f"strategy {self.argv} failed with exit code {proc.returncode}: "
                 f"{proc.stderr.strip() or proc.stdout.strip()}"
@@ -227,7 +181,7 @@ def validate_code_asset(blob: AssetBlob, validator: Sequence[str]) -> Validation
     try:
         try:
             proc = subprocess.run(
-                [*validator, path], capture_output=True, text=True
+                [*validator, path], capture_output=True, text=True, errors="replace"
             )
         except OSError as exc:
             raise ValidatorConfigError(
@@ -240,6 +194,71 @@ def validate_code_asset(blob: AssetBlob, validator: Sequence[str]) -> Validation
         )
     finally:
         os.unlink(path)
+
+
+class ManifestMerger:
+    """The content step of `merge3`'s manifest loop, from a blob store.
+
+    ``strategies`` and ``validators`` are keyed by type tag, the id's
+    extension mapped through ``type_map`` (see `type_tag_for`).
+    """
+
+    def __init__(
+        self,
+        store: BlobStore,
+        strategies: Mapping[str, CommandStrategy] | None = None,
+        validators: Mapping[str, Sequence[str]] | None = None,
+        type_map: Mapping[str, str] | None = None,
+    ):
+        self.store = store
+        self.strategies = strategies or {}
+        self.validators = validators or {}
+        self.type_map = type_map
+
+    def merge(self, asset_id, da, dm, dt):
+        """The merged digest of a divergent cell (ancestor, mine, theirs), or CONFLICT.
+
+        Presence changes stay atomic: only a cell both branches hold,
+        under a tag with a strategy, reads its blobs and runs it.
+        """
+        tag = type_tag_for(asset_id, self.type_map)
+        strategy = self.strategies.get(tag)
+        if strategy is None or dm is None or dt is None:
+            return CONFLICT
+        ancestor, mine, theirs = (
+            None if digest is None else AssetBlob(asset_id, tag, self.store.get(digest), digest)
+            for digest in (da, dm, dt)
+        )
+        merged = strategy.merge3(ancestor, mine, theirs)
+        return CONFLICT if merged is None else self.store.put(merged)
+
+    def admit(self, asset_id, da, dm, dt, chosen, winner, dropped):
+        """The digest kept in place of ``chosen``, which differs from the ancestor's ``da``.
+
+        With a validator for the tag, ``chosen`` and then the preferred
+        branch's own change must pass it; each rejection is dropped, and
+        the ancestor digest is kept when none passes. A rejected
+        ``chosen`` is blamed on theirs when only theirs holds it, and
+        on mine otherwise.
+        """
+        tag = type_tag_for(asset_id, self.type_map)
+        validator = self.validators.get(tag)
+        if validator is None:
+            return chosen
+        candidates = [(chosen, Branch.B if dt == chosen and dm != chosen else Branch.A)]
+        if winner is not None:
+            preferred = dm if winner is Branch.A else dt
+            if preferred is not None and preferred != chosen and preferred != da:
+                candidates.append((preferred, winner))
+        for digest, blame in candidates:
+            blob = AssetBlob(asset_id, tag, self.store.get(digest), digest)
+            outcome = validate_code_asset(blob, validator)
+            if outcome.passed:
+                return digest
+            dropped.append(
+                DroppedEdit(blame, None, f"asset {asset_id} rejected by validator: {outcome.message}")
+            )
+        return da
 
 
 @dataclass
@@ -255,90 +274,18 @@ def merge_manifests(
     theirs: Mapping[str, str],
     store: BlobStore,
     policy: MergePolicy = MergePolicy(),
-    strategies: Mapping[str, AssetMergeStrategy] | None = None,
+    strategies: Mapping[str, CommandStrategy] | None = None,
     validators: Mapping[str, Sequence[str]] | None = None,
     type_map: Mapping[str, str] | None = None,
 ) -> ManifestMergeResult:
-    """Three-way merge of asset manifests, id by id.
+    """Three-way merge of asset manifests alone, through `merge3`'s manifest loop.
 
     Unchanged or one-sided changes resolve at digest level without
-    touching blob content. True divergence goes to the id's strategy;
-    a strategy conflict falls through to the merge policy exactly like
-    a property conflict. Candidates whose type tag has a validator are
-    gated before admission.
+    touching blob content. True divergence goes to the tag's strategy,
+    if any; otherwise, and on a strategy conflict, it falls through to
+    the merge policy exactly like a property conflict. Candidates whose
+    type tag has a validator are gated before admission.
     """
-    strategies = strategies or {}
-    validators = validators or {}
-    atomic = AtomicStrategy()
-    manifest: dict[str, str] = {}
-    conflicts: list[AssetConflict] = []
-    dropped: list[DroppedEdit] = []
-
-    def blob_for(asset_id: str, tag: str, digest: str | None) -> AssetBlob | None:
-        if digest is None:
-            return None
-        return AssetBlob(asset_id, tag, store.get(digest), digest)
-
-    for asset_id in sorted(set(ancestor) | set(mine) | set(theirs)):
-        da = ancestor.get(asset_id)
-        dm = mine.get(asset_id)
-        dt = theirs.get(asset_id)
-        tag = type_tag_for(asset_id, type_map)
-
-        chosen = merge_cell(da, dm, dt)
-        if chosen is CONFLICT:
-            strategy = strategies.get(tag, atomic)
-            result = strategy.merge3(
-                blob_for(asset_id, tag, da),
-                blob_for(asset_id, tag, dm),
-                blob_for(asset_id, tag, dt),
-            )
-            if result.kind == "merged":
-                chosen = store.put(result.blob.content)
-            elif result.kind == "deleted":
-                chosen = None
-            else:
-                conflict = AssetConflict(asset_id, dm, dt, da)
-                conflicts.append(conflict)
-                chosen = _settle_asset(conflict, policy.winner, dropped)
-
-        # gate: a candidate that differs from the ancestor must pass its
-        # type's validator before being admitted
-        if chosen is not None and chosen != da and tag in validators:
-            candidates: list[tuple[str, Branch | None]] = [(chosen, None)]
-            winner = policy.winner
-            if winner is not None:
-                preferred = dm if winner is Branch.A else dt
-                if preferred is not None and preferred != chosen and preferred != da:
-                    candidates.append((preferred, winner))
-            admitted = None
-            for digest, source in candidates:
-                blob = AssetBlob(asset_id, tag, store.get(digest), digest)
-                outcome = validate_code_asset(blob, validators[tag])
-                if outcome.passed:
-                    admitted = digest
-                    break
-                blame = source if source is not None else _changed_branch(da, dm, dt, digest)
-                dropped.append(
-                    DroppedEdit(
-                        blame if blame is not None else Branch.A,
-                        None,
-                        f"asset {asset_id} rejected by validator: {outcome.message}",
-                    )
-                )
-            chosen = admitted if admitted is not None else da
-
-        if chosen is not None:
-            manifest[asset_id] = chosen
+    merger = ManifestMerger(store, strategies, validators, type_map)
+    conflicts, manifest, dropped = _merge_manifests(ancestor, mine, theirs, policy, merger)
     return ManifestMergeResult(manifest, conflicts, dropped)
-
-
-def _changed_branch(da: str | None, dm: str | None, dt: str | None, digest: str) -> Branch | None:
-    """Which branch introduced this digest, if exactly one did."""
-    from_mine = dm == digest and dm != da
-    from_theirs = dt == digest and dt != da
-    if from_mine and not from_theirs:
-        return Branch.A
-    if from_theirs and not from_mine:
-        return Branch.B
-    return None

@@ -94,29 +94,18 @@ def _cmd_diff(args) -> int:
 
 
 def _manifest_merger(config):
-    """The config's content-aware asset merge, or None for `merge3`'s atomic one."""
+    """The config's content step for `merge3`'s manifest loop, or None for digests only."""
     if config.assets_dir is None or not (config.strategies or config.validators):
         return None
     # only here: `assets` imports subprocess, tempfile and hashlib
-    from .assets import BlobStore, CommandStrategy, merge_manifests
+    from .assets import BlobStore, CommandStrategy, ManifestMerger
 
-    store = BlobStore(config.assets_dir)
-    strategies = {tag: CommandStrategy(argv) for tag, argv in config.strategies.items()}
-
-    def manifest_merger(base, mine_m, theirs_m, pol):
-        result = merge_manifests(
-            base,
-            mine_m,
-            theirs_m,
-            store,
-            pol,
-            strategies=strategies,
-            validators=config.validators,
-            type_map=config.asset_types,
-        )
-        return result.conflicts, result.manifest, result.dropped
-
-    return manifest_merger
+    return ManifestMerger(
+        BlobStore(config.assets_dir),
+        {tag: CommandStrategy(argv) for tag, argv in config.strategies.items()},
+        config.validators,
+        config.asset_types,
+    )
 
 
 def _merge_files(args):

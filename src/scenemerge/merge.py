@@ -672,31 +672,40 @@ def _apply_modifications(
     return conflicts
 
 
-# -- assets (atomic digest level) ----------------------------------------------
+# -- assets (one digest cell per asset id) -------------------------------------
 
 
-def _merge_manifests_atomic(
+def _merge_manifests(
     base: Mapping[str, str],
     mine: Mapping[str, str],
     theirs: Mapping[str, str],
     policy: MergePolicy,
+    merger,
 ) -> tuple[list[Conflict], dict[str, str], list[DroppedEdit]]:
-    """Digest-level manifest merge; conflicts resolve like property conflicts.
+    """Manifest merge, one `merge_cell` per asset id; conflicts resolve like property conflicts.
 
-    `merge3` always merges manifests atomically; content-aware
-    strategies and validators plug in through its ``manifest_merger``
-    hook (see the assets module).
+    ``merger`` is the optional content step (an ``assets.ManifestMerger``;
+    None merges digests only). ``merger.merge(id, a, m, t)`` gets each
+    divergent cell and returns a merged digest or CONFLICT;
+    ``merger.admit(id, a, m, t, take, winner, dropped)`` gets each taken
+    digest that differs from the ancestor's and returns the digest to
+    keep.
     """
     conflicts: list[Conflict] = []
     manifest: dict[str, str] = {}
     dropped: list[DroppedEdit] = []
+    winner = policy.winner
     for asset_id in sorted(set(base) | set(mine) | set(theirs)):
         a, m, t = base.get(asset_id), mine.get(asset_id), theirs.get(asset_id)
         take = merge_cell(a, m, t)
+        if take is CONFLICT and merger is not None:
+            take = merger.merge(asset_id, a, m, t)
         if take is CONFLICT:
             conflict = AssetConflict(asset_id, m, t, a)
             conflicts.append(conflict)
-            take = _settle_asset(conflict, policy.winner, dropped)
+            take = _settle_asset(conflict, winner, dropped)
+        if merger is not None and take is not None and take != a:
+            take = merger.admit(asset_id, a, m, t, take, winner, dropped)
         if take is not None:
             manifest[asset_id] = take
     return conflicts, manifest, dropped
@@ -827,8 +836,6 @@ def _resolve(
     ordered += [c for c in conflicts if isinstance(c, DeleteModifyConflict)]
 
     for conflict in ordered:
-        if conflict.resolution is not Resolution.UNRESOLVED:
-            continue  # settled earlier (e.g. by the manifest merger)
         if winner is None:
             if isinstance(conflict, DeleteModifyConflict):
                 _hold_delete_modify(state, conflict, ancestor)
@@ -859,12 +866,6 @@ def _resolve(
             dropped.append(
                 DroppedEdit(loser, conflict.node, f"reparent under {lose or 'nothing'}")
             )
-        elif isinstance(conflict, AssetConflict):
-            take = _settle_asset(conflict, winner, dropped)
-            if take is None:
-                state.assets.pop(conflict.asset_id, None)
-            else:
-                state.assets[conflict.asset_id] = take
         elif isinstance(conflict, DeleteModifyConflict):
             if winner is conflict.deleting_branch:
                 other_diff = diff_b if winner is Branch.A else diff_a
@@ -1005,9 +1006,12 @@ def merge3(
     has no Indirect one, until no cycle is left. Every
     non-conflicting edit from both branches survives into the merge.
 
-    ``manifest_merger`` overrides the atomic digest-level asset merge;
-    it receives the three manifests plus the policy and returns
-    (conflicts, merged manifest, dropped edits).
+    The manifests merge in one loop, one digest cell per asset id.
+    ``manifest_merger`` adds a content step to that loop: an
+    ``assets.ManifestMerger`` runs the type tag's strategy on a cell
+    both branches changed differently and gates a changed digest with
+    the tag's validator. None (the default) merges digests only; a tag
+    with neither a strategy nor a validator never reads the blob store.
     """
     start = time.perf_counter()
     _require_valid(ancestor, "ancestor")
@@ -1023,15 +1027,12 @@ def merge3(
     conflicts += _apply_additions(state, diff_a, diff_b)
     conflicts += _apply_deletions(state, diff_a, diff_b)
     conflicts += _apply_modifications(state, diff_a, diff_b, policy)
+    dropped = _resolve(state, conflicts, policy, diff_a, diff_b)
 
-    merge_assets = manifest_merger or _merge_manifests_atomic
-    asset_conflicts, manifest, asset_drops = merge_assets(
-        ancestor.assets, mine.assets, theirs.assets, policy
+    asset_conflicts, state.assets, asset_drops = _merge_manifests(
+        ancestor.assets, mine.assets, theirs.assets, policy, manifest_merger
     )
     conflicts += asset_conflicts
-    state.assets = manifest
-
-    dropped = _resolve(state, conflicts, policy, diff_a, diff_b)
     dropped += asset_drops
     _prune_relinks(state)
     removed_edges, cycle_drops = _repair_cycles_state(state)

@@ -8,7 +8,6 @@ import pytest
 
 from scenemerge.assets import (
     AssetBlob,
-    AtomicStrategy,
     BlobStore,
     BlobStoreError,
     CommandStrategy,
@@ -19,7 +18,7 @@ from scenemerge.assets import (
     type_tag_for,
     validate_code_asset,
 )
-from scenemerge.merge import Branch, MergePolicy, PolicyKind, Resolution
+from scenemerge.merge import CONFLICT, Branch, MergePolicy, PolicyKind, Resolution, merge_cell
 
 MANUAL = MergePolicy(PolicyKind.MANUAL)
 PREFER_B = MergePolicy(PolicyKind.PREFER_B)
@@ -46,37 +45,31 @@ class TestBlob:
         assert type_tag_for("code/ai.cs", {"cs": "code"}) == "code"
 
 
-class TestAtomicStrategy:
-    # every equality pattern over (ancestor, mine, theirs), presence included
+class TestAtomicDigestCell:
+    # every equality pattern over (ancestor, mine, theirs), presence included;
+    # None is an absent asset, so a None result deletes it
     @pytest.mark.parametrize(
         "anc, mine, theirs, expected",
         [
-            ("x", "x", "x", ("merged", "x")),  # untouched
-            ("x", "y", "x", ("merged", "y")),  # mine changed
-            ("x", "x", "y", ("merged", "y")),  # theirs changed
-            ("x", "y", "y", ("merged", "y")),  # both changed identically
-            ("x", "y", "z", ("conflict", None)),  # both changed differently
-            (None, "y", "y", ("merged", "y")),  # both added same
-            (None, "y", "z", ("conflict", None)),  # both added differently
-            (None, "y", None, ("merged", "y")),  # added in one branch
-            (None, None, "z", ("merged", "z")),
-            ("x", None, "x", ("deleted", None)),  # deleted in one branch
-            ("x", "x", None, ("deleted", None)),
-            ("x", None, None, ("deleted", None)),  # deleted in both
-            ("x", None, "z", ("conflict", None)),  # delete vs modify
-            ("x", "y", None, ("conflict", None)),
-            (None, None, None, ("deleted", None)),
+            ("x", "x", "x", "x"),  # untouched
+            ("x", "y", "x", "y"),  # mine changed
+            ("x", "x", "y", "y"),  # theirs changed
+            ("x", "y", "y", "y"),  # both changed identically
+            ("x", "y", "z", CONFLICT),  # both changed differently
+            (None, "y", "y", "y"),  # both added same
+            (None, "y", "z", CONFLICT),  # both added differently
+            (None, "y", None, "y"),  # added in one branch
+            (None, None, "z", "z"),
+            ("x", None, "x", None),  # deleted in one branch
+            ("x", "x", None, None),
+            ("x", None, None, None),  # deleted in both
+            ("x", None, "z", CONFLICT),  # delete vs modify
+            ("x", "y", None, CONFLICT),
+            (None, None, None, None),
         ],
     )
     def test_exhaustive_digest_table(self, anc, mine, theirs, expected):
-        def mk(tagged):
-            return blob("a.bin", tagged.encode()) if tagged else None
-
-        result = AtomicStrategy().merge3(mk(anc), mk(mine), mk(theirs))
-        kind, content = expected
-        assert result.kind == kind
-        if content is not None:
-            assert result.blob.content == content.encode()
+        assert merge_cell(anc, mine, theirs) == expected
 
 
 class TestBlobStore:
@@ -111,19 +104,27 @@ class TestCommandStrategy:
         result = strategy.merge3(
             blob("x.bin", b"A"), blob("x.bin", b"B"), blob("x.bin", b"C")
         )
-        assert result.kind == "merged"
-        assert result.blob.content == b"ABC"
+        assert result == b"ABC"
 
     def test_conflict_exit_code(self, tmp_path):
         script = write_script(tmp_path / "refuse.py", "raise SystemExit(1)\n")
         result = CommandStrategy([PY, script]).merge3(
             blob("x.bin", b"A"), blob("x.bin", b"B"), blob("x.bin", b"C")
         )
-        assert result.kind == "conflict"
+        assert result is None
 
-    def test_other_exit_codes_are_failures(self, tmp_path):
-        script = write_script(tmp_path / "crash.py", "raise SystemExit(3)\n")
-        with pytest.raises(StrategyError):
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "raise SystemExit(3)\n",
+            # output that is not UTF-8 still reads as a strategy failure
+            "import sys\nsys.stderr.buffer.write(b'bad \\xff')\nraise SystemExit(3)\n",
+        ],
+        ids=["plain", "not-utf8"],
+    )
+    def test_other_exit_codes_are_failures(self, tmp_path, body):
+        script = write_script(tmp_path / "crash.py", body)
+        with pytest.raises(StrategyError, match="exit code 3"):
             CommandStrategy([PY, script]).merge3(
                 blob("x.bin", b"A"), blob("x.bin", b"B"), blob("x.bin", b"C")
             )
@@ -137,6 +138,12 @@ class TestValidator:
     def test_always_failing_command(self):
         result = validate_code_asset(blob("no.py", b"x = 1\n"), [PY, "-c", "exit(1)"])
         assert not result.passed
+
+    def test_output_that_is_not_utf8_is_decoded_with_replacement(self):
+        check = [PY, "-c", "import sys; sys.stderr.buffer.write(b'bad \\xff'); exit(1)"]
+        result = validate_code_asset(blob("no.py", b"x = 1\n"), check)
+        assert not result.passed
+        assert result.message == "bad \ufffd"
 
     def test_real_syntax_checker_reports_message(self):
         broken = blob("broken.py", b"def f(:\n", tag="code")

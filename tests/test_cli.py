@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -401,6 +402,28 @@ class TestConfig:
         assert code == 0  # resolved by configured preference
 
 
+def _asset_levels(tmp_path, asset_id, digests):
+    """ancestor, mine and theirs level paths differing only in ``asset_id``'s digest."""
+    from scenemerge import PropertyValue, write_document
+    from scenemerge.levelfile import LevelDocument
+    from conftest import D, g
+
+    paths = []
+    for role, digest in zip(("base", "mine", "theirs"), digests):
+        nodes = [("r", "Scene"), ("s", "Script", {"src": PropertyValue.asset_ref(asset_id)})]
+        path = tmp_path / f"{role}.lvl"
+        write_document(LevelDocument(1, g("r", nodes, [("r", "s", D)], {asset_id: digest})), path)
+        paths.append(str(path))
+    return paths
+
+
+def _failing_command(tmp_path, code):
+    """A command that writes bytes that are not UTF-8 to stderr and exits ``code``."""
+    script = tmp_path / "not_utf8.py"
+    script.write_text(f"import sys\nsys.stderr.buffer.write(b'bad \\xff')\nraise SystemExit({code})\n")
+    return f"{sys.executable} {script}"
+
+
 class TestAssetAwareMerge:
     def test_configured_validator_gates_code_assets(self, tmp_path, monkeypatch):
         import sys
@@ -451,6 +474,56 @@ class TestAssetAwareMerge:
         assert merged.assets["ai.py"] == good  # failing blob never admitted
         report = parse_report(report_path.read_text())
         assert any("rejected by validator" in d[2] for d in report.dropped)
+
+    @pytest.mark.parametrize("policy, code, taken", [("manual", 1, 0), ("prefer-b", 0, 2)])
+    def test_tag_without_strategy_reads_no_blob(self, tmp_path, monkeypatch, policy, code, taken):
+        digests = [c * 64 for c in "abc"]  # none of them is in the store
+        paths = _asset_levels(tmp_path, "t.png", digests)
+        (tmp_path / "blobs").mkdir()
+        conf = tmp_path / "assets.conf"
+        conf.write_text(f"assets-dir blobs\nstrategy obj {sys.executable} -c pass\n")
+        monkeypatch.delenv("SCENEMERGE_CONFIG", raising=False)
+        monkeypatch.chdir(tmp_path)
+
+        def merge(name, *config):
+            out, report = tmp_path / f"{name}.lvl", tmp_path / f"{name}.lvlreport"
+            args = ["merge", *paths, "--policy", policy, "--output", str(out)]
+            assert main([*args, "--report", str(report), *config]) == code
+            wall_time = re.compile(r"^stat wall_time_s .*$", re.MULTILINE)
+            return out.read_bytes(), wall_time.sub("", report.read_text())
+
+        merged, report = merge("content", "--config", str(conf))
+        assert read_document(tmp_path / "content.lvl").graph.assets == {"t.png": digests[taken]}
+        assert (merged, report) == merge("plain")
+
+    def test_validator_output_that_is_not_utf8_is_a_rejection(self, tmp_path):
+        from scenemerge.assets import BlobStore
+
+        store = BlobStore(tmp_path / "blobs")
+        good, edited = store.put(b"x = 1\n"), store.put(b"x = 2\n")
+        base, current, other = _asset_levels(tmp_path, "ai.py", [good, edited, good])
+        conf = tmp_path / "assets.conf"
+        conf.write_text(f"assets-dir blobs\nvalidator py {_failing_command(tmp_path, 1)}\n")
+        report_path = tmp_path / "merged.lvlreport"
+        code = main(["merge-driver", base, current, other,
+                     "--config", str(conf), "--report", str(report_path)])
+        assert code == 0  # the rejected edit is dropped, not left in conflict
+        assert read_document(current).graph.assets == {"ai.py": good}
+        dropped = parse_report(report_path.read_text()).dropped
+        assert [d[2] for d in dropped] == ["asset ai.py rejected by validator: bad \ufffd"]
+
+    def test_strategy_output_that_is_not_utf8_is_a_strategy_error(self, tmp_path, capsys):
+        from scenemerge.assets import BlobStore
+
+        store = BlobStore(tmp_path / "blobs")
+        digests = [store.put(content) for content in (b"a\n", b"b\n", b"c\n")]
+        base, current, other = _asset_levels(tmp_path, "n.txt", digests)
+        before = Path(current).read_bytes()
+        conf = tmp_path / "assets.conf"
+        conf.write_text(f"assets-dir blobs\nstrategy txt {_failing_command(tmp_path, 3)}\n")
+        assert main(["merge-driver", base, current, other, "--config", str(conf)]) == 2
+        assert "failed with exit code 3: bad \ufffd" in capsys.readouterr().err
+        assert Path(current).read_bytes() == before
 
 
 class TestSimulateCommand:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from scenemerge import (
     merge3,
     read_document,
 )
+from scenemerge.assets import BlobStore, CommandStrategy, ManifestMerger
 from scenemerge.report import render_report
 from scenemerge.sim import SizeParams, apply_script, generate
 from conftest import D, fixture_path, g
@@ -388,6 +390,16 @@ def _digests(outcome, policy) -> tuple[str, str]:
 def test_merge_bytes_are_pinned(case, policy_name):
     outcome, policy = _merge(case, policy_name)
     assert _digests(outcome, policy) == PINS[(case, policy_name)]
+
+
+@pytest.mark.parametrize("policy_name", POLICIES)
+def test_asset_pins_hold_with_a_content_step_for_an_unused_tag(policy_name, tmp_path):
+    # the store is empty, so any blob read for the triple's png ids would fail
+    never = [sys.executable, "-c", "raise SystemExit(3)"]
+    merger = ManifestMerger(BlobStore(tmp_path), {"obj": CommandStrategy(never)}, {"obj": never})
+    policy = MergePolicy(PolicyKind(policy_name))
+    outcome = merge3(*_asset_triple(), policy, merger)
+    assert _digests(outcome, policy) == PINS[("assets", policy_name)]
 
 
 def test_pins_cover_cycle_repair_and_asset_conflicts():
