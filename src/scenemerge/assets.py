@@ -28,14 +28,12 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .graph import SceneMergeError
+from .graph import SceneMergeError, _Record, _set
 from .merge import (
     CONFLICT,
-    AssetConflict,
     Branch,
     DroppedEdit,
     MergePolicy,
@@ -59,21 +57,19 @@ def digest_of(content: bytes) -> str:
     return hashlib.sha256(content).hexdigest()
 
 
-@dataclass(frozen=True)
-class AssetBlob:
+class AssetBlob(_Record):
     """An opaque asset: id, type tag, raw content, and its content digest."""
 
-    id: str
-    type_tag: str
-    content: bytes
-    digest: str = ""
+    __slots__ = ("id", "type_tag", "content", "digest")
 
-    def __post_init__(self) -> None:
-        computed = digest_of(self.content)
-        if not self.digest:
-            object.__setattr__(self, "digest", computed)
-        elif self.digest != computed:
-            raise ValueError(f"digest mismatch for asset {self.id!r}")
+    def __init__(self, id: str, type_tag: str, content: bytes, digest: str = ""):
+        computed = digest_of(content)
+        if digest and digest != computed:
+            raise ValueError(f"digest mismatch for asset {id!r}")
+        _set(self, "id", id)
+        _set(self, "type_tag", type_tag)
+        _set(self, "content", content)
+        _set(self, "digest", computed)
 
 
 def type_tag_for(asset_id: str, type_map: Mapping[str, str] | None = None) -> str:
@@ -98,10 +94,14 @@ class BlobStore:
         return self.path_for(digest).is_file()
 
     def get(self, digest: str) -> bytes:
+        """The content stored under ``digest``, which must hash to it."""
         path = self.path_for(digest)
         if not path.is_file():
             raise BlobStoreError(f"blob {digest} missing from store {self.root}")
-        return path.read_bytes()
+        content = path.read_bytes()
+        if digest_of(content) != digest:
+            raise BlobStoreError(f"blob {digest} in store {self.root} does not match its digest")
+        return content
 
     def put(self, content: bytes) -> str:
         digest = digest_of(content)
@@ -157,10 +157,11 @@ class CommandStrategy:
             )
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(_Record):
     passed: bool
-    message: str = ""
+    message: str
+    __slots__ = ("passed", "message")
+    _defaults = {"message": ""}
 
 
 def validate_code_asset(blob: AssetBlob, validator: Sequence[str]) -> ValidationResult:
@@ -261,11 +262,11 @@ class ManifestMerger:
         return da
 
 
-@dataclass
-class ManifestMergeResult:
+class ManifestMergeResult(_Record, frozen=False):
     manifest: dict[str, str]
     conflicts: list[AssetConflict]
     dropped: list[DroppedEdit]
+    __slots__ = ("manifest", "conflicts", "dropped")
 
 
 def merge_manifests(

@@ -23,10 +23,9 @@ Unknown keys are rejected; defaults are manual policy, averaging off.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graph import SceneMergeError
+from .graph import SceneMergeError, _Record
 from .levelfile import ParseError, _split_line
 from .merge import MergePolicy, PolicyKind
 
@@ -40,17 +39,31 @@ class ConfigError(SceneMergeError):
     """Malformed configuration file."""
 
 
-@dataclass
-class CliConfig:
-    policy: PolicyKind = PolicyKind.MANUAL
-    averaging: bool = False
-    averageable_kinds: frozenset[str] = frozenset()
-    strategies: dict[str, list[str]] = field(default_factory=dict)
-    validators: dict[str, list[str]] = field(default_factory=dict)
-    asset_types: dict[str, str] = field(default_factory=dict)
-    assets_dir: Path | None = None
-    user: str | None = None
-    color: str | None = None
+class CliConfig(_Record, frozen=False):
+    policy: PolicyKind
+    averaging: bool
+    averageable_kinds: frozenset[str]
+    strategies: dict[str, list[str]]
+    validators: dict[str, list[str]]
+    asset_types: dict[str, str]
+    assets_dir: Path | None
+    user: str | None
+    color: str | None
+    __slots__ = (
+        "policy", "averaging", "averageable_kinds", "strategies", "validators",
+        "asset_types", "assets_dir", "user", "color",
+    )
+    _defaults = {
+        "policy": PolicyKind.MANUAL,
+        "averaging": False,
+        "averageable_kinds": frozenset(),
+        "strategies": dict,
+        "validators": dict,
+        "asset_types": dict,
+        "assets_dir": None,
+        "user": None,
+        "color": None,
+    }
 
     def merge_policy(self, override: str | None = None) -> MergePolicy:
         kind = self.policy

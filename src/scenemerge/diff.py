@@ -10,7 +10,6 @@ children, so the mirrored subtree counts as edited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Collection, Mapping
 
@@ -20,6 +19,8 @@ from .graph import (
     LevelGraph,
     PropertyValue,
     SceneMergeError,
+    _Record,
+    _set,
     validate,
 )
 
@@ -44,8 +45,7 @@ class ChangeClass(Enum):
     MODIFIED = "modified"
 
 
-@dataclass(frozen=True)
-class NodeDelta:
+class NodeDelta(_Record):
     """What changed on one node, anchored at that node.
 
     Incoming-edge changes are always recorded on the child: a new Direct
@@ -56,16 +56,29 @@ class NodeDelta:
     ``intrinsic=False`` marks a propagated-only modification.
     """
 
-    property_sets: Mapping[str, PropertyValue] = field(default_factory=dict)
-    property_removals: frozenset[str] = frozenset()
-    reparented: bool = False
-    new_direct_parent: str | None = None
-    dep_kind_changes: frozenset[tuple[str, DepKind]] = frozenset()
-    intrinsic: bool = False
+    __slots__ = (
+        "property_sets", "property_removals", "reparented",
+        "new_direct_parent", "dep_kind_changes", "intrinsic",
+    )
+
+    def __init__(
+        self,
+        property_sets: Mapping[str, PropertyValue] | None = None,
+        property_removals: frozenset[str] = frozenset(),
+        reparented: bool = False,
+        new_direct_parent: str | None = None,
+        dep_kind_changes: frozenset[tuple[str, DepKind]] = frozenset(),
+        intrinsic: bool = False,
+    ):
+        _set(self, "property_sets", {} if property_sets is None else property_sets)
+        _set(self, "property_removals", property_removals)
+        _set(self, "reparented", reparented)
+        _set(self, "new_direct_parent", new_direct_parent)
+        _set(self, "dep_kind_changes", dep_kind_changes)
+        _set(self, "intrinsic", intrinsic)
 
 
-@dataclass(frozen=True)
-class DiffResult:
+class DiffResult(_Record):
     """Per-node classification plus the deltas needed to replay the edit.
 
     ``added``, ``deleted`` and ``intrinsic`` (the intrinsically Modified
@@ -82,17 +95,21 @@ class DiffResult:
     added: frozenset[str]
     deleted: frozenset[str]
     intrinsic: frozenset[str]
+    __slots__ = (
+        "ancestor", "version", "classes", "deltas",
+        "added_edges", "removed_edges", "added", "deleted", "intrinsic",
+    )
 
     def nodes_in_class(self, cls: ChangeClass) -> list[str]:
         return sorted(n for n, c in self.classes.items() if c is cls)
 
 
-@dataclass(frozen=True)
-class DiffStats:
+class DiffStats(_Record):
     added: int
     deleted: int
     modified_intrinsic: int
     modified_propagated: int
+    __slots__ = ("added", "deleted", "modified_intrinsic", "modified_propagated")
 
     @property
     def total_edited(self) -> int:

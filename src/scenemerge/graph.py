@@ -18,8 +18,8 @@ from __future__ import annotations
 import gc
 import math
 from contextlib import ContextDecorator
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 
@@ -71,8 +71,73 @@ class _gc_paused(ContextDecorator):
             gc.enable()
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyValue:
+_set = object.__setattr__  # sets a field of a frozen record
+
+
+class _Record:
+    """Base of the package's value types, whose fields are their ``__slots__``.
+
+    An instance equals only an instance of its own class with equal
+    fields, and shows as ``Name(field=value, ...)``. A subclass is
+    frozen and hashable by its fields unless declared with
+    ``frozen=False``, which makes it mutable and unhashable. ``hidden``
+    fields are left out of the repr, and ``uncompared`` ones out of
+    equality and the hash as well. The generic constructor takes the
+    fields in order, by position or keyword; ``_defaults`` names those
+    that may be left out, and a class given as a default is called for
+    each instance. The types built by the hundred thousand define their
+    own ``__init__``, as the generic one is several times slower.
+    """
+
+    __slots__ = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init_subclass__(cls, frozen: bool = True, hidden=(), uncompared=()) -> None:
+        super().__init_subclass__()
+        compared = [name for name in cls.__slots__ if name not in uncompared]
+        cls._key = attrgetter(*compared)
+        cls._shown = [name for name in compared if name not in hidden]
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, defaults = self.__slots__, self._defaults
+        given = dict(zip(names, args))
+        if len(args) > len(names) or not kwargs.keys() <= set(names) - given.keys():
+            raise TypeError(f"{type(self).__name__}() got unexpected arguments")
+        given.update(kwargs)
+        for name in names:
+            if name in given:
+                value = given[name]
+            elif name in defaults:
+                value = defaults[name]
+                value = value() if isinstance(value, type) else value
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            _set(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PropertyValue(_Record):
     """A tagged scalar value.
 
     Kinds: ``bool``, ``int``, ``real`` (finite 64-bit float), ``text``,
@@ -81,29 +146,28 @@ class PropertyValue:
     kinds even when Python's numeric coercion would say otherwise.
     """
 
-    kind: str
-    value: bool | int | float | str
+    __slots__ = ("kind", "value")
 
-    def __post_init__(self) -> None:
-        kind, value = self.kind, self.value
+    def __init__(self, kind: str, value: bool | int | float | str):
         if kind == "bool":
             ok = type(value) is bool
         elif kind == "int":
             ok = type(value) is int
         elif kind == "real":
             if type(value) is int:
-                object.__setattr__(self, "value", float(value))
-                value = self.value
+                value = float(value)
             ok = type(value) is float and math.isfinite(value)
             # normalize -0.0 so graph equality implies byte equality
             if ok and value == 0.0:
-                object.__setattr__(self, "value", 0.0)
+                value = 0.0
         elif kind in ("text", "ref", "asset"):
             ok = isinstance(value, str) and (kind == "text" or value != "")
         else:
             raise ValueError(f"unknown property kind {kind!r}")
         if not ok:
             raise ValueError(f"invalid {kind} property value: {value!r}")
+        _set(self, "kind", kind)
+        _set(self, "value", value)
 
     @staticmethod
     def boolean(value: bool) -> "PropertyValue":
@@ -130,34 +194,36 @@ class PropertyValue:
         return PropertyValue("asset", asset_id)
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
+class Node(_Record):
     """A level entity: unique id, free-form kind label, scalar properties.
 
     The id is the identity used by diffing; it must stay stable across
     versions of the same logical entity. The kind label is immutable
     across versions (a kind change has no 3-way meaning and is rejected
-    when the versions meet).
+    when the versions meet). ``properties`` defaults to a new empty dict.
     """
 
-    id: str
-    kind: str
-    properties: Mapping[str, PropertyValue] = field(default_factory=dict)
+    __slots__ = ("id", "kind", "properties")
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, kind: str, properties: Mapping[str, PropertyValue] | None = None):
+        if not id:
             raise ValueError("node id must be non-empty")
-        if not self.kind:
+        if not kind:
             raise ValueError("node kind must be non-empty")
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+        _set(self, "properties", {} if properties is None else properties)
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(_Record):
     """A dependency edge from parent to child."""
 
-    parent: str
-    child: str
-    kind: DepKind
+    __slots__ = ("parent", "child", "kind")
+
+    def __init__(self, parent: str, child: str, kind: DepKind):
+        _set(self, "parent", parent)
+        _set(self, "child", child)
+        _set(self, "kind", kind)
 
 
 class LevelGraph:
@@ -313,21 +379,22 @@ class LevelGraph:
 # -- validation ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One violated invariant, naming the offending entities."""
 
     code: str
     message: str
-    subjects: tuple[str, ...] = ()
+    subjects: tuple[str, ...]
+    __slots__ = ("code", "message", "subjects")
+    _defaults = {"subjects": ()}
 
     def __str__(self) -> str:
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     violations: tuple[Violation, ...]
+    __slots__ = ("violations",)
 
     @property
     def ok(self) -> bool:

@@ -41,8 +41,6 @@ import os
 import re
 import stat
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, TextIO
 
 from .graph import (
@@ -52,6 +50,8 @@ from .graph import (
     PropertyValue,
     SceneMergeError,
     _gc_paused,
+    _Record,
+    _set,
 )
 
 FORMAT_VERSION = 1
@@ -81,26 +81,29 @@ class ParseError(SceneMergeError):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class LevelDocument:
+class LevelDocument(_Record, uncompared=("source", "_lines")):
     """A parsed level file: format version plus the graph (and manifest).
 
     ``source`` is the text `parse` read, kept so that the document can be
     the ``base`` of a later parse.
     """
 
-    format_version: int
-    graph: LevelGraph
-    source: str | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("format_version", "graph", "source", "_lines")
 
-    @cached_property
+    def __init__(self, format_version: int, graph: LevelGraph, source: str | None = None):
+        _set(self, "format_version", format_version)
+        _set(self, "graph", graph)
+        _set(self, "source", source)
+        _set(self, "_lines", None)  # the line set, or False if a line repeats; None until read
+
+    @property
     def _line_set(self) -> frozenset[str] | None:
         """The set of the source's lines; None if one repeats, as then it cannot be a base."""
-        if self.source is None:
-            return None
-        lines = self.source.split("\n")
-        unique = frozenset(lines)
-        return unique if len(unique) == len(lines) else None
+        if self._lines is None and self.source is not None:
+            lines = self.source.split("\n")
+            unique = frozenset(lines)
+            _set(self, "_lines", unique if len(unique) == len(lines) else False)
+        return self._lines or None
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -125,10 +128,12 @@ def _format_token(value: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    column: int
+class _Token(_Record):
+    __slots__ = ("text", "column")
+
+    def __init__(self, text: str, column: int):
+        _set(self, "text", text)
+        _set(self, "column", column)
 
 
 def _split_line(line: str, lineno: int) -> list[_Token]:

@@ -24,7 +24,6 @@ cells combined.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Container, Mapping, Union
 
@@ -44,6 +43,7 @@ from .graph import (
     PropertyValue,
     SceneMergeError,
     _gc_paused,
+    _Record,
     direct_subtree,
     strongly_connected_components,
     validate,
@@ -102,8 +102,7 @@ def merge_cell(base, mine, theirs):
     return CONFLICT
 
 
-@dataclass(frozen=True)
-class MergePolicy:
+class MergePolicy(_Record):
     """How conflicts resolve, plus the opt-in numeric averaging rule.
 
     Averaging applies only to real-valued properties on nodes whose kind
@@ -111,9 +110,15 @@ class MergePolicy:
     arithmetic mean instead of conflicting.
     """
 
-    resolution: PolicyKind = PolicyKind.MANUAL
-    numeric_averaging: bool = False
-    averageable_kinds: frozenset[str] = frozenset()
+    resolution: PolicyKind
+    numeric_averaging: bool
+    averageable_kinds: frozenset[str]
+    __slots__ = ("resolution", "numeric_averaging", "averageable_kinds")
+    _defaults = {
+        "resolution": PolicyKind.MANUAL,
+        "numeric_averaging": False,
+        "averageable_kinds": frozenset(),
+    }
 
     @property
     def winner(self) -> Branch | None:
@@ -136,8 +141,7 @@ class MergePolicy:
 # -- conflicts and outcome ----------------------------------------------------
 
 
-@dataclass
-class PropertyConflict:
+class PropertyConflict(_Record, frozen=False):
     """Both branches changed the same property to different values."""
 
     node: str
@@ -145,32 +149,37 @@ class PropertyConflict:
     value_a: PropertyValue | None  # None = the branch removed the property
     value_b: PropertyValue | None
     ancestor_value: PropertyValue | None
-    resolution: Resolution = Resolution.UNRESOLVED
+    resolution: Resolution
+    __slots__ = ("node", "key", "value_a", "value_b", "ancestor_value", "resolution")
+    _defaults = {"resolution": Resolution.UNRESOLVED}
 
 
-@dataclass
-class AddAddConflict:
+class AddAddConflict(_Record, frozen=False):
     """Both branches added the same node id with different values for a key."""
 
     node: str
     key: str
     value_a: PropertyValue | None
     value_b: PropertyValue | None
-    resolution: Resolution = Resolution.UNRESOLVED
+    resolution: Resolution
+    __slots__ = ("node", "key", "value_a", "value_b", "resolution")
+    _defaults = {"resolution": Resolution.UNRESOLVED}
 
 
-@dataclass
-class ReparentConflict:
+class ReparentConflict(_Record, frozen=False):
     """The branches assign different Direct parents to one node."""
 
     node: str
     parent_a: str | None
     parent_b: str | None
-    resolution: Resolution = Resolution.UNRESOLVED
+    resolution: Resolution
+    __slots__ = ("node", "parent_a", "parent_b", "resolution")
+    _defaults = {"resolution": Resolution.UNRESOLVED}
 
 
-@dataclass
-class DeleteModifyConflict:
+class DeleteModifyConflict(
+    _Record, frozen=False, hidden=("_touched_mods", "_anchored", "_reparent_ins")
+):
     """One branch deletes a subtree the other branch touched.
 
     ``subtree`` is the set of nodes the deletion covers; ``touched``
@@ -183,21 +192,32 @@ class DeleteModifyConflict:
     deleted_node: str
     subtree: tuple[str, ...]
     touched: tuple[str, ...]
-    resolution: Resolution = Resolution.UNRESOLVED
-    _touched_mods: tuple[str, ...] = field(default=(), repr=False)
-    _anchored: tuple[str, ...] = field(default=(), repr=False)
-    _reparent_ins: tuple[str, ...] = field(default=(), repr=False)
+    resolution: Resolution
+    _touched_mods: tuple[str, ...]
+    _anchored: tuple[str, ...]
+    _reparent_ins: tuple[str, ...]
+    __slots__ = (
+        "deleting_branch", "deleted_node", "subtree", "touched", "resolution",
+        "_touched_mods", "_anchored", "_reparent_ins",
+    )
+    _defaults = {
+        "resolution": Resolution.UNRESOLVED,
+        "_touched_mods": (),
+        "_anchored": (),
+        "_reparent_ins": (),
+    }
 
 
-@dataclass
-class AssetConflict:
+class AssetConflict(_Record, frozen=False):
     """Both branches changed one asset's content in incompatible ways."""
 
     asset_id: str
     digest_a: str | None
     digest_b: str | None
     ancestor_digest: str | None
-    resolution: Resolution = Resolution.UNRESOLVED
+    resolution: Resolution
+    __slots__ = ("asset_id", "digest_a", "digest_b", "ancestor_digest", "resolution")
+    _defaults = {"resolution": Resolution.UNRESOLVED}
 
 
 Conflict = Union[
@@ -205,17 +225,16 @@ Conflict = Union[
 ]
 
 
-@dataclass(frozen=True)
-class DroppedEdit:
+class DroppedEdit(_Record):
     """A losing edit fragment discarded by automatic resolution or repair."""
 
     branch: Branch
     node: str | None
     description: str
+    __slots__ = ("branch", "node", "description")
 
 
-@dataclass(frozen=True)
-class MergeStats:
+class MergeStats(_Record):
     ancestor_nodes: int
     ancestor_edges: int
     diff_a_edited: int
@@ -223,15 +242,19 @@ class MergeStats:
     merged_nodes: int
     merged_edges: int
     wall_time_s: float
+    __slots__ = (
+        "ancestor_nodes", "ancestor_edges", "diff_a_edited", "diff_b_edited",
+        "merged_nodes", "merged_edges", "wall_time_s",
+    )
 
 
-@dataclass
-class MergeOutcome:
+class MergeOutcome(_Record, frozen=False):
     merged: LevelGraph
     conflicts: list[Conflict]
     dropped: list[DroppedEdit]
     removed_cycle_edges: list[Edge]
     stats: MergeStats
+    __slots__ = ("merged", "conflicts", "dropped", "removed_cycle_edges", "stats")
 
     @property
     def unresolved(self) -> list[Conflict]:

@@ -25,9 +25,7 @@ an absent value (or a removal, on property conflict sides).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .levelfile import ParseError, _format_token, _parse_value, _split_line, format_value
+from .levelfile import _format_token, format_value
 from .merge import (
     AddAddConflict,
     AssetConflict,
@@ -36,36 +34,9 @@ from .merge import (
     MergePolicy,
     PropertyConflict,
     ReparentConflict,
-    Resolution,
 )
 
 REPORT_VERSION = 1
-
-
-@dataclass
-class ReportConflict:
-    """One conflict entry as read back from a report."""
-
-    kind: str  # property | add-add | reparent | delete-modify | asset
-    node: str
-    key: str | None = None
-    resolution: str = "unresolved"
-    value_a: object = None
-    value_b: object = None
-    ancestor_value: object = None
-    branch: str | None = None
-    subtree: list[str] = field(default_factory=list)
-    touched: list[str] = field(default_factory=list)
-
-
-@dataclass
-class MergeReport:
-    policy: str
-    stats: dict[str, float]
-    conflicts: list[ReportConflict]
-    dropped: list[tuple[str, str | None, str]]
-    cycle_edges: list[tuple[str, str, str]]
-    meta: dict[str, str] = field(default_factory=dict)
 
 
 def _value_text(value) -> str:
@@ -157,104 +128,3 @@ def _quoted(text: str) -> str:
         rendered = '"' + rendered + '"'
     return rendered
 
-
-_RESOLUTIONS = {r.value for r in Resolution}
-
-
-def _read_value(tokens, pos: int, line: str, lineno: int, tagged: bool):
-    """Read ``-``, a tagged property value, or a bare token.
-
-    Returns (value, next_pos). ``tagged`` distinguishes property values
-    from plain identifiers (parents, digests), whose text could collide
-    with a type tag.
-    """
-    if pos >= len(tokens):
-        raise ParseError("missing value", lineno)
-    text = tokens[pos].text
-    if text == "-":
-        return None, pos + 1
-    if tagged:
-        value = _parse_value([t.text for t in tokens[: pos + 2]], pos, line, lineno)
-        return value, pos + 2
-    return text, pos + 1
-
-
-def parse_report(text: str) -> MergeReport:
-    policy = "manual"
-    stats: dict[str, float] = {}
-    conflicts: list[ReportConflict] = []
-    by_node: dict[str, ReportConflict] = {}
-    dropped: list[tuple[str, str | None, str]] = []
-    cycle_edges: list[tuple[str, str, str]] = []
-    meta: dict[str, str] = {}
-    header_seen = False
-
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
-        tokens = _split_line(line, lineno)
-        if not tokens:
-            continue
-        directive = tokens[0].text
-        if not header_seen:
-            if directive != "lvlreport" or len(tokens) != 2:
-                raise ParseError("expected 'lvlreport <version>' header", lineno)
-            if tokens[1].text != str(REPORT_VERSION):
-                raise ParseError(f"unsupported report version {tokens[1].text}", lineno)
-            header_seen = True
-            continue
-        if directive == "policy" and len(tokens) == 2:
-            policy = tokens[1].text
-        elif directive == "meta" and len(tokens) == 3:
-            meta[tokens[1].text] = tokens[2].text
-        elif directive == "stat" and len(tokens) == 3:
-            try:
-                stats[tokens[1].text] = float(tokens[2].text)
-            except ValueError:
-                raise ParseError(f"bad stat value {tokens[2].text!r}", lineno) from None
-        elif directive == "conflict":
-            if len(tokens) < 3:
-                raise ParseError("malformed conflict line", lineno)
-            kind = tokens[1].text
-            entry = ReportConflict(kind=kind, node=tokens[2].text)
-            pos = 3
-            if kind in ("property", "add-add"):
-                entry.key = tokens[pos].text
-                pos += 1
-            if pos >= len(tokens) or tokens[pos].text not in _RESOLUTIONS:
-                raise ParseError("missing conflict resolution", lineno)
-            entry.resolution = tokens[pos].text
-            pos += 1
-            tagged = kind in ("property", "add-add")
-            while pos < len(tokens):
-                marker = tokens[pos].text
-                if marker == "a":
-                    entry.value_a, pos = _read_value(tokens, pos + 1, line, lineno, tagged)
-                elif marker == "b":
-                    entry.value_b, pos = _read_value(tokens, pos + 1, line, lineno, tagged)
-                elif marker == "ancestor":
-                    entry.ancestor_value, pos = _read_value(tokens, pos + 1, line, lineno, tagged)
-                elif marker == "branch":
-                    entry.branch = tokens[pos + 1].text
-                    pos += 2
-                else:
-                    raise ParseError(f"unknown conflict field {marker!r}", lineno)
-            conflicts.append(entry)
-            if kind == "delete-modify":
-                by_node[entry.node] = entry
-        elif directive == "conflict-subtree" and len(tokens) == 3:
-            if tokens[1].text in by_node:
-                by_node[tokens[1].text].subtree.append(tokens[2].text)
-        elif directive == "conflict-touched" and len(tokens) == 3:
-            if tokens[1].text in by_node:
-                by_node[tokens[1].text].touched.append(tokens[2].text)
-        elif directive == "dropped" and len(tokens) == 4:
-            node = tokens[2].text if tokens[2].text != "-" else None
-            dropped.append((tokens[1].text, node, tokens[3].text))
-        elif directive == "cycle-edge" and len(tokens) == 4:
-            cycle_edges.append((tokens[1].text, tokens[2].text, tokens[3].text))
-        else:
-            raise ParseError(f"unknown report directive {directive!r}", lineno)
-
-    if not header_seen:
-        raise ParseError("empty report", 1)
-    return MergeReport(policy, stats, conflicts, dropped, cycle_edges, meta)

@@ -394,7 +394,7 @@ def test_criterion_7_merge_driver_conformance(tmp_path):
     assert proc.returncode != 0
     merged = read_document(repo / "level.lvl").graph  # parseable despite conflict
     assert validate(merged).ok
-    from scenemerge.report import parse_report
+    from report_reader import parse_report
 
     report = parse_report((repo / "merge.lvlreport").read_text())
     assert [c.kind for c in report.conflicts] == ["delete-modify"]
@@ -450,7 +450,7 @@ def test_criss_cross_history_merges_through_a_virtual_ancestor(tmp_path):
     assert returncode != 0
     merged = parse(merged_bytes.decode("utf-8")).graph
     assert validate(merged).ok
-    from scenemerge.report import parse_report
+    from report_reader import parse_report
 
     assert [c.kind for c in parse_report(report).conflicts] == ["delete-modify"]
     # the driver's inner merge is the ancestor the final merge ran against

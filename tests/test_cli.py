@@ -12,7 +12,7 @@ import pytest
 from scenemerge import parse, read_document, validate
 from scenemerge.cli import main
 from scenemerge.config import CliConfig, ConfigError, load_config, parse_config
-from scenemerge.report import parse_report
+from report_reader import parse_report
 from conftest import fixture_path, fixture_text
 
 
@@ -512,6 +512,29 @@ class TestAssetAwareMerge:
         dropped = parse_report(report_path.read_text()).dropped
         assert [d[2] for d in dropped] == ["asset ai.py rejected by validator: bad \ufffd"]
 
+    def test_corrupt_blob_in_store_exits_two(self, tmp_path):
+        import scenemerge
+        from scenemerge.assets import BlobStore
+
+        store = BlobStore(tmp_path / "blobs")
+        good, edited = store.put(b"x = 1\n"), store.put(b"x = 2\n")
+        base, current, other = _asset_levels(tmp_path, "ai.py", [good, edited, good])
+        store.path_for(edited).write_bytes(b"x = 3\n")  # no longer hashes to its name
+        before = Path(current).read_bytes()
+        conf = tmp_path / "assets.conf"
+        conf.write_text(f"assets-dir blobs\nvalidator py {sys.executable} -m py_compile\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(scenemerge.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "scenemerge.cli", "merge-driver", base, current, other,
+             "--config", str(conf)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2  # an input error, not "conflicts remain"
+        assert done.stderr == (
+            f"scenemerge: blob {edited} in store {tmp_path / 'blobs'} does not match its digest\n"
+        )
+        assert Path(current).read_bytes() == before
+
     def test_strategy_output_that_is_not_utf8_is_a_strategy_error(self, tmp_path, capsys):
         from scenemerge.assets import BlobStore
 
@@ -557,6 +580,18 @@ class TestSimulateCommand:
         # -S: no site hook may load these modules first
         env = {**os.environ, "PYTHONPATH": str(Path(scenemerge.__file__).resolve().parents[1])}
         names = ("scenemerge.assets", "subprocess", "tempfile", "hashlib")
+        probe = f"import scenemerge.cli, sys; print([n for n in {names!r} if n in sys.modules])"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "[]\n"
+
+    def test_importing_the_cli_leaves_dataclasses_and_inspect_unloaded(self):
+        import scenemerge
+
+        # Git starts the driver once per file; -S, as no site hook may load these first
+        env = {**os.environ, "PYTHONPATH": str(Path(scenemerge.__file__).resolve().parents[1])}
+        names = ("dataclasses", "inspect")
         probe = f"import scenemerge.cli, sys; print([n for n in {names!r} if n in sys.modules])"
         done = subprocess.run(
             [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True

@@ -15,7 +15,8 @@ from scenemerge.merge import (
     ReparentConflict,
     Resolution,
 )
-from scenemerge.report import parse_report, render_report
+from scenemerge.report import render_report
+from report_reader import parse_report
 
 
 def full_outcome() -> MergeOutcome:
