@@ -19,6 +19,7 @@ from .graph import (
     LevelGraph,
     PropertyValue,
     SceneMergeError,
+    _differences,
     _Record,
     _set,
     validate,
@@ -156,24 +157,28 @@ def classify(
 
     Both graphs are validated first, the version against the ancestor,
     unless ``validated`` says the caller has already done so; a merge
-    validates each of its inputs once.
+    validates each of its inputs once. Only the ids and pairs that
+    `_differences` names are compared, so a version patched from
+    the ancestor costs its patch, not the level.
     """
     if not validated:
         _require_valid(ancestor, "ancestor")
         _require_valid(version, "version", base=ancestor)
-    check_same_level(ancestor, version, "ancestor", "version")
+    a_nodes, v_nodes = ancestor._nodes, version._nodes
+    a_edges, v_edges = ancestor._edges, version._edges
+    a_in, v_in = ancestor._in, version._in
+    ids, pairs = _differences(version, ancestor)
+    added = {node_id for node_id in ids if node_id in v_nodes and node_id not in a_nodes}
+    deleted = {node_id for node_id in ids if node_id in a_nodes and node_id not in v_nodes}
+    # a kind can differ only where the node object does
+    replaced = {node_id for node_id in ids if node_id in a_nodes and node_id in v_nodes}
+    check_same_level(ancestor, version, "ancestor", "version", ids=replaced)
+    added_edges = {Edge(*p, v_edges[p]) for p in pairs if p in v_edges and p not in a_edges}
+    removed_edges = {Edge(*p, a_edges[p]) for p in pairs if p in a_edges and p not in v_edges}
 
     classes: dict[str, ChangeClass] = {}
     deltas: dict[str, NodeDelta] = {}
     intrinsic_set: set[str] = set()
-    a_edges, v_edges = ancestor._edges, version._edges
-    added_edges = {Edge(p, c, v_edges[p, c]) for p, c in v_edges.keys() - a_edges.keys()}
-    removed_edges = {Edge(p, c, a_edges[p, c]) for p, c in a_edges.keys() - v_edges.keys()}
-
-    a_nodes, v_nodes = ancestor._nodes, version._nodes
-    a_in, v_in = ancestor._in, version._in
-    added = v_nodes.keys() - a_nodes.keys()
-    deleted = a_nodes.keys() - v_nodes.keys()
     for node_id in sorted(added):
         classes[node_id] = ChangeClass.ADDED
         deltas[node_id] = NodeDelta(
@@ -182,18 +187,18 @@ def classify(
             new_direct_parent=version.direct_parent(node_id),
             intrinsic=True,
         )
+    # then the ancestor's ids, in its (sorted) order
+    classes.update(dict.fromkeys(a_nodes, ChangeClass.UNCHANGED))
+    classes.update(dict.fromkeys(deleted, ChangeClass.DELETED))
 
-    for node_id, old in a_nodes.items():
-        if node_id in deleted:
-            classes[node_id] = ChangeClass.DELETED
-            continue
-        new = v_nodes[node_id]
+    # a survivor can change only where its node object or an in-edge pair did
+    candidates = replaced.union(c for _, c in pairs if c in a_nodes and c in v_nodes)
+    for node_id in sorted(candidates):
+        old, new = a_nodes[node_id], v_nodes[node_id]
         # in-edge lists are sorted by parent, so equal lists mean no
         # reparent, no kind flip and no in-edge change
         if (old is new or old == new) and a_in.get(node_id) == v_in.get(node_id):
-            classes[node_id] = ChangeClass.UNCHANGED
             continue
-
         sets = {
             key: value
             for key, value in new.properties.items()
@@ -220,8 +225,7 @@ def classify(
             if parent not in new_in and parent in v_nodes:
                 in_edge_change = True
 
-        intrinsic = bool(sets or removals or reparented or kind_changes or in_edge_change)
-        if intrinsic:
+        if sets or removals or reparented or kind_changes or in_edge_change:
             classes[node_id] = ChangeClass.MODIFIED
             intrinsic_set.add(node_id)
             deltas[node_id] = NodeDelta(
@@ -232,8 +236,6 @@ def classify(
                 dep_kind_changes=frozenset(kind_changes),
                 intrinsic=True,
             )
-        else:
-            classes[node_id] = ChangeClass.UNCHANGED
 
     # Propagate along Direct edges of the edited graph: a direct parent's
     # change is mirrored onto its whole direct subtree.

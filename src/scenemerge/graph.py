@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import math
+import weakref
 from contextlib import ContextDecorator
 from enum import Enum
 from operator import attrgetter
@@ -235,7 +236,7 @@ class LevelGraph:
     construction order.
     """
 
-    __slots__ = ("root", "_nodes", "_edges", "_out", "_in", "assets")
+    __slots__ = ("root", "_nodes", "_edges", "_out", "_in", "assets", "_patch", "__weakref__")
 
     def __init__(
         self,
@@ -266,18 +267,21 @@ class LevelGraph:
         assets: Mapping[str, str] | None,
         base: "LevelGraph | None" = None,
         changed: Collection[tuple[str, str]] = (),
+        changed_ids: Collection[str] = (),
     ) -> "LevelGraph":
         """A graph over an id -> node and a (parent, child) -> kind mapping.
 
-        ``base`` is a graph whose edges differ from ``edges`` only in the
-        ``changed`` pairs; every node at neither end of one keeps the
-        base's adjacency lists.
+        ``base`` is a graph that differs from ``nodes`` and ``edges`` only
+        in the ``changed_ids`` (presence or `Node` object) and the
+        ``changed`` pairs (presence or kind). Every node at neither end of
+        a changed pair keeps the base's adjacency lists, and the graph
+        records the patch for `_differences`.
         """
         graph = cls.__new__(cls)
-        graph._fill(root, nodes, edges, assets, base, changed)
+        graph._fill(root, nodes, edges, assets, base, changed, changed_ids)
         return graph
 
-    def _fill(self, root, nodes, edges, assets, base=None, changed=()) -> None:
+    def _fill(self, root, nodes, edges, assets, base=None, changed=(), changed_ids=()) -> None:
         # nodes, edges, assets and each node's adjacency list are stored
         # sorted, so every reader iterates them in canonical order
         self.root = root
@@ -286,6 +290,10 @@ class LevelGraph:
         self.assets: dict[str, str] = dict(sorted(assets.items())) if assets else {}
         self._out: dict[str, list[tuple[str, DepKind]]] = {}
         self._in: dict[str, list[tuple[str, DepKind]]] = {}
+        # held weakly, so a chain of patched graphs keeps no earlier level alive
+        self._patch = None if base is None else (
+            weakref.ref(base), frozenset(changed_ids), frozenset(changed)
+        )
         if base is None:
             for (parent, child), kind in self._edges.items():
                 self._out.setdefault(parent, []).append((child, kind))
@@ -453,35 +461,61 @@ def _is_valid(graph: LevelGraph) -> bool:
     return taken == len(nodes) and _refs_resolve(nodes.values(), nodes, graph.assets)
 
 
+def _differences(graph: LevelGraph, base: LevelGraph) -> tuple[Collection[str], Collection]:
+    """The node ids and (parent, child) pairs in which ``graph`` may differ from ``base``.
+
+    Every id whose presence or `Node` object differs is among the ids, and
+    every pair whose presence or kind differs among the pairs; either may
+    hold more. A graph the patch builder made from ``base`` itself answers
+    from its record; any other graph is compared with ``base`` whole.
+    """
+    patch = graph._patch
+    if patch is not None and patch[0]() is base:
+        return patch[1], patch[2]
+    nodes, base_nodes = graph._nodes, base._nodes
+    ids = {node_id for node_id, node in nodes.items() if base_nodes.get(node_id) is not node}
+    ids.update(base_nodes.keys() - nodes.keys())
+    edges, base_edges = graph._edges, base._edges
+    pairs = {pair for pair, kind in edges.items() if base_edges.get(pair) is not kind}
+    pairs.update(base_edges.keys() - edges.keys())
+    return ids, pairs
+
+
 def _is_valid_against(graph: LevelGraph, base: LevelGraph) -> bool:
     """Whether ``graph`` is valid, given that ``base`` is, from the differences only.
 
-    A node is touched when it was added or its in-edge list is not the
-    base's (an in-edge lost to a deleted parent counts). Every node
-    outside the forward closure of the touched nodes keeps the base's
-    in-edges, and so do all its ancestors, so it is reachable and on no
-    cycle as in the base. The closure is valid exactly when each of its
-    nodes has at most one Direct parent, every node with no parent inside
-    the closure has one outside it, and Kahn's walk takes the whole
-    closure. Refs and assets are checked on added and changed nodes,
-    or on every node once a node or asset id was removed. A changed root
-    gives False whether or not the graph is valid; the caller then checks
-    the whole graph.
+    A node is touched when it was added or is the child of a changed pair
+    (an in-edge lost to a deleted parent counts). Every node outside the
+    forward closure of the touched nodes keeps the base's in-edges, and
+    so do all its ancestors, so it is reachable and on no cycle as in the
+    base. The closure is valid exactly when each of its nodes has at most
+    one Direct parent, every node with no parent inside the closure has
+    one outside it, and Kahn's walk takes the whole closure. Refs and
+    assets are checked on added and changed nodes, or on every node once
+    a node or asset id was removed. A changed root gives False whether or
+    not the graph is valid; the caller then checks the whole graph.
     """
-    nodes, in_edges, out_edges = graph._nodes, graph._in, graph._out
-    base_nodes, base_in = base._nodes, base._in
+    nodes, edges, in_edges, out_edges = graph._nodes, graph._edges, graph._in, graph._out
+    base_nodes = base._nodes
     root = graph.root
     if root != base.root or root not in nodes or root in in_edges:
         return False
-    if not (in_edges.keys() <= nodes.keys() and out_edges.keys() <= nodes.keys()):
-        return False
-    added = nodes.keys() - base_nodes.keys()
-    touched = set(added)
-    for node_id, parents in in_edges.items():
-        old = base_in.get(node_id)
-        if parents is not old and parents != old:
+    ids, pairs = _differences(graph, base)
+    # an edge on an unchanged pair is the base's, so it dangles only from a removed node
+    touched = set()
+    deleted = False
+    for node_id in ids:
+        if node_id not in nodes:
+            if node_id in in_edges or node_id in out_edges:
+                return False
+            deleted = deleted or node_id in base_nodes
+        elif node_id not in base_nodes:
             touched.add(node_id)
-    touched.update(node_id for node_id in base_in.keys() - in_edges.keys() if node_id in nodes)
+    for parent, child in pairs:
+        if (parent, child) in edges and (parent not in nodes or child not in nodes):
+            return False
+        if child in nodes:
+            touched.add(child)
 
     closure = set(touched)
     frontier = list(touched)
@@ -510,15 +544,10 @@ def _is_valid_against(graph: LevelGraph, base: LevelGraph) -> bool:
     if _kahn_taken(ready, pending, out_edges) != len(closure):
         return False
 
-    deleted = len(base_nodes) - (len(nodes) - len(added))
     if deleted or not base.assets.keys() <= graph.assets.keys():
         checked = nodes.values()
     else:
-        checked = [
-            node
-            for node_id, node in nodes.items()
-            if (old := base_nodes.get(node_id)) is not node and old != node
-        ]
+        checked = [nodes[node_id] for node_id in ids if node_id in nodes]
     return _refs_resolve(checked, nodes, graph.assets)
 
 

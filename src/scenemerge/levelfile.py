@@ -474,7 +474,8 @@ def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
 
     # a node is rebuilt only when its node line or one of its prop lines changed
     nodes = dict(base_nodes)
-    for node_id in gone_nodes.keys() | new_nodes.keys() | props.keys():
+    rebuilt = gone_nodes.keys() | new_nodes.keys() | props.keys()
+    for node_id in rebuilt:
         node = base_nodes.get(node_id)
         owned = props[node_id] if node_id in props else node.properties if node else {}
         if node_id in new_nodes:
@@ -514,7 +515,7 @@ def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
         assets[asset_id] = digest
 
     changed = gone_edges.keys() | new_edges.keys()
-    graph = LevelGraph._of(root, nodes, edges, assets, graph, changed)
+    graph = LevelGraph._of(root, nodes, edges, assets, graph, changed, rebuilt)
     return LevelDocument(base.format_version, graph, text)
 
 
@@ -561,10 +562,13 @@ def atomic_open(path) -> Iterator[TextIO]:
     """Open a temp file beside ``path`` for writing; a clean exit moves it over ``path``.
 
     `os.replace` swaps the whole file in at once, so a reader sees the old
-    bytes or the new ones, never a truncated file. On any error the temp
-    file is removed and ``path`` is left as it was. The new file keeps
-    the permission bits of the file it replaces; a symlink is followed,
-    so its target is the file replaced.
+    bytes or the new ones, never a truncated file. The temp file is synced
+    to disk before the swap and the directory after it, so a power loss
+    does not lose the new bytes either; a platform that cannot sync a
+    directory skips that step. On any error the temp file is removed and
+    ``path`` is left as it was. The new file keeps the permission bits of
+    the file it replaces; a symlink is followed, so its target is the
+    file replaced.
     """
     path = os.path.realpath(path)
     directory, name = os.path.split(path)
@@ -573,6 +577,8 @@ def atomic_open(path) -> Iterator[TextIO]:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
+            handle.flush()
+            os.fsync(fd)
         try:
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         except FileNotFoundError:
@@ -582,6 +588,12 @@ def atomic_open(path) -> Iterator[TextIO]:
         with suppress(OSError):  # the original error is the one to report
             os.unlink(tmp)
         raise
+    with suppress(OSError):  # not every platform opens or syncs a directory
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
 
 def write_document(doc: LevelDocument, path) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from enum import Enum
-from typing import Container, Mapping, Union
+from typing import Container, Iterable, Mapping, Union
 
 from .diff import (
     DiffResult,
@@ -267,46 +267,63 @@ class MergeOutcome(_Record, frozen=False):
 class _State:
     """The merge pipeline's working graph; mutation stays inside this module.
 
+    It starts as the ancestor, whose tables it copies only where written.
+    ``out_`` and ``in_`` map a node to its (other end, kind) pairs: the
+    ancestor's list until the node's adjacency is first written, then a
+    live view of the state's own dict in ``owned``. ``ids`` records every
+    node added, removed or replaced and ``pairs`` every (parent, child)
+    pair set or removed, so `to_graph` patches the ancestor with them.
+
     ``touched`` holds every node whose in-edges may differ from the
     ancestor's: the child of each edge set or removed, and each added
     node. Structural repair reads it to stay within the edited region.
     """
 
-    __slots__ = ("root", "nodes", "out_", "in_", "assets", "relinks", "owners", "touched")
+    __slots__ = (
+        "base", "root", "nodes", "edges", "out_", "in_", "owned", "assets",
+        "relinks", "owners", "touched", "ids", "pairs",
+    )
 
-    def __init__(self) -> None:
-        self.root = ""
-        self.nodes: dict[str, Node] = {}
-        self.out_: dict[str, dict[str, DepKind]] = {}
-        self.in_: dict[str, dict[str, DepKind]] = {}
-        self.assets: dict[str, str] = {}
+    def __init__(self, ancestor: LevelGraph) -> None:
+        self.base = ancestor
+        self.root = ancestor.root
+        self.nodes: dict[str, Node] = dict(ancestor._nodes)
+        self.edges: dict[tuple[str, str], DepKind] = dict(ancestor._edges)
+        self.out_: dict[str, Iterable[tuple[str, DepKind]]] = dict(ancestor._out)
+        self.in_: dict[str, Iterable[tuple[str, DepKind]]] = dict(ancestor._in)
+        self.owned: tuple[dict[str, dict[str, DepKind]], ...] = ({}, {})  # for out_, in_
+        self.assets: dict[str, str] = dict(ancestor.assets)
         self.relinks: set[tuple[str, str]] = set()
         self.owners: dict[tuple[str, str], Branch] = {}
         self.touched: set[str] = set()
-
-    @classmethod
-    def from_graph(cls, graph: LevelGraph) -> "_State":
-        state = cls()
-        state.root = graph.root
-        state.nodes = dict(graph._nodes)
-        state.out_ = {parent: dict(children) for parent, children in graph._out.items()}
-        state.in_ = {child: dict(parents) for child, parents in graph._in.items()}
-        state.assets = dict(graph.assets)
-        return state
+        self.ids: set[str] = set()
+        self.pairs: set[tuple[str, str]] = set()
 
     def to_graph(self) -> LevelGraph:
-        edges = {
-            (parent, child): kind
-            for parent, children in self.out_.items()
-            for child, kind in children.items()
-        }
-        return LevelGraph._of(self.root, self.nodes, edges, self.assets)
+        return LevelGraph._of(
+            self.root, self.nodes, self.edges, self.assets, self.base, self.pairs, self.ids
+        )
+
+    def _own(self, side: int, node_id: str) -> dict[str, DepKind]:
+        """The state's own adjacency dict of ``node_id`` (0 out, 1 in), copied on first write."""
+        owned = self.owned[side]
+        adjacency = owned.get(node_id)
+        if adjacency is None:
+            table = self.in_ if side else self.out_
+            adjacency = owned[node_id] = dict(table.get(node_id, ()))
+            table[node_id] = adjacency.items()
+        return adjacency
 
     def edge_kind(self, parent: str, child: str) -> DepKind | None:
-        return self.out_.get(parent, {}).get(child)
+        return self.edges.get((parent, child))
+
+    def set_node(self, node: Node) -> None:
+        self.nodes[node.id] = node
+        self.ids.add(node.id)
 
     def add_nodes(self, nodes: Mapping[str, Node]) -> None:
         self.nodes.update(nodes)
+        self.ids.update(nodes)
         self.touched.update(nodes)
 
     def set_edge(
@@ -317,8 +334,10 @@ class _State:
         owner: Branch | None = None,
         relink: bool = False,
     ) -> None:
-        self.out_.setdefault(parent, {})[child] = kind
-        self.in_.setdefault(child, {})[parent] = kind
+        self.edges[parent, child] = kind
+        self._own(0, parent)[child] = kind
+        self._own(1, child)[parent] = kind
+        self.pairs.add((parent, child))
         self.touched.add(child)
         if owner is not None:
             self.owners[(parent, child)] = owner
@@ -326,28 +345,28 @@ class _State:
             self.relinks.add((parent, child))
 
     def remove_edge(self, parent: str, child: str) -> None:
-        out = self.out_.get(parent)
-        if out is not None:
-            out.pop(child, None)
-        in_ = self.in_.get(child)
-        if in_ is not None:
-            in_.pop(parent, None)
+        if self.edges.pop((parent, child), None) is not None:
+            del self._own(0, parent)[child]
+            del self._own(1, child)[parent]
+        self.pairs.add((parent, child))
         self.touched.add(child)
         self.relinks.discard((parent, child))
         self.owners.pop((parent, child), None)
 
     def remove_node(self, node_id: str) -> None:
         self.nodes.pop(node_id, None)
-        for child in list(self.out_.get(node_id, ())):
+        self.ids.add(node_id)
+        for child, _ in list(self.out_.get(node_id, ())):
             self.remove_edge(node_id, child)
-        for parent in list(self.in_.get(node_id, ())):
+        for parent, _ in list(self.in_.get(node_id, ())):
             self.remove_edge(parent, node_id)
-        self.out_.pop(node_id, None)
-        self.in_.pop(node_id, None)
+        for table, owned in zip((self.out_, self.in_), self.owned):
+            table.pop(node_id, None)
+            owned.pop(node_id, None)
 
     def direct_parent(self, node_id: str) -> str | None:
         best = None
-        for parent, kind in self.in_.get(node_id, {}).items():
+        for parent, kind in self.in_.get(node_id, ()):
             if kind is DepKind.DIRECT and (best is None or parent < best):
                 best = parent
         return best
@@ -365,7 +384,7 @@ class _State:
             current = frontier.pop()
             if current == self.root or current in via:
                 return True
-            for parent in self.in_.get(current, ()):
+            for parent, _ in self.in_.get(current, ()):
                 if parent not in seen:
                     seen.add(parent)
                     frontier.append(parent)
@@ -392,7 +411,7 @@ class _State:
         frontier = [start]
         while frontier:
             current = frontier.pop()
-            for child in self.out_.get(current, ()):
+            for child, _ in self.out_.get(current, ()):
                 if child not in reached and child in self.nodes:
                     reached.add(child)
                     frontier.append(child)
@@ -527,7 +546,7 @@ def _cascade_delete(
     for member in sorted(scope):
         if member not in state.nodes:
             continue
-        for child, kind in state.out_.get(member, {}).items():
+        for child, kind in state.out_.get(member, ()):
             if child not in scope:
                 if severed.get(child) is not DepKind.DIRECT:
                     severed[child] = kind
@@ -641,7 +660,7 @@ def _apply_modifications(
             else:
                 current[key] = value
         if current != node.properties:
-            state.nodes[node_id] = Node(node_id, node.kind, current)
+            state.set_node(Node(node_id, node.kind, current))
 
         base_dp = ancestor.direct_parent(node_id)
         dp_a = version_a.direct_parent(node_id) if in_a else base_dp
@@ -778,8 +797,8 @@ def _describe_delta(delta: NodeDelta) -> list[str]:
 
 def _restore_child_state(state: _State, node_id: str, ancestor: LevelGraph) -> None:
     """Put a node's properties and incoming edges back to ancestor state."""
-    state.nodes[node_id] = ancestor.node(node_id)
-    for parent in list(state.in_.get(node_id, ())):
+    state.set_node(ancestor.node(node_id))
+    for parent, _ in list(state.in_.get(node_id, ())):
         state.remove_edge(parent, node_id)
     for parent, kind in ancestor.parents(node_id):
         if parent in state.nodes:
@@ -875,7 +894,7 @@ def _resolve(
                     props.pop(conflict.key, None)
                 else:
                     props[conflict.key] = take
-                state.nodes[conflict.node] = Node(node.id, node.kind, props)
+                state.set_node(Node(node.id, node.kind, props))
             if lose is None:
                 description = f"remove property {conflict.key}"
             else:
@@ -931,7 +950,9 @@ def _repair_cycles_state(state: _State) -> tuple[list[Edge], list[DroppedEdit]]:
     dropped: list[DroppedEdit] = []
     region = sorted(state.edited_region())
     while True:
-        components = strongly_connected_components(region, lambda v: state.out_.get(v, ()))
+        components = strongly_connected_components(
+            region, lambda v: [c for c, _ in state.out_.get(v, ())]
+        )
         cyclic = [
             comp
             for comp in components
@@ -941,7 +962,7 @@ def _repair_cycles_state(state: _State) -> tuple[list[Edge], list[DroppedEdit]]:
             break
         component = min(cyclic, key=min)
         members = set(component)
-        internal = [(p, c) for p in component for c in state.out_.get(p, ()) if c in members]
+        internal = [(p, c) for p in component for c, _ in state.out_.get(p, ()) if c in members]
         indirect = [pc for pc in internal if state.edge_kind(*pc) is DepKind.INDIRECT]
         parent, child = min(indirect or internal)
         kind = state.edge_kind(parent, child)
@@ -965,7 +986,7 @@ def _reconnect_orphans(state: _State) -> None:
     # region node with a parent outside it
     reached: set[str] = set()
     for node_id in region:
-        if node_id == state.root or any(p not in region for p in state.in_.get(node_id, ())):
+        if node_id == state.root or any(p not in region for p, _ in state.in_.get(node_id, ())):
             state.grow_reachable(reached, node_id)
     for node_id in sorted(region):
         if node_id in reached or node_id == state.root:
@@ -1045,7 +1066,7 @@ def merge3(
     # classify checked every other shared id against the ancestor
     check_same_level(mine, theirs, "mine", "theirs", ids=diff_a.added & diff_b.added)
 
-    state = _State.from_graph(ancestor)
+    state = _State(ancestor)
     conflicts: list[Conflict] = []
     conflicts += _apply_additions(state, diff_a, diff_b)
     conflicts += _apply_deletions(state, diff_a, diff_b)
@@ -1064,7 +1085,7 @@ def merge3(
     _repair_manifest_refs(state, ancestor, mine, theirs)
 
     merged = state.to_graph()
-    report = validate(merged)
+    report = validate(merged, base=ancestor)
     if not report.ok:
         raise MergeInternalError(f"merge produced an invalid graph:\n{report}")
 

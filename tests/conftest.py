@@ -44,3 +44,30 @@ def real(x) -> PropertyValue:
 
 def text(s) -> PropertyValue:
     return PropertyValue.text(s)
+
+
+def repairing_merges() -> dict[str, tuple[LevelGraph, LevelGraph, LevelGraph]]:
+    """(ancestor, mine, theirs) triples whose merges repair the level, by repair.
+
+    At 40 nodes with 6 random ops per branch, `sim.generate` seed 145
+    closes a cycle under every policy and seed 38 orphans a node under
+    prefer-a. In the hand-made triple mine deletes an asset that a node
+    theirs adds refers to, so the manifest entry is restored.
+    """
+    from scenemerge.sim import SizeParams, apply_script, generate
+
+    size = SizeParams(nodes=40, edges=48, ops_per_branch=6)
+    triples = {}
+    for name, seed in (("cycle", 145), ("orphan", 38)):
+        sc = generate(seed, size)
+        triples[name] = (sc.base, *(apply_script(sc.base, s) for s in (sc.script_a, sc.script_b)))
+    asset = PropertyValue.asset_ref
+    nodes = [("r", "Scene"), ("m", "Mesh", {"src": asset("y.png")})]
+    manifest = {"x.obj": "111", "y.png": "222"}
+    triples["manifest"] = (
+        g("r", nodes, [("r", "m", D)], manifest),
+        g("r", nodes, [("r", "m", D)], {"y.png": "222"}),
+        g("r", [*nodes, ("n", "Mesh", {"src": asset("x.obj")})], [("r", "m", D), ("m", "n", D)],
+          manifest),
+    )
+    return triples

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,49 @@ class TestFailedMerges:
         assert main(["merge-driver", ancestor, current, other]) == 2
         assert Path(current).read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == FIG3  # no temp file left behind
+
+    def _record_syncs(self, monkeypatch, events, dir_error=None):
+        """Record each `os.fsync` (of a file with its size, or of a directory) and `os.replace`."""
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                events.append(("fsync-dir",))
+                if dir_error is not None:
+                    raise dir_error
+            else:
+                events.append(("fsync-file", info.st_size))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace", os.path.basename(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+
+    def test_written_file_is_synced_before_the_replace_and_its_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        ancestor, current, other = self._driver_args(tmp_path)
+        events = []
+        self._record_syncs(monkeypatch, events)
+        assert main(["merge-driver", ancestor, current, other]) == 0
+        # the whole file is on disk before it is swapped in
+        size = os.path.getsize(current)
+        assert events == [("fsync-file", size), ("replace", FIG3[1]), ("fsync-dir",)]
+
+    def test_a_directory_that_cannot_be_synced_does_not_fail_the_write(
+        self, tmp_path, monkeypatch
+    ):
+        ancestor, current, other = self._driver_args(tmp_path)
+        events = []
+        self._record_syncs(monkeypatch, events, dir_error=OSError("directory sync unsupported"))
+        assert main(["merge-driver", ancestor, current, other]) == 0
+        assert events[-1] == ("fsync-dir",)
+        assert Path(current).read_bytes() == Path(fixture_path("fig3-merged.lvl")).read_bytes()
+        assert sorted(os.listdir(tmp_path)) == FIG3
 
     def test_replaced_file_keeps_its_permission_bits(self, tmp_path):
         ancestor, current, other = self._driver_args(tmp_path)

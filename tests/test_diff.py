@@ -176,14 +176,22 @@ class TestClassify:
     def test_unchanged_shortcut_matches_full_comparison(self):
         # versions from apply_script share the base's unchanged node
         # objects; reparsed versions share none, so the shortcut compares
-        # by value
+        # by value; a version parsed against the parsed ancestor is read
+        # through the patch it records
         equal_node_edits = 0
         for seed in range(40):
             scenario = generate(seed + 300, SizeParams(nodes=30, edges=40, ops_per_branch=8))
             base = scenario.base
+            parsed_base = parse(serialize(LevelDocument(FORMAT_VERSION, base)))
             for script in (scenario.script_a, scenario.script_b):
                 version = apply_script(base, script)
-                for ancestor, edited in ((base, version), (_reparsed(base), _reparsed(version))):
+                patched = parse(serialize(LevelDocument(FORMAT_VERSION, version)), base=parsed_base)
+                assert patched.graph._patch[0]() is parsed_base.graph
+                for ancestor, edited in (
+                    (base, version),
+                    (_reparsed(base), _reparsed(version)),
+                    (parsed_base.graph, patched.graph),
+                ):
                     diff = classify(ancestor, edited)
                     expected = _detailed_intrinsics(ancestor, edited)
                     assert diff.intrinsic - diff.added == set(expected), seed

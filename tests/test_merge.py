@@ -127,7 +127,7 @@ class TestAdditions:
             [("r", "p", D), ("p", "n", D)],
         )
         # a working graph in which the recorded parent vanished
-        state = _State.from_graph(g("r", [("r", "Scene")]))
+        state = _State(g("r", [("r", "Scene")]))
         conflicts = _apply_additions(state, classify(base, mine), classify(base, base))
         assert not conflicts
         assert state.to_graph().edge_kind("r", "n") is DepKind.DIRECT
@@ -489,7 +489,7 @@ class TestRepairCycles:
     def test_self_loop_removed(self):
         # parse rejects self-loops and inputs are acyclic, so merge3 never
         # meets one; the guard is driven on a hand-built working graph
-        state = _State.from_graph(g("root", [("root", "Scene"), ("a", "X")], [("root", "a", D)]))
+        state = _State(g("root", [("root", "Scene"), ("a", "X")], [("root", "a", D)]))
         state.set_edge("a", "a", I, owner=Branch.B)
         removed, dropped = _repair_cycles_state(state)
         assert [(e.parent, e.child) for e in removed] == [("a", "a")]

@@ -1,0 +1,88 @@
+"""The patch a graph records covers its real difference from its base.
+
+`parse(text, base=)` and `merge3` build their graphs by patching a base,
+and the graph records the node ids and (parent, child) pairs the patch
+may have changed; `validate(base=)` and `classify` read only those. Here
+every id whose presence or `Node` object really differs from the base,
+and every pair whose presence or kind does, is found by brute force and
+must be in the record, and the patched tables must be those a whole
+build of the same graph gives.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scenemerge import LevelGraph, MergePolicy, PolicyKind, merge3, parse
+from scenemerge import merge as merge_module
+from scenemerge.levelfile import FORMAT_VERSION, LevelDocument, serialize
+from scenemerge.sim import SizeParams, apply_script, generate
+from conftest import repairing_merges
+
+SIZE = SizeParams(nodes=40, edges=48, ops_per_branch=6)
+
+
+def _text(graph: LevelGraph) -> str:
+    return serialize(LevelDocument(FORMAT_VERSION, graph))
+
+
+def assert_record_covers(graph: LevelGraph, base: LevelGraph) -> None:
+    base_ref, ids, pairs = graph._patch
+    assert base_ref() is base
+    for table, base_table, recorded in (
+        (graph._nodes, base._nodes, ids),
+        (graph._edges, base._edges, pairs),
+    ):
+        keys = table.keys() | base_table.keys()
+        assert {key for key in keys if table.get(key) is not base_table.get(key)} <= recorded
+    whole = LevelGraph(graph.root, graph.nodes(), graph.edges(), graph.assets)
+    assert list(graph._nodes) == list(whole._nodes) and list(graph._edges) == list(whole._edges)
+    assert graph._out == whole._out and graph._in == whole._in
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10_000))
+def test_a_branch_read_against_the_ancestor_records_its_differences(seed):
+    sc = generate(seed, SIZE)
+    ancestor = parse(_text(sc.base))
+    for script in (sc.script_a, sc.script_b):
+        version = parse(_text(apply_script(sc.base, script)), base=ancestor)
+        assert_record_covers(version.graph, ancestor.graph)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10_000), st.sampled_from(list(PolicyKind)))
+def test_a_merged_level_records_its_differences_from_the_ancestor(seed, policy):
+    sc = generate(seed, SIZE)
+    ancestor = parse(_text(sc.base))
+    mine, theirs = (
+        parse(_text(apply_script(sc.base, script)), base=ancestor).graph
+        for script in (sc.script_a, sc.script_b)
+    )
+    outcome = merge3(ancestor.graph, mine, theirs, MergePolicy(policy))
+    assert_record_covers(outcome.merged, ancestor.graph)
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@pytest.mark.parametrize("case", ["cycle", "orphan", "manifest"])
+def test_a_repaired_merge_records_its_differences_from_the_ancestor(case, policy, monkeypatch):
+    reconnected = []
+    reconnect = merge_module._reconnect_orphans
+
+    def counting_reconnect(state):
+        before = len(state.edges)
+        reconnect(state)
+        reconnected.append(len(state.edges) - before)
+
+    monkeypatch.setattr(merge_module, "_reconnect_orphans", counting_reconnect)
+    ancestor, mine, theirs = repairing_merges()[case]
+    outcome = merge3(ancestor, mine, theirs, MergePolicy(policy))
+    assert_record_covers(outcome.merged, ancestor)
+    if case == "cycle":
+        assert outcome.removed_cycle_edges
+    elif case == "orphan" and policy is PolicyKind.PREFER_A:
+        assert reconnected[0]
+    elif case == "manifest":
+        assert outcome.merged.assets.keys() - mine.assets.keys() == {"x.obj"}

@@ -44,7 +44,7 @@ def _grow(state: _State, reached: set[str], start: str) -> None:
     reached.add(start)
     frontier = [start]
     while frontier:
-        for child in state.out_.get(frontier.pop(), ()):
+        for child, _ in state.out_.get(frontier.pop(), ()):
             if child not in reached and child in state.nodes:
                 reached.add(child)
                 frontier.append(child)
@@ -66,7 +66,7 @@ def full_scan_cascade_delete(
     for member in sorted(scope):
         if member not in state.nodes:
             continue
-        for child, kind in state.out_.get(member, {}).items():
+        for child, kind in state.out_.get(member, ()):
             if child not in scope and severed.get(child) is not D:
                 severed[child] = kind
         state.remove_node(member)
@@ -115,7 +115,7 @@ def full_scan_repair_cycles(state: _State) -> tuple[list[Edge], list[DroppedEdit
         node_ids = sorted(state.nodes)
 
         def successors(v: str) -> list[str]:
-            return sorted(state.out_.get(v, ()))
+            return sorted(c for c, _ in state.out_.get(v, ()))
 
         components = merge_module.strongly_connected_components(node_ids, successors)
         cyclic = [
@@ -126,7 +126,7 @@ def full_scan_repair_cycles(state: _State) -> tuple[list[Edge], list[DroppedEdit
         if not cyclic:
             return removed, dropped
         members = set(min(cyclic, key=min))
-        internal = [(p, c) for p in members for c in state.out_.get(p, ()) if c in members]
+        internal = [(p, c) for p in members for c, _ in state.out_.get(p, ()) if c in members]
         indirect = [pc for pc in internal if state.edge_kind(*pc) is I]
         heights = _component_heights(node_ids, successors, state.root)
         parent, child = min(indirect or internal, key=lambda pc: (heights[pc[0]], pc))
@@ -174,7 +174,7 @@ def _random_state(rng: random.Random, ancestor: LevelGraph, doomed: str) -> _Sta
     Some states also cut the doomed node's parent off the root, so that a
     relink lands under a node the root does not reach.
     """
-    state = _State.from_graph(ancestor)
+    state = _State(ancestor)
     added = [f"x{j}" for j in range(rng.randint(0, 4))]
     state.add_nodes({x: Node(x, "X") for x in added})
     for x in added:
@@ -186,7 +186,7 @@ def _random_state(rng: random.Random, ancestor: LevelGraph, doomed: str) -> _Sta
         if child != state.root:
             state.set_edge(parent, child, rng.choice((D, I)), owner=rng.choice((None, *Branch)))
     for _ in range(rng.randint(0, 3)):
-        pairs = sorted((p, c) for p, out in state.out_.items() for c in out)
+        pairs = sorted(state.edges)
         if pairs:
             state.remove_edge(*rng.choice(pairs))
     for _ in range(rng.randint(0, 2)):
@@ -195,17 +195,21 @@ def _random_state(rng: random.Random, ancestor: LevelGraph, doomed: str) -> _Sta
             state.remove_node(rng.choice(victims))
     parent = ancestor.direct_parent(doomed)
     if parent != state.root and rng.random() < 0.4:
-        for grandparent in list(state.in_.get(parent, ())):
+        for grandparent, _ in list(state.in_.get(parent, ())):
             state.remove_edge(grandparent, parent)
     return state
 
 
 def _clone(state: _State) -> _State:
-    copy = _State()
-    copy.root = state.root
+    copy = _State(state.base)
     copy.nodes = dict(state.nodes)
-    copy.out_ = {p: dict(children) for p, children in state.out_.items()}
-    copy.in_ = {c: dict(parents) for c, parents in state.in_.items()}
+    copy.edges = dict(state.edges)
+    # the clone owns copies of the adjacency dicts the state has written
+    copy.out_, copy.in_ = dict(state.out_), dict(state.in_)
+    for table, owned, owned_copy in zip((copy.out_, copy.in_), state.owned, copy.owned):
+        for node_id, adjacency in owned.items():
+            owned_copy[node_id] = dict(adjacency)
+            table[node_id] = owned_copy[node_id].items()
     copy.relinks = set(state.relinks)
     copy.owners = dict(state.owners)
     copy.touched = set(state.touched)
@@ -213,7 +217,7 @@ def _clone(state: _State) -> _State:
 
 
 def _snapshot(state: _State):
-    edges = sorted((p, c, k.value) for p, out in state.out_.items() for c, k in out.items())
+    edges = sorted((p, c, k.value) for p, out in state.out_.items() for c, k in out)
     return sorted(state.nodes), edges, sorted(state.relinks), sorted(state.owners.items())
 
 
@@ -253,7 +257,7 @@ def test_region_repair_matches_whole_level_repair_on_random_states():
 def test_reaches_root_walks_back_to_the_root_or_a_via_member():
     #   root -> a -> b      c <-> d (cut off)      e -> d
     nodes = ["root", "a", "b", "c", "d", "e"]
-    state = _State.from_graph(
+    state = _State(
         LevelGraph._of(
             "root",
             {n: Node(n, "Scene" if n == "root" else "X") for n in nodes},
@@ -290,7 +294,7 @@ def test_edited_region_is_the_forward_closure_of_touched_nodes():
         # so still reaches the root
         outside = set(state.nodes) - region
         for node_id in outside:
-            assert state.in_.get(node_id, {}) == dict(ancestor.parents(node_id)), seed
+            assert dict(state.in_.get(node_id, ())) == dict(ancestor.parents(node_id)), seed
         assert outside <= _reachable(state), seed
 
 

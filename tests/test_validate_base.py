@@ -3,8 +3,11 @@
 A branch is checked against its valid ancestor from the differences
 only. These tests break random valid branches in every way a level can
 be invalid and require the same report as `validate(graph)`, built both
-with fresh adjacency lists and with the ancestor's lists shared, as
-`parse(text, base=...)` shares them.
+with fresh adjacency lists and as a patch of the ancestor that records
+its changed ids and pairs, as `parse(text, base=...)` builds it. A
+merged level is checked against the ancestor through the patch `merge3`
+records, including levels whose merge repaired a cycle, an orphan or a
+manifest entry, and broken the same ways.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from scenemerge import (
     GraphMismatchError,
     InvalidGraphError,
     LevelGraph,
+    MergePolicy,
     Node,
+    PolicyKind,
     PropertyValue,
     SceneMergeError,
     merge3,
@@ -29,6 +34,7 @@ from scenemerge import (
 )
 from scenemerge.diff import check_same_level
 from scenemerge.sim import SizeParams, apply_script, generate
+from conftest import repairing_merges
 
 SIZE = SizeParams(nodes=40, edges=48, ops_per_branch=6)
 
@@ -70,10 +76,15 @@ class _Level:
         if base is None:
             edges = [Edge(p, c, k) for (p, c), k in self.edges.items()]
             return LevelGraph(self.root, self.nodes.values(), edges, self.assets)
-        # every node at neither end of a changed pair keeps the base's lists
+        # every node at neither end of a changed pair keeps the base's
+        # lists, and the graph records the changed ids and pairs
         pairs = self.edges.keys() | base._edges.keys()
         changed = [pair for pair in pairs if self.edges.get(pair) is not base._edges.get(pair)]
-        return LevelGraph._of(self.root, self.nodes, self.edges, self.assets, base, changed)
+        ids = self.nodes.keys() | base._nodes.keys()
+        changed_ids = [i for i in ids if self.nodes.get(i) is not base._nodes.get(i)]
+        return LevelGraph._of(
+            self.root, self.nodes, self.edges, self.assets, base, changed, changed_ids
+        )
 
 
 def _break(name: str, level: _Level, base: _Level, rng: random.Random, tag: str) -> None:
@@ -156,6 +167,41 @@ def test_validate_against_the_ancestor_equals_the_whole_check(scenario):
     for level in branches:
         for version in (level.graph(), level.graph(base=ancestor)):
             assert validate(version, base=ancestor) == validate(version)
+
+
+def _check_merged(ancestor, mine, theirs, policy, rng, names) -> None:
+    """The merged level, and the merged level broken by ``names``, validate as whole."""
+    merged = merge3(ancestor, mine, theirs, MergePolicy(policy)).merged
+    assert merged._patch[0]() is ancestor  # read through merge3's own record
+    assert validate(merged, base=ancestor) == validate(merged)
+    base, level = _Level(ancestor), _Level(merged)
+    for name in names:
+        _break(name, level, base, rng, "A")
+    ancestor = base.graph()
+    assert validate(ancestor).ok
+    broken = level.graph(base=ancestor)
+    assert validate(broken, base=ancestor) == validate(broken)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10_000),
+    st.sampled_from(list(PolicyKind)),
+    st.integers(0, 2**32),
+    st.lists(st.sampled_from(BREAKS), max_size=3),
+)
+def test_merged_levels_validate_against_the_ancestor_as_whole(seed, policy, rng_seed, names):
+    sc = generate(seed, SIZE)
+    mine, theirs = (apply_script(sc.base, script) for script in (sc.script_a, sc.script_b))
+    _check_merged(sc.base, mine, theirs, policy, random.Random(rng_seed), names)
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@pytest.mark.parametrize("case", ["cycle", "orphan", "manifest"])
+def test_repaired_merges_validate_against_the_ancestor_as_whole(case, policy):
+    ancestor, mine, theirs = repairing_merges()[case]
+    for names in ([], *([name] for name in BREAKS)):
+        _check_merged(ancestor, mine, theirs, policy, random.Random(len(names)), names)
 
 
 def _seed_error(ancestor, mine, theirs):
