@@ -119,17 +119,18 @@ def _merge_files(args):
     theirs = read_document(args.theirs, base=ancestor)
 
     outcome = merge3(ancestor.graph, mine.graph, theirs.graph, policy, _manifest_merger(config))
-    return config, policy, outcome
+    return config, policy, ancestor, outcome
 
 
 def _run_merge(args, out_path, report_path) -> int:
-    config, policy, outcome = _merge_files(args)
+    # the ancestor's document is held until the merged level, its patch, is written
+    config, policy, ancestor, outcome = _merge_files(args)
 
     merged_doc = LevelDocument(FORMAT_VERSION, outcome.merged)
     if out_path == "-":
-        sys.stdout.write(serialize(merged_doc))
+        sys.stdout.write(serialize(merged_doc, base=ancestor))
     else:
-        write_document(merged_doc, out_path)
+        write_document(merged_doc, out_path, base=ancestor)
     if report_path:
         with atomic_open(report_path) as handle:
             handle.write(render_report(outcome, policy, config.report_meta()))
@@ -153,7 +154,7 @@ def _cmd_merge_driver(args) -> int:
 
 @_gc_paused()
 def _cmd_stats(args) -> int:
-    _, _, outcome = _merge_files(args)
+    _, _, _, outcome = _merge_files(args)
     s = outcome.stats
     print(
         f"{s.ancestor_nodes} {s.ancestor_edges} {s.diff_a_edited} {s.diff_b_edited} "

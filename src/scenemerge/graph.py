@@ -18,9 +18,11 @@ from __future__ import annotations
 import gc
 import math
 import weakref
+from bisect import bisect_left
 from contextlib import ContextDecorator
 from enum import Enum
-from operator import attrgetter
+from itertools import islice
+from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 
@@ -227,6 +229,28 @@ class Edge(_Record):
         _set(self, "kind", kind)
 
 
+def _sorted_table(table: Mapping) -> dict:
+    """A copy of ``table`` with its keys in sorted order; a table already in order is copied whole."""
+    keys = sorted(table)
+    return dict(table) if keys == list(table) else dict(zip(keys, map(table.__getitem__, keys)))
+
+
+def _patched_table(table: Mapping, changed: Collection) -> dict:
+    """A copy of ``table``, a sorted table patched in place, with its keys in sorted order.
+
+    Only a key in ``changed`` can have moved, and only to the end, so only
+    that many last keys are sorted, each placed by bisection among the rest."""
+    keys = list(table)
+    head = len(keys) - sum(key in table for key in changed)
+    items, patched, at = iter(table.items()), {}, 0
+    for key in sorted(keys[head:]):
+        i = bisect_left(keys, key, at, head)
+        patched.update(islice(items, i - at))
+        patched[key], at = table[key], i
+    patched.update(islice(items, head - at))
+    return patched
+
+
 class LevelGraph:
     """An immutable level graph plus its asset manifest.
 
@@ -273,9 +297,10 @@ class LevelGraph:
 
         ``base`` is a graph that differs from ``nodes`` and ``edges`` only
         in the ``changed_ids`` (presence or `Node` object) and the
-        ``changed`` pairs (presence or kind). Every node at neither end of
-        a changed pair keeps the base's adjacency lists, and the graph
-        records the patch for `_differences`.
+        ``changed`` pairs (presence or kind), and any other key keeps its
+        place in the base's order. Every node at neither end of a changed
+        pair keeps the base's adjacency lists, and the graph records the
+        patch for `_differences`.
         """
         graph = cls.__new__(cls)
         graph._fill(root, nodes, edges, assets, base, changed, changed_ids)
@@ -285,33 +310,38 @@ class LevelGraph:
         # nodes, edges, assets and each node's adjacency list are stored
         # sorted, so every reader iterates them in canonical order
         self.root = root
-        self._nodes: dict[str, Node] = {key: nodes[key] for key in sorted(nodes)}
-        self._edges: dict[tuple[str, str], DepKind] = {key: edges[key] for key in sorted(edges)}
+        if base is None:
+            self._nodes: dict[str, Node] = _sorted_table(nodes)
+            self._edges: dict[tuple[str, str], DepKind] = _sorted_table(edges)
+        else:
+            self._nodes = _patched_table(nodes, changed_ids)
+            self._edges = _patched_table(edges, changed)
         self.assets: dict[str, str] = dict(sorted(assets.items())) if assets else {}
-        self._out: dict[str, list[tuple[str, DepKind]]] = {}
-        self._in: dict[str, list[tuple[str, DepKind]]] = {}
         # held weakly, so a chain of patched graphs keeps no earlier level alive
         self._patch = None if base is None else (
             weakref.ref(base), frozenset(changed_ids), frozenset(changed)
         )
+        self._out: dict[str, list[tuple[str, DepKind]]] = {} if base is None else dict(base._out)
+        self._in: dict[str, list[tuple[str, DepKind]]] = {} if base is None else dict(base._in)
         if base is None:
             for (parent, child), kind in self._edges.items():
                 self._out.setdefault(parent, []).append((child, kind))
                 self._in.setdefault(child, []).append((parent, kind))
             return
-        self._out.update(base._out)
-        self._in.update(base._in)
-        for lists, side in ((self._out, 0), (self._in, 1)):
+        for side, lists in enumerate((self._out, self._in)):
             # a node's list changes only where it is this side of a changed pair
-            ends: dict[str, set[str]] = {}
+            patched: dict[str, list[tuple[str, DepKind]]] = {}
             for pair in changed:
-                ends.setdefault(pair[side], set()).add(pair[1 - side])
-            for node_id, others in ends.items():
-                others.update(other for other, _ in lists.get(node_id, ()))
-                pairs = [
-                    (node_id, other) if side == 0 else (other, node_id) for other in sorted(others)
-                ]
-                listed = [(pair[1 - side], self._edges[pair]) for pair in pairs if pair in self._edges]
+                node_id, other = pair[side], pair[1 - side]
+                if node_id not in patched:
+                    patched[node_id] = list(lists.get(node_id, ()))
+                listed = patched[node_id]
+                i = bisect_left(listed, other, key=itemgetter(0))
+                if i < len(listed) and listed[i][0] == other:
+                    del listed[i]
+                if pair in self._edges:
+                    listed.insert(i, (other, self._edges[pair]))
+            for node_id, listed in patched.items():
                 if listed:
                     lists[node_id] = listed
                 else:

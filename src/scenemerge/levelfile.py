@@ -11,7 +11,8 @@ Level documents (``.lvl``) are plain UTF-8 text, one fact per line::
     edge scene lamp direct
     asset textures/wood.png 9f86d081884c7d65...
 
-Directives may appear in any order; parsing reorders them. The
+Directives may appear in any order; parsing reorders them, and reads a
+text already in canonical form, in bare tokens, in one checked pass. The
 canonical form produced by `serialize` sorts nodes by id, properties by
 (node, key), edges by (parent, child) and manifest entries by asset id,
 renders reals in shortest round-trip decimal form, and uses LF line
@@ -31,6 +32,9 @@ shared is the base's own `Node`. The result equals ``parse(text)``;
 where that cannot be shown, the text is parsed whole, so errors are
 the same with or without a base.
 
+The merged level is such a patch, and ``serialize(merged, base=ancestor)``
+writes it as the ancestor's text with only the patched lines rendered.
+
 Merge reports (``.lvlreport``) use the same tokenizer; see
 `render_report` for the line inventory.
 """
@@ -40,7 +44,9 @@ from __future__ import annotations
 import os
 import re
 import stat
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager, suppress
+from operator import itemgetter
 from typing import Iterator, TextIO
 
 from .graph import (
@@ -59,8 +65,6 @@ FORMAT_VERSION = 1
 _BARE_TOKEN = re.compile(r"[A-Za-z0-9_.+/:@-]+")
 # a line `_split_line` would cut into bare tokens at spaces and tabs only
 _PLAIN_LINE = re.compile(r"[A-Za-z0-9_.+/:@\- \t]*")
-# a text every line of which is plain
-_PLAIN_TEXT = re.compile(r"[A-Za-z0-9_.+/:@\- \t\n]*")
 _INT_LITERAL = re.compile(r"-?\d+")
 _DEP_KINDS = {kind.value: kind for kind in DepKind}
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
@@ -81,26 +85,29 @@ class ParseError(SceneMergeError):
         self.reason = message
 
 
-class LevelDocument(_Record, uncompared=("source", "_lines")):
+class LevelDocument(_Record, uncompared=("source", "_split", "_sections", "_lines")):
     """A parsed level file: format version plus the graph (and manifest).
 
     ``source`` is the text `parse` read, kept so that the document can be
-    the ``base`` of a later parse.
+    the ``base`` of a later parse; a canonical read keeps its lines and
+    their keys too, for `serialize` to copy into a level patched from it.
     """
 
-    __slots__ = ("format_version", "graph", "source", "_lines")
+    __slots__ = ("format_version", "graph", "source", "_split", "_sections", "_lines")
 
     def __init__(self, format_version: int, graph: LevelGraph, source: str | None = None):
         _set(self, "format_version", format_version)
         _set(self, "graph", graph)
         _set(self, "source", source)
+        _set(self, "_split", None)  # a canonical read's lines
+        _set(self, "_sections", None)  # and the keys of its node, prop and edge lines
         _set(self, "_lines", None)  # the line set, or False if a line repeats; None until read
 
     @property
     def _line_set(self) -> frozenset[str] | None:
         """The set of the source's lines; None if one repeats, as then it cannot be a base."""
         if self._lines is None and self.source is not None:
-            lines = self.source.split("\n")
+            lines = self.source.split("\n") if self._split is None else self._split
             unique = frozenset(lines)
             _set(self, "_lines", unique if len(unique) == len(lines) else False)
         return self._lines or None
@@ -249,11 +256,10 @@ def _parse_value(texts: list[str], start: int, line: str, lineno: int) -> Proper
 # -- document parsing --------------------------------------------------------
 
 
-def _walk(numbered_lines, version: int | None, plain: bool = False) -> tuple:
+def _walk(numbered_lines, version: int | None) -> tuple:
     """Read ``(line number, line)`` pairs into ``(version, root, nodes, props, edges, assets)``.
 
-    ``version`` is None until the ``lvl`` header has been read; ``plain``
-    says every line is one `_line_texts` splits by `str.split`. The root
+    ``version`` is None until the ``lvl`` header has been read. The root
     is an ``(id, line number)`` pair or None, and each table maps a key
     the document can hold once to its value and the number of the line
     that set it. Every error a single line can hold, and every key set
@@ -267,11 +273,8 @@ def _walk(numbered_lines, version: int | None, plain: bool = False) -> tuple:
     assets: dict[str, tuple[str, int]] = {}
 
     for lineno, line in numbered_lines:
-        if plain:
-            tokens = line.split()
-        else:
-            line = line.rstrip("\r")
-            tokens = _line_texts(line, lineno)
+        line = line.rstrip("\r")
+        tokens = _line_texts(line, lineno)
         if not tokens:
             continue
         directive = tokens[0]
@@ -369,8 +372,8 @@ def parse(text: str, base: LevelDocument | None = None) -> LevelDocument:
     twice (duplicate ids, duplicate edges, duplicate keys) is an error
     here, with line/column positions.
 
-    Token columns are computed only for an error, by tokenizing that
-    line again.
+    A text in canonical form is read in one checked pass (see
+    `_read_canonical`), and any other text line by line (`_read_lines`).
 
     ``base`` is an earlier parse of a version of the same level, such as
     a merge's ancestor. The result is the same document, but only the
@@ -379,16 +382,12 @@ def parse(text: str, base: LevelDocument | None = None) -> LevelDocument:
     cannot be shown to give ``parse(text)``, the text is parsed whole,
     so errors are raised exactly as without a base.
     """
-    if base is not None:
-        doc = _parse_against(text, base)
-        if doc is not None:
-            return doc
+    return (base and _parse_against(text, base)) or _read_canonical(text) or _read_lines(text)
 
-    # one match over a canonical document spares a match per line
-    plain = _PLAIN_TEXT.fullmatch(text) is not None
-    version, root, nodes, props, edges, assets = _walk(
-        enumerate(text.split("\n"), start=1), None, plain
-    )
+
+def _read_lines(text: str) -> LevelDocument:
+    """Any text's document, read line by line; a token's column is found only for an error."""
+    version, root, nodes, props, edges, assets = _walk(enumerate(text.split("\n"), start=1), None)
     if version is None:
         raise ParseError("empty document, expected 'lvl <version>' header", 1)
     if root is None:
@@ -417,6 +416,83 @@ def parse(text: str, base: LevelDocument | None = None) -> LevelDocument:
         {aid: digest for aid, (digest, _) in assets.items()},
     )
     return LevelDocument(version, graph, text)
+
+
+_SECTIONS = ("root", "node", "prop", "edge", "asset")  # in the order `serialize` writes them
+# a canonical line of each section: bare tokens between single spaces
+_SECTION_LINES = [re.compile(line.format(t=_BARE_TOKEN.pattern), re.MULTILINE) for line in (
+    r"^root ({t})$", r"^node ({t}) ({t})$", r"^prop ({t}) ({t}) ([a-z]+ {t})$",
+    r"^edge ({t}) ({t}) (direct|indirect)$", r"^asset ({t}) ({t})$",
+)]
+_first, _second, _third = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _section_rank(line: str) -> int:
+    directive = line.partition(" ")[0]
+    return (*_SECTIONS, directive).index(directive)  # 5 for a line of no section
+
+
+def _read_canonical(text: str) -> LevelDocument | None:
+    """The document of ``text`` when `serialize` writes exactly that text; else None.
+
+    That is the header, the root line, then the node, prop, edge and asset
+    lines, each section in key order (as the space sorts first, its lines
+    sorted, its keys distinct), bare tokens between single spaces, a final
+    newline, and each literal spelled as `format_value` spells it.
+    """
+    lines = text.split("\n")
+    end = len(lines) - 1  # the empty string after the final newline
+    if lines[end] or lines[0] != f"lvl {FORMAT_VERSION}":
+        return None
+    # where each section would start; a line out of place fails its pattern
+    bounds = [1]
+    for rank in range(1, len(_SECTIONS)):
+        bounds.append(bisect_left(lines, rank, bounds[-1], end, key=_section_rank))
+    rows, start = [], len(lines[0]) + 1
+    for pattern, lo, hi in zip(_SECTION_LINES, bounds, [*bounds[1:], end]):
+        section = lines[lo:hi]
+        stop = start + sum(map(len, section)) + len(section)
+        rows.append(pattern.findall(text, start, stop))  # a match per line that matches
+        if len(rows[-1]) != len(section) or sorted(section) != section:
+            return None
+        start = stop
+    root, node_rows, prop_rows, edge_rows, asset_rows = rows
+
+    # the level holds one string per id, kind and key, and one value per distinct literal
+    kinds = dict(node_rows)
+    ids = list(kinds)
+    declared, words = dict(zip(ids, ids)), {}
+    values = dict.fromkeys(map(_third, prop_rows))
+    try:
+        [root] = map(declared.__getitem__, root)  # the one root line names a node
+        owners = list(map(declared.__getitem__, map(_first, prop_rows)))
+        parents = list(map(declared.__getitem__, map(_first, edge_rows)))
+        children = list(map(declared.__getitem__, map(_second, edge_rows)))
+        for value in values:
+            values[value] = _parse_value(value.split(" "), 0, value, 0)
+    except (KeyError, ValueError, ParseError):
+        return None
+    if any(format_value(parsed) != value for value, parsed in values.items()):
+        return None  # such as real 1.50, real -0.0 or int 007
+    # one properties dict per owner, filled from the owner's run of lines
+    props: dict[str, dict[str, PropertyValue]] = {}
+    owner = None
+    for name, (_, key, value) in zip(owners, prop_rows):
+        if name is not owner:
+            owner = name
+            owned = props[owner] = {}
+        owned[words.setdefault(key, key)] = values[value]
+    kinds = map(words.setdefault, kinds.values(), kinds.values())
+    nodes = dict(zip(ids, map(Node, ids, kinds, map(props.get, ids))))
+    edges = dict(zip(zip(parents, children), map(_DEP_KINDS.get, map(_third, edge_rows))))
+    assets = dict(asset_rows)
+    sizes = (len(nodes), sum(map(len, props.values())), len(edges), len(assets))
+    if sizes != tuple(map(len, rows[1:])) or any(map(str.__eq__, parents, children)):
+        return None
+    doc = LevelDocument(FORMAT_VERSION, LevelGraph._of(root, nodes, edges, assets), text)
+    _set(doc, "_split", lines)
+    _set(doc, "_sections", (ids, owners, list(edges)))
+    return doc
 
 
 def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
@@ -527,24 +603,51 @@ class _Tokens(dict):
         return text
 
 
-def serialize(doc: LevelDocument) -> str:
-    """Render the canonical byte form of a document (see module docstring)."""
+def serialize(doc: LevelDocument, base: LevelDocument | None = None) -> str:
+    """Render the canonical byte form of a document (see module docstring).
+
+    If ``doc``'s graph was patched from that of ``base``, a canonical read,
+    ``base``'s lines are kept but for those of the patched ids and pairs."""
     graph = doc.graph
+    nodes, edges = graph._nodes, graph._edges
     # ids, kinds and keys repeat across lines; each is formatted once
     token = _Tokens()
     lines = [f"lvl {doc.format_version}", f"root {token[graph.root]}"]
-    # a graph stores its nodes and edges in canonical order
-    for node_id, node in graph._nodes.items():
-        lines.append(f"node {token[node_id]} {token[node.kind]}")
-    for node_id, node in graph._nodes.items():
-        properties = node.properties
+
+    def node_line(node_id: str) -> None:
+        if node_id in nodes:
+            lines.append(f"node {token[node_id]} {token[nodes[node_id].kind]}")
+
+    def prop_lines(node_id: str) -> None:
+        properties = nodes[node_id].properties if node_id in nodes else {}
         for key in sorted(properties):
             lines.append(f"prop {token[node_id]} {token[key]} {format_value(properties[key])}")
-    for (parent, child), kind in graph._edges.items():
-        lines.append(f"edge {token[parent]} {token[child]} {kind.value}")
+
+    def edge_line(pair: tuple[str, str]) -> None:
+        if pair in edges:
+            lines.append(f"edge {token[pair[0]]} {token[pair[1]]} {edges[pair].value}")
+
+    renders = (node_line, prop_lines, edge_line)
+    patch = graph._patch
+    if base is not None and base._sections is not None and patch and patch[0]() is base.graph:
+        start = 2  # the node lines follow the header and the root line
+        for keys, patched, render in zip(base._sections, (patch[1], patch[1], patch[2]), renders):
+            at = 0
+            for key in sorted(patched):
+                lo = bisect_left(keys, key, at)
+                lines += base._split[start + at : start + lo]
+                render(key)
+                at = bisect_right(keys, key, lo)
+            lines += base._split[start + at : start + len(keys)]
+            start += len(keys)
+    else:  # a graph stores its nodes and edges in canonical order
+        for keys, render in zip((nodes, nodes, edges), renders):
+            for key in keys:
+                render(key)
     for asset_id in sorted(graph.assets):
         lines.append(f"asset {token[asset_id]} {token[graph.assets[asset_id]]}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline
+    return "\n".join(lines)
 
 
 def read_document(path, base: LevelDocument | None = None) -> LevelDocument:
@@ -596,9 +699,9 @@ def atomic_open(path) -> Iterator[TextIO]:
             os.close(dir_fd)
 
 
-def write_document(doc: LevelDocument, path) -> None:
+def write_document(doc: LevelDocument, path, base: LevelDocument | None = None) -> None:
     with atomic_open(path) as handle:
-        handle.write(serialize(doc))
+        handle.write(serialize(doc, base=base))
 
 
 def canonical_bytes(graph: LevelGraph) -> bytes:

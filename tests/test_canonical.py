@@ -1,0 +1,317 @@
+"""Canonical text in, canonical text out.
+
+`parse` reads a text exactly as `serialize` writes it in one checked pass
+(`levelfile._read_canonical`) and leaves every other text to the line
+reader (`levelfile._read_lines`); here the two are held to the same
+documents and the same errors. `serialize(doc, base=)` writes a level
+patched from a canonically read base as the base's lines with the patch
+rendered in; here its text is held to the whole render's.
+"""
+
+from __future__ import annotations
+
+import functools
+import gc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scenemerge import LevelGraph, MergePolicy, Node, ParseError, PolicyKind, merge3, parse
+from scenemerge import levelfile
+from scenemerge.levelfile import (
+    FORMAT_VERSION,
+    LevelDocument,
+    _read_canonical,
+    _read_lines,
+    serialize,
+)
+from scenemerge.sim import SizeParams, apply_script, generate
+from conftest import D, I, g, repairing_merges
+
+SIZE = SizeParams(nodes=30, edges=36, ops_per_branch=6)
+
+
+@functools.lru_cache(maxsize=None)
+def _texts(seed: int) -> tuple[str, str, str]:
+    """The canonical base, mine and theirs of a small simulator scenario."""
+    sc = generate(seed, SIZE)
+    graphs = (sc.base, apply_script(sc.base, sc.script_a), apply_script(sc.base, sc.script_b))
+    return tuple(serialize(LevelDocument(FORMAT_VERSION, graph)) for graph in graphs)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as err:
+        return (err.line, err.column, err.reason)
+
+
+def assert_same_document(doc: LevelDocument, other: LevelDocument) -> None:
+    assert doc == other
+    # graph equality leaves out the adjacency lists and the order of the tables
+    assert list(doc.graph._nodes) == list(other.graph._nodes)
+    assert list(doc.graph._edges) == list(other.graph._edges)
+    assert (doc.graph._out, doc.graph._in) == (other.graph._out, other.graph._in)
+
+
+# -- the canonical reader ---------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10_000), st.integers(0, 2))
+def test_a_serialized_level_is_read_canonical_and_equals_a_line_read(seed, which):
+    text = _texts(seed)[which]
+    doc = parse(text)
+    assert doc._sections is not None
+    assert_same_document(doc, _read_lines(text))
+    assert serialize(doc) == text
+    # the line set holds the very strings of the one split
+    assert doc._split == text.split("\n")
+    assert {id(line) for line in doc._line_set} == {id(line) for line in doc._split}
+
+
+def test_each_distinct_literal_is_one_value():
+    doc = parse(_texts(5)[0])
+    values = [value for node in doc.graph.nodes() for value in node.properties.values()]
+    assert len({id(value) for value in values}) == len(set(values)) < len(values)
+
+
+def _set_token(line: str, index: int, token: str) -> str:
+    tokens = line.split(" ")
+    tokens[index] = token
+    return " ".join(tokens)
+
+
+def _swap_next(lines: list[str], i: int) -> None:
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+
+
+# mutation -> (the lines it may edit, the edit of line i, whether the
+# document stays the same); "any" is any line after the header, and a
+# directive any line of that section
+MUTATIONS = {
+    "double space": ("any", lambda lines, i: _respace(lines, i, " ", "  "), True),
+    "tab": ("any", lambda lines, i: _respace(lines, i, " ", "\t"), True),
+    "trailing space": ("any", lambda lines, i: lines.__setitem__(i, lines[i] + " "), True),
+    "blank line": ("any", lambda lines, i: lines.insert(i, ""), True),
+    "swapped nodes": ("node", _swap_next, True),
+    "swapped props": ("prop", _swap_next, True),
+    "swapped edges": ("edge", _swap_next, True),
+    "swapped assets": ("asset", _swap_next, True),
+    "real -0.0": ("prop", lambda lines, i: _set_value(lines, i, "real -0.0"), False),
+    "real 1.50": ("prop", lambda lines, i: _set_value(lines, i, "real 1.50"), False),
+    "int 007": ("prop", lambda lines, i: _set_value(lines, i, "int 007"), False),
+    "int +1": ("prop", lambda lines, i: _set_value(lines, i, "int +1"), False),
+    "real nan": ("prop", lambda lines, i: _set_value(lines, i, "real nan"), False),
+    "empty text": ("prop", lambda lines, i: _set_value(lines, i, 'text ""'), False),
+    # a line the line reader rejects
+    "empty token": ("any", lambda lines, i: lines.__setitem__(i, _set_token(lines[i], 1, "")), False),
+    "repeated line": ("any", lambda lines, i: lines.insert(i, lines[i]), False),
+    "self loop": ("edge", lambda lines, i: lines.__setitem__(
+        i, _set_token(lines[i], 2, lines[i].split(" ")[1])
+    ), False),
+    "unknown end": ("edge", lambda lines, i: lines.__setitem__(
+        i, _set_token(lines[i], 2, "nowhere")
+    ), False),
+    "unknown owner": ("prop", lambda lines, i: lines.__setitem__(
+        i, _set_token(lines[i], 1, "nowhere")
+    ), False),
+    "unknown root": ("any", lambda lines, i: lines.__setitem__(1, "root nowhere"), False),
+    # a line taken out of its section
+    "moved to the end": ("any", lambda lines, i: lines.append(lines.pop(min(i, len(lines) - 2))), True),
+    "moved to the start": ("any", lambda lines, i: lines.insert(2, lines.pop(max(i, 3))), True),
+}
+WHOLE_TEXT = {
+    "CRLF": lambda text: text.replace("\n", "\r\n"),
+    "one CRLF": lambda text: text.replace("\n", "\r\n", 3),
+    "no final newline": lambda text: text[:-1],
+}
+
+
+def _respace(lines, i, old, new):
+    lines[i] = lines[i].replace(old, new, 1)
+
+
+def _set_value(lines, i, value):
+    lines[i] = " ".join(lines[i].split(" ")[:3] + [value])
+
+
+def _mutated(text: str, name: str, i: int) -> str:
+    if name in WHOLE_TEXT:
+        return WHOLE_TEXT[name](text)
+    lines = text.split("\n")[:-1]
+    target, edit, _ = MUTATIONS[name]
+    if target == "any":
+        at = range(1, len(lines))
+    else:
+        at = [n for n, line in enumerate(lines) if line.startswith(target + " ")]
+        if edit is _swap_next:
+            at = at[:-1]  # a line with one of its section after it
+    edit(lines, at[i % len(at)])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", [*MUTATIONS, *WHOLE_TEXT])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(1, 10_000), i=st.integers(0, 10_000))
+def test_the_reader_declines_a_mutated_text_and_parse_is_unchanged(name, seed, i):
+    text = _texts(seed)[0]
+    mutated = _mutated(text, name, i)
+    assert mutated != text
+    assert _read_canonical(mutated) is None
+    read, whole = _outcome(parse, mutated), _outcome(_read_lines, mutated)
+    if isinstance(whole, tuple):
+        assert read == whole  # the same error, at the same line and column
+        return
+    assert_same_document(read, whole)
+    assert read._sections is None
+    if MUTATIONS.get(name, (None, None, True))[2]:
+        assert read == parse(text)
+
+
+@pytest.mark.parametrize("index", [1, 2])
+@pytest.mark.parametrize("directive", ["node", "prop", "edge", "asset"])
+def test_an_empty_token_that_keeps_its_section_sorted_is_declined(directive, index):
+    lines = _texts(3)[0].split("\n")
+    at = next(n for n, line in enumerate(lines) if line.startswith(directive + " "))
+    lines[at] = _set_token(lines[at], index, "")
+    text = "\n".join(lines)
+    assert _read_canonical(text) is None
+    assert isinstance(_outcome(parse, text), tuple)
+    assert _outcome(parse, text) == _outcome(_read_lines, text)
+
+
+@pytest.mark.parametrize("name", ["real nan", "int +1"])
+def test_a_literal_the_line_reader_rejects_keeps_its_error(name):
+    mutated = _mutated(_texts(7)[0], name, 0)
+    with pytest.raises(ParseError) as err:
+        parse(mutated)
+    assert "invalid" in err.value.reason and err.value.column > 1
+
+
+# -- the splice ---------------------------------------------------------------------
+
+
+def copied_lines(doc: LevelDocument, base: LevelDocument) -> int:
+    """How many of ``base``'s node, prop and edge lines `serialize(doc, base=base)` copies.
+
+    Each such line of ``base`` is marked for the one call, so a copied line
+    shows the mark and a rendered one does not.
+    """
+    if base._split is None:
+        return 0
+    saved = list(base._split)
+    base._split[2:-1] = [line + " ~" for line in saved[2:-1]]
+    try:
+        return serialize(doc, base=base).count(" ~\n")
+    finally:
+        base._split[:] = saved
+
+
+def assert_spliced(doc: LevelDocument, base: LevelDocument) -> None:
+    assert serialize(doc, base=base) == serialize(doc)
+    assert copied_lines(doc, base) > 0
+
+
+def _merged(ancestor: LevelDocument, mine: LevelGraph, theirs: LevelGraph, policy) -> LevelDocument:
+    return LevelDocument(FORMAT_VERSION, merge3(ancestor.graph, mine, theirs, MergePolicy(policy)).merged)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10_000), st.sampled_from(list(PolicyKind)))
+def test_a_merged_level_spliced_into_the_ancestor_is_its_whole_render(seed, policy):
+    base_text, *branch_texts = _texts(seed)
+    ancestor = parse(base_text)
+    mine, theirs = (parse(text, base=ancestor) for text in branch_texts)
+    for branch, text in zip((mine, theirs), branch_texts):
+        assert serialize(branch, base=ancestor) == text
+        assert_spliced(branch, ancestor)
+    assert_spliced(_merged(ancestor, mine.graph, theirs.graph, policy), ancestor)
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+@pytest.mark.parametrize("case", ["cycle", "orphan", "manifest"])
+def test_a_repaired_merge_spliced_into_the_ancestor_is_its_whole_render(case, policy):
+    ancestor, mine, theirs = repairing_merges()[case]
+    read = parse(serialize(LevelDocument(FORMAT_VERSION, ancestor)))
+    assert_spliced(_merged(read, mine, theirs, policy), read)
+
+
+def test_a_spliced_level_may_add_remove_and_quote():
+    base = parse("lvl 1\nroot r\nnode a X\nnode r S\nprop a k int 1\nedge r a direct\n")
+    nodes = dict(base.graph._nodes)
+    nodes["a b"] = Node("a b", "Odd Kind", {"name": levelfile.PropertyValue.text("x y")})
+    nodes["0"] = Node("0", "X")
+    del nodes["a"]
+    edges = {("r", "a b"): D, ("r", "0"): I}
+    graph = LevelGraph._of(
+        "r", nodes, edges, {"t.png": "00"}, base.graph,
+        [("r", "a"), ("r", "a b"), ("r", "0")], ["a", "a b", "0"],
+    )
+    doc = LevelDocument(FORMAT_VERSION, graph)
+    assert serialize(doc) == (
+        'lvl 1\nroot r\nnode 0 X\nnode "a b" "Odd Kind"\nnode r S\n'
+        'prop "a b" name text "x y"\nedge r 0 indirect\nedge r "a b" direct\nasset t.png 00\n'
+    )
+    assert_spliced(doc, base)
+    assert copied_lines(doc, base) == 1  # node r
+
+
+def test_serialize_renders_whole_unless_the_patch_names_a_canonical_base():
+    base_text, mine_text, theirs_text = _texts(11)
+    ancestor = parse(base_text)
+    mine = parse(mine_text, base=ancestor)
+    theirs = parse(theirs_text, base=ancestor)
+    merged = _merged(ancestor, mine.graph, theirs.graph, PolicyKind.MANUAL)
+    whole = serialize(merged)
+    assert_spliced(merged, ancestor)
+
+    # a base that was not read canonical
+    respaced = parse(base_text.replace(" ", "  ", 1))
+    assert respaced == ancestor and respaced._sections is None
+    assert serialize(merged, base=respaced) == whole
+    # a canonical base that is not the one the record names
+    other = parse(base_text)
+    assert serialize(merged, base=other) == whole and copied_lines(merged, other) == 0
+    # a graph with no record
+    unrecorded = LevelDocument(FORMAT_VERSION, LevelGraph(
+        merged.graph.root, merged.graph.nodes(), merged.graph.edges(), merged.graph.assets
+    ))
+    assert serialize(unrecorded, base=ancestor) == whole and copied_lines(unrecorded, ancestor) == 0
+
+    # the record's base is gone: its weak reference is dead
+    del ancestor, mine, theirs
+    gc.collect()
+    assert merged.graph._patch[0]() is None
+    assert serialize(merged, base=other) == whole and copied_lines(merged, other) == 0
+
+
+# -- the patched tables keep the base's order ----------------------------------------
+
+
+def test_a_patched_graph_places_appended_and_re_added_keys_in_order():
+    base = g(
+        "r",
+        [("r", "S"), ("a", "X"), ("b", "X"), ("c", "X"), ("d", "X")],
+        [("r", "a", D), ("r", "b", D), ("r", "c", D), ("a", "d", D), ("b", "d", I)],
+    )
+    nodes = dict(base._nodes)
+    del nodes["b"]
+    nodes["b"] = Node("b", "Y")  # removed, then added back: it lands at the end
+    nodes["a0"] = Node("a0", "X")
+    del nodes["d"]
+    edges = dict(base._edges)
+    for pair in (("a", "d"), ("b", "d"), ("r", "b")):
+        del edges[pair]
+    edges["r", "a0"] = D
+    edges["r", "b"] = I  # the same pair, another kind
+    edges["a0", "c"] = I
+    changed = [("a", "d"), ("b", "d"), ("r", "b"), ("r", "a0"), ("a0", "c")]
+    patched = LevelGraph._of("r", nodes, edges, {}, base, changed, ["b", "a0", "d"])
+    whole = LevelGraph(patched.root, patched.nodes(), patched.edges())
+    assert list(patched._nodes) == list(whole._nodes) == ["a", "a0", "b", "c", "r"]
+    assert list(patched._edges) == list(whole._edges)
+    assert (patched._out, patched._in) == (whole._out, whole._in)
+    assert patched._out["r"] == [("a", D), ("a0", D), ("b", I), ("c", D)]
+    assert "a" not in patched._out and base._out["a"] == [("d", D)]  # the base is untouched

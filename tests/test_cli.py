@@ -141,6 +141,41 @@ class TestMergeCommand:
         assert main(args + ["--output", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
 
+    def test_stdout_a_file_and_the_driver_write_the_same_spliced_bytes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from scenemerge import cli, levelfile, merge3
+        from scenemerge.levelfile import FORMAT_VERSION, LevelDocument, serialize
+        from scenemerge.sim import PRESETS, apply_script, generate
+
+        sc = generate(1, PRESETS["lab"])
+        graphs = (sc.base, apply_script(sc.base, sc.script_a), apply_script(sc.base, sc.script_b))
+        paths = [tmp_path / f"{role}.lvl" for role in ("base", "mine", "theirs")]
+        for path, graph in zip(paths, graphs):
+            path.write_text(serialize(LevelDocument(FORMAT_VERSION, graph)), newline="\n")
+        whole = serialize(LevelDocument(FORMAT_VERSION, merge3(*graphs).merged))
+        # each output is rendered against the ancestor the merged level was patched from
+        bases = []
+
+        def recording(doc, base=None):
+            bases.append(base is not None and doc.graph._patch[0]() is base.graph
+                         and base._sections is not None)
+            return serialize(doc, base=base)
+
+        monkeypatch.setattr(levelfile, "serialize", recording)
+        monkeypatch.setattr(cli, "serialize", recording)
+
+        args = ["merge", *map(str, paths)]
+        codes = [main([*args, "--output", "-"])]
+        printed = capsys.readouterr().out.encode("utf-8")
+        written = tmp_path / "merged.lvl"
+        codes.append(main([*args, "--output", str(written)]))
+        current = tmp_path / "current.lvl"
+        shutil.copy(paths[1], current)
+        codes.append(main(["merge-driver", str(paths[0]), str(current), str(paths[2])]))
+        assert printed == written.read_bytes() == current.read_bytes() == whole.encode("utf-8")
+        assert len(set(codes)) == 1 and bases == [True] * 3
+
     @pytest.mark.parametrize(
         "inputs, role",
         [
@@ -210,7 +245,7 @@ class TestFailedMerges:
         ancestor, current, other = self._driver_args(tmp_path)
         before = Path(current).read_bytes()
 
-        def broken(doc):
+        def broken(doc, base=None):
             raise RuntimeError("interrupted mid-write")
 
         monkeypatch.setattr(levelfile, "serialize", broken)
