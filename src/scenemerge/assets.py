@@ -32,13 +32,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .graph import SceneMergeError, _Record, _set
-from .merge import (
-    CONFLICT,
-    Branch,
-    DroppedEdit,
-    MergePolicy,
-    _merge_manifests,
-)
+from .merge import CONFLICT, Branch, DroppedEdit
 
 
 class BlobStoreError(SceneMergeError):
@@ -261,32 +255,3 @@ class ManifestMerger:
             )
         return da
 
-
-class ManifestMergeResult(_Record, frozen=False):
-    manifest: dict[str, str]
-    conflicts: list[AssetConflict]
-    dropped: list[DroppedEdit]
-    __slots__ = ("manifest", "conflicts", "dropped")
-
-
-def merge_manifests(
-    ancestor: Mapping[str, str],
-    mine: Mapping[str, str],
-    theirs: Mapping[str, str],
-    store: BlobStore,
-    policy: MergePolicy = MergePolicy(),
-    strategies: Mapping[str, CommandStrategy] | None = None,
-    validators: Mapping[str, Sequence[str]] | None = None,
-    type_map: Mapping[str, str] | None = None,
-) -> ManifestMergeResult:
-    """Three-way merge of asset manifests alone, through `merge3`'s manifest loop.
-
-    Unchanged or one-sided changes resolve at digest level without
-    touching blob content. True divergence goes to the tag's strategy,
-    if any; otherwise, and on a strategy conflict, it falls through to
-    the merge policy exactly like a property conflict. Candidates whose
-    type tag has a validator are gated before admission.
-    """
-    merger = ManifestMerger(store, strategies, validators, type_map)
-    conflicts, manifest, dropped = _merge_manifests(ancestor, mine, theirs, policy, merger)
-    return ManifestMergeResult(manifest, conflicts, dropped)

@@ -26,7 +26,7 @@ import os
 from pathlib import Path
 
 from .graph import SceneMergeError, _Record
-from .levelfile import ParseError, _split_line
+from .levelfile import ParseError, _read_text, _split_line
 from .merge import MergePolicy, PolicyKind
 
 ENV_VAR = "SCENEMERGE_CONFIG"
@@ -165,10 +165,8 @@ def load_config(explicit: str | None = None, start_dir: str | Path = ".") -> Cli
     if path is None:
         return CliConfig()
     try:
-        text = path.read_text(encoding="utf-8")
+        return parse_config(_read_text(path), path.parent)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        return parse_config(text, path.parent)
     except ParseError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

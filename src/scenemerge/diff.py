@@ -19,6 +19,7 @@ from .graph import (
     LevelGraph,
     PropertyValue,
     SceneMergeError,
+    _closure,
     _differences,
     _Record,
     _set,
@@ -239,18 +240,10 @@ def classify(
 
     # Propagate along Direct edges of the edited graph: a direct parent's
     # change is mirrored onto its whole direct subtree.
-    frontier = list(intrinsic_set)
-    seen = set(frontier)
-    while frontier:
-        current = frontier.pop()
-        for child, kind in version.children(current):
-            if kind is not DepKind.DIRECT or child in seen:
-                continue
-            seen.add(child)
-            frontier.append(child)
-            if classes.get(child) is ChangeClass.UNCHANGED:
-                classes[child] = ChangeClass.MODIFIED
-                deltas[child] = NodeDelta(intrinsic=False)
+    for node_id in _closure(intrinsic_set, version._out, DepKind.DIRECT):
+        if classes.get(node_id) is ChangeClass.UNCHANGED:
+            classes[node_id] = ChangeClass.MODIFIED
+            deltas[node_id] = NodeDelta(intrinsic=False)
 
     return DiffResult(
         ancestor=ancestor,

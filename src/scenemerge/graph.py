@@ -23,7 +23,7 @@ from contextlib import ContextDecorator
 from enum import Enum
 from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Container, Iterable, Iterator, Mapping
 
 
 class SceneMergeError(Exception):
@@ -251,6 +251,16 @@ def _patched_table(table: Mapping, changed: Collection) -> dict:
     return patched
 
 
+def _direct_parent(in_edges: Iterable[tuple[str, DepKind]]) -> str | None:
+    """The Direct parent in (parent, kind) in-edges, or None. The smallest id wins if there
+    are (illegally) several; determinism matters more than punishing an invalid input."""
+    best = None
+    for parent, kind in in_edges:
+        if kind is DepKind.DIRECT and (best is None or parent < best):
+            best = parent
+    return best
+
+
 class LevelGraph:
     """An immutable level graph plus its asset manifest.
 
@@ -385,14 +395,8 @@ class LevelGraph:
         return self._in.get(node_id, [])
 
     def direct_parent(self, node_id: str) -> str | None:
-        """The unique Direct parent, or None. Smallest id wins if the
-        graph (illegally) has several; determinism matters more here
-        than punishing an invalid input."""
-        best = None
-        for parent, kind in self._in.get(node_id, []):
-            if kind is DepKind.DIRECT and (best is None or parent < best):
-                best = parent
-        return best
+        """The unique Direct parent, or None (see `_direct_parent`)."""
+        return _direct_parent(self._in.get(node_id, ()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LevelGraph):
@@ -511,19 +515,49 @@ def _differences(graph: LevelGraph, base: LevelGraph) -> tuple[Collection[str], 
     return ids, pairs
 
 
+def _touched(
+    nodes: Container[str], base_nodes: Container[str], ids: Iterable[str], pairs: Iterable
+) -> set[str]:
+    """The nodes whose in-edges may differ from the base's, given the ids and
+    (parent, child) pairs that may differ: the added nodes and the present
+    children of the pairs (an in-edge lost to a deleted parent counts)."""
+    touched = {node_id for node_id in ids if node_id in nodes and node_id not in base_nodes}
+    touched.update(child for _, child in pairs if child in nodes)
+    return touched
+
+
+def _closure(
+    starts: Iterable[str],
+    out_edges: Mapping[str, Iterable[tuple[str, DepKind]]],
+    kind: DepKind | None = None,
+    seen: set[str] | None = None,
+) -> set[str]:
+    """``seen`` (a new set if None) grown by ``starts`` and every node they
+    reach along ``out_edges``' (child, kind) lists, over edges of ``kind``
+    only if one is given. A walk stops at a node already in ``seen``."""
+    seen = set() if seen is None else seen
+    frontier = [node_id for node_id in starts if node_id not in seen]
+    seen.update(frontier)
+    while frontier:
+        for child, edge_kind in out_edges.get(frontier.pop(), ()):
+            if child not in seen and (kind is None or edge_kind is kind):
+                seen.add(child)
+                frontier.append(child)
+    return seen
+
+
 def _is_valid_against(graph: LevelGraph, base: LevelGraph) -> bool:
     """Whether ``graph`` is valid, given that ``base`` is, from the differences only.
 
-    A node is touched when it was added or is the child of a changed pair
-    (an in-edge lost to a deleted parent counts). Every node outside the
-    forward closure of the touched nodes keeps the base's in-edges, and
-    so do all its ancestors, so it is reachable and on no cycle as in the
-    base. The closure is valid exactly when each of its nodes has at most
-    one Direct parent, every node with no parent inside the closure has
-    one outside it, and Kahn's walk takes the whole closure. Refs and
-    assets are checked on added and changed nodes, or on every node once
-    a node or asset id was removed. A changed root gives False whether or
-    not the graph is valid; the caller then checks the whole graph.
+    Every node outside the forward closure of the `_touched` nodes keeps
+    the base's in-edges, and so do all its ancestors, so it is reachable
+    and on no cycle as in the base. The closure is valid exactly when each
+    of its nodes has at most one Direct parent, every node with no parent
+    inside the closure has one outside it, and Kahn's walk takes the whole
+    closure. Refs and assets are checked on added and changed nodes, or on
+    every node once a node or asset id was removed. A changed root gives
+    False whether or not the graph is valid; the caller then checks the
+    whole graph.
     """
     nodes, edges, in_edges, out_edges = graph._nodes, graph._edges, graph._in, graph._out
     base_nodes = base._nodes
@@ -532,28 +566,13 @@ def _is_valid_against(graph: LevelGraph, base: LevelGraph) -> bool:
         return False
     ids, pairs = _differences(graph, base)
     # an edge on an unchanged pair is the base's, so it dangles only from a removed node
-    touched = set()
-    deleted = False
-    for node_id in ids:
-        if node_id not in nodes:
-            if node_id in in_edges or node_id in out_edges:
-                return False
-            deleted = deleted or node_id in base_nodes
-        elif node_id not in base_nodes:
-            touched.add(node_id)
-    for parent, child in pairs:
-        if (parent, child) in edges and (parent not in nodes or child not in nodes):
-            return False
-        if child in nodes:
-            touched.add(child)
+    gone = [node_id for node_id in ids if node_id not in nodes]
+    if any(node_id in in_edges or node_id in out_edges for node_id in gone):
+        return False
+    if any(pair in edges and not (pair[0] in nodes and pair[1] in nodes) for pair in pairs):
+        return False
 
-    closure = set(touched)
-    frontier = list(touched)
-    while frontier:
-        for child, _ in out_edges.get(frontier.pop(), ()):
-            if child not in closure:
-                closure.add(child)
-                frontier.append(child)
+    closure = _closure(_touched(nodes, base_nodes, ids, pairs), out_edges)
     pending: dict[str, int] = {}
     ready = []
     for node_id in closure:
@@ -574,7 +593,7 @@ def _is_valid_against(graph: LevelGraph, base: LevelGraph) -> bool:
     if _kahn_taken(ready, pending, out_edges) != len(closure):
         return False
 
-    if deleted or not base.assets.keys() <= graph.assets.keys():
+    if not base.assets.keys() <= graph.assets.keys() or any(n in base_nodes for n in gone):
         checked = nodes.values()
     else:
         checked = [nodes[node_id] for node_id in ids if node_id in nodes]
@@ -623,9 +642,11 @@ def _full_report(graph: LevelGraph) -> ValidationReport:
             Violation("missing-root", f"root node {graph.root!r} is not in the graph", (graph.root,))
         )
 
+    absent: set[str] = set()  # the missing ends of dangling edges
     for edge in graph.edges():
         missing = [e for e in (edge.parent, edge.child) if not graph.has_node(e)]
         if missing:
+            absent.update(missing)
             violations.append(
                 Violation(
                     "dangling-edge",
@@ -651,7 +672,8 @@ def _full_report(graph: LevelGraph) -> ValidationReport:
             )
 
     if graph.has_node(graph.root):
-        reached = reachable_from(graph, graph.root)
+        # the walk stops at a missing node, as if its edges were not there
+        reached = _closure([graph.root], graph._out, seen=absent)
         for node_id in graph.node_ids():
             if node_id not in reached:
                 violations.append(
@@ -711,31 +733,15 @@ def _full_report(graph: LevelGraph) -> ValidationReport:
 
 
 def direct_subtree(graph: LevelGraph, node_id: str) -> set[str]:
-    """All nodes reachable from ``node_id`` via Direct edges, including itself."""
+    """All nodes reachable from ``node_id`` via Direct edges, including itself,
+    without passing through an id missing from the graph (a dangling edge's end)."""
     if not graph.has_node(node_id):
         raise UnknownNodeError(node_id)
-    seen = {node_id}
-    frontier = [node_id]
-    while frontier:
-        current = frontier.pop()
-        for child, kind in graph.children(current):
-            if kind is DepKind.DIRECT and child not in seen and graph.has_node(child):
-                seen.add(child)
-                frontier.append(child)
-    return seen
-
-
-def reachable_from(graph: LevelGraph, node_id: str) -> set[str]:
-    """All nodes reachable from ``node_id`` over edges of either kind."""
-    seen = {node_id}
-    frontier = [node_id]
-    while frontier:
-        current = frontier.pop()
-        for child, _ in graph.children(current):
-            if child not in seen and graph.has_node(child):
-                seen.add(child)
-                frontier.append(child)
-    return seen
+    subtree = _closure([node_id], graph._out, DepKind.DIRECT)
+    missing = subtree.difference(graph._nodes)  # costs the subtree, not the level
+    if missing:  # walk again, stopping at the missing nodes
+        subtree = _closure([node_id], graph._out, DepKind.DIRECT, seen=set(missing)) - missing
+    return subtree
 
 
 def strongly_connected_components(

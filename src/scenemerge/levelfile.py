@@ -650,12 +650,25 @@ def serialize(doc: LevelDocument, base: LevelDocument | None = None) -> str:
     return "\n".join(lines)
 
 
+def _read_text(path) -> str:
+    """The file at ``path`` as UTF-8 text with universal newlines.
+
+    A byte that is not UTF-8 raises `ParseError` at its line and column.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        # a whole-file read decodes every byte in one call, so the offset is the file's
+        head = exc.object[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line, column = head.count("\n") + 1, len(head) - head.rfind("\n")
+        raise ParseError(f"byte 0x{exc.object[exc.start]:02x} is not UTF-8", line, column) from None
+
+
 def read_document(path, base: LevelDocument | None = None) -> LevelDocument:
     """Parse the file at ``path`` (against ``base``, as `parse` does); errors name the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        return parse(text, base=base)
+        return parse(_read_text(path), base=base)
     except ParseError as exc:
         raise ParseError(exc.reason, exc.line, exc.column, path) from None
 

@@ -43,7 +43,10 @@ from .graph import (
     PropertyValue,
     SceneMergeError,
     _gc_paused,
+    _closure,
+    _direct_parent,
     _Record,
+    _touched,
     direct_subtree,
     strongly_connected_components,
     validate,
@@ -272,16 +275,13 @@ class _State:
     ancestor's list until the node's adjacency is first written, then a
     live view of the state's own dict in ``owned``. ``ids`` records every
     node added, removed or replaced and ``pairs`` every (parent, child)
-    pair set or removed, so `to_graph` patches the ancestor with them.
-
-    ``touched`` holds every node whose in-edges may differ from the
-    ancestor's: the child of each edge set or removed, and each added
-    node. Structural repair reads it to stay within the edited region.
+    pair set or removed, so `to_graph` patches the ancestor with them, and
+    structural repair finds the edited region from them.
     """
 
     __slots__ = (
         "base", "root", "nodes", "edges", "out_", "in_", "owned", "assets",
-        "relinks", "owners", "touched", "ids", "pairs",
+        "relinks", "owners", "ids", "pairs",
     )
 
     def __init__(self, ancestor: LevelGraph) -> None:
@@ -295,7 +295,6 @@ class _State:
         self.assets: dict[str, str] = dict(ancestor.assets)
         self.relinks: set[tuple[str, str]] = set()
         self.owners: dict[tuple[str, str], Branch] = {}
-        self.touched: set[str] = set()
         self.ids: set[str] = set()
         self.pairs: set[tuple[str, str]] = set()
 
@@ -324,7 +323,6 @@ class _State:
     def add_nodes(self, nodes: Mapping[str, Node]) -> None:
         self.nodes.update(nodes)
         self.ids.update(nodes)
-        self.touched.update(nodes)
 
     def set_edge(
         self,
@@ -338,7 +336,6 @@ class _State:
         self._own(0, parent)[child] = kind
         self._own(1, child)[parent] = kind
         self.pairs.add((parent, child))
-        self.touched.add(child)
         if owner is not None:
             self.owners[(parent, child)] = owner
         if relink:
@@ -349,7 +346,6 @@ class _State:
             del self._own(0, parent)[child]
             del self._own(1, child)[parent]
         self.pairs.add((parent, child))
-        self.touched.add(child)
         self.relinks.discard((parent, child))
         self.owners.pop((parent, child), None)
 
@@ -365,11 +361,7 @@ class _State:
             owned.pop(node_id, None)
 
     def direct_parent(self, node_id: str) -> str | None:
-        best = None
-        for parent, kind in self.in_.get(node_id, ()):
-            if kind is DepKind.DIRECT and (best is None or parent < best):
-                best = parent
-        return best
+        return _direct_parent(self.in_.get(node_id, ()))
 
     def reaches_root(self, node_id: str, via: Container[str] = ()) -> bool:
         """Whether a path of current edges leads to the node from the root
@@ -391,30 +383,14 @@ class _State:
         return False
 
     def edited_region(self) -> set[str]:
-        """Forward closure of the touched nodes still in the graph.
+        """Forward closure of the nodes whose in-edges may differ from the ancestor's.
 
         Every cycle runs through an edge the merge set, since the ancestor
         is acyclic, so it lies inside. A node outside it has the ancestor's
         in-edges, from parents outside it too, so by induction along the
         ancestor's paths it still reaches the root.
         """
-        region: set[str] = set()
-        for node_id in self.touched:
-            if node_id in self.nodes:
-                self.grow_reachable(region, node_id)
-        return region
-
-    def grow_reachable(self, reached: set[str], start: str) -> None:
-        if start in reached:
-            return
-        reached.add(start)
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
-            for child, _ in self.out_.get(current, ()):
-                if child not in reached and child in self.nodes:
-                    reached.add(child)
-                    frontier.append(child)
+        return _closure(_touched(self.nodes, self.base._nodes, self.ids, self.pairs), self.out_)
 
 
 # -- phase 2: additions -------------------------------------------------------
@@ -984,15 +960,18 @@ def _reconnect_orphans(state: _State) -> None:
     region = state.edited_region()
     # every node outside the region reaches the root, and so does a
     # region node with a parent outside it
-    reached: set[str] = set()
-    for node_id in region:
-        if node_id == state.root or any(p not in region for p, _ in state.in_.get(node_id, ())):
-            state.grow_reachable(reached, node_id)
+    reached = _closure(
+        [
+            node_id
+            for node_id in region
+            if node_id == state.root or any(p not in region for p, _ in state.in_.get(node_id, ()))
+        ],
+        state.out_,
+    )
     for node_id in sorted(region):
-        if node_id in reached or node_id == state.root:
-            continue
-        state.set_edge(state.root, node_id, DepKind.INDIRECT)
-        state.grow_reachable(reached, node_id)
+        if node_id not in reached:
+            state.set_edge(state.root, node_id, DepKind.INDIRECT)
+            _closure([node_id], state.out_, seen=reached)
 
 
 def _repair_manifest_refs(

@@ -31,6 +31,18 @@ def g(root: str, nodes, edges=(), assets=None) -> LevelGraph:
     return LevelGraph(root, built, [Edge(p, c, k) for p, c, k in edges], assets)
 
 
+def merge3_manifests(ancestor, mine, theirs, store, policy, strategies=None, validators=None):
+    """`merge3` on one-node levels that carry the three manifests, with an
+    `assets.ManifestMerger` over ``store``: the merged manifest, the
+    conflicts and the dropped edits."""
+    from scenemerge import merge3
+    from scenemerge.assets import ManifestMerger
+
+    levels = [g("r", [("r", "Scene")], assets=m) for m in (ancestor, mine, theirs)]
+    out = merge3(*levels, policy, ManifestMerger(store, strategies, validators))
+    return out.merged.assets, out.conflicts, out.dropped
+
+
 @pytest.fixture
 def chain3() -> LevelGraph:
     """root -> a -> b, all Direct."""

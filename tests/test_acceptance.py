@@ -48,8 +48,8 @@ from scenemerge.sim import (
     check_scenario,
     generate,
 )
-from conftest import fixture_path, fixture_text
-from oracle import expected_conflicts, sweep_ops
+from conftest import fixture_path, fixture_text, merge3_manifests
+from oracle import _descendants, expected_conflicts, sweep_ops
 from test_format import documents
 
 MANUAL = MergePolicy(PolicyKind.MANUAL)
@@ -180,13 +180,11 @@ def _engineered_cycle_scenario(seed: int):
     node_count = rng.randint(6, 12)
     base = generate(seed, SizeParams(nodes=node_count, edges=node_count - 1)).base
 
-    from scenemerge.graph import reachable_from
-
     ids = [n for n in base.node_ids() if n != base.root]
     pairs = []
     for u in ids:
         for v in ids:
-            if u < v and v not in reachable_from(base, u) and u not in reachable_from(base, v):
+            if u < v and v not in _descendants(base, u) and u not in _descendants(base, v):
                 pairs.append((u, v))
     if not pairs:
         return None
@@ -200,10 +198,10 @@ def _engineered_cycle_scenario(seed: int):
         script_b = (Reparent(v, u),)
     else:
         bridge = next((w for w in ids if w not in (u, v)
-                       and w not in reachable_from(base, v)
-                       and u not in reachable_from(base, w)
-                       and v not in reachable_from(base, w)
-                       and w not in reachable_from(base, u)), None)
+                       and w not in _descendants(base, v)
+                       and u not in _descendants(base, w)
+                       and v not in _descendants(base, w)
+                       and w not in _descendants(base, u)), None)
         if bridge is None:
             script_a = (AddIndirectEdge(u, v),)
             script_b = (AddIndirectEdge(v, u),)
@@ -255,9 +253,9 @@ def test_criterion_5_cycle_repair_suite():
                 [Edge(p, c, k) for (p, c), k in edges.items()],
             )
 
-            from scenemerge.graph import reachable_from, strongly_connected_components
+            from scenemerge.graph import strongly_connected_components
 
-            assert edge.parent in reachable_from(graph_at_step, edge.child), (
+            assert edge.parent in _descendants(graph_at_step, edge.child), (
                 "removed edge was not on a cycle"
             )
             if edge.kind is DepKind.DIRECT:
@@ -478,7 +476,7 @@ def test_criterion_8_report_line():
 
 
 def test_criterion_9_code_asset_gate(tmp_path):
-    from scenemerge.assets import BlobStore, merge_manifests
+    from scenemerge.assets import BlobStore
 
     store = BlobStore(tmp_path / "blobs")
     good = store.put(b"health = 100\n")
@@ -486,18 +484,18 @@ def test_criterion_9_code_asset_gate(tmp_path):
     fixed = store.put(b"health = 250\n")
     validators = {"py": [sys.executable, "-m", "py_compile"]}
 
-    rejected = merge_manifests(
+    manifest, _, dropped = merge3_manifests(
         {"ai.py": good}, {"ai.py": broken}, {"ai.py": good},
         store, PREFER_A, validators=validators,
     )
-    assert rejected.manifest["ai.py"] == good  # failing blob never admitted
-    assert broken not in rejected.manifest.values()
-    assert any("rejected by validator" in d.description for d in rejected.dropped)
+    assert manifest["ai.py"] == good  # failing blob never admitted
+    assert broken not in manifest.values()
+    assert any("rejected by validator" in d.description for d in dropped)
 
-    admitted = merge_manifests(
+    manifest, _, dropped = merge3_manifests(
         {"ai.py": good}, {"ai.py": fixed}, {"ai.py": good},
         store, PREFER_A, validators=validators,
     )
-    assert admitted.manifest["ai.py"] == fixed
-    assert not admitted.dropped
+    assert manifest["ai.py"] == fixed
+    assert not dropped
     report_pass("9", "failing validator blocks the blob; passing validator admits it")

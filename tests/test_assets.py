@@ -14,11 +14,11 @@ from scenemerge.assets import (
     StrategyError,
     ValidatorConfigError,
     digest_of,
-    merge_manifests,
     type_tag_for,
     validate_code_asset,
 )
 from scenemerge.merge import CONFLICT, Branch, MergePolicy, PolicyKind, Resolution, merge_cell
+from conftest import merge3_manifests
 
 MANUAL = MergePolicy(PolicyKind.MANUAL)
 PREFER_B = MergePolicy(PolicyKind.PREFER_B)
@@ -167,22 +167,26 @@ class TestMergeManifests:
         store = BlobStore(tmp_path)
         d1 = store.put(b"v1")
         manifest = {"a.bin": d1}
-        result = merge_manifests(manifest, manifest, manifest, store, MANUAL)
-        assert result.manifest == manifest
-        assert not result.conflicts and not result.dropped
+        merged, conflicts, dropped = merge3_manifests(manifest, manifest, manifest, store, MANUAL)
+        assert merged == manifest
+        assert not conflicts and not dropped
 
     def test_one_sided_change_taken_without_store_reads(self, tmp_path):
         store = BlobStore(tmp_path / "empty")  # digests unresolvable on purpose
-        result = merge_manifests({"t.png": "1"}, {"t.png": "2"}, {"t.png": "1"}, store, MANUAL)
-        assert result.manifest == {"t.png": "2"}
+        merged, _, _ = merge3_manifests(
+            {"t.png": "1"}, {"t.png": "2"}, {"t.png": "1"}, store, MANUAL
+        )
+        assert merged == {"t.png": "2"}
 
     def test_divergence_without_strategy_falls_to_policy(self, tmp_path):
         store = BlobStore(tmp_path)
         d1, d2, d3 = self.manifests(store)
-        result = merge_manifests({"c.py": d1}, {"c.py": d2}, {"c.py": d3}, store, PREFER_B)
-        assert result.manifest == {"c.py": d3}
-        assert result.conflicts[0].resolution is Resolution.TOOK_B
-        assert result.dropped[0].branch is Branch.A
+        merged, conflicts, dropped = merge3_manifests(
+            {"c.py": d1}, {"c.py": d2}, {"c.py": d3}, store, PREFER_B
+        )
+        assert merged == {"c.py": d3}
+        assert conflicts[0].resolution is Resolution.TOOK_B
+        assert dropped[0].branch is Branch.A
 
     def test_registered_strategy_merges_content(self, tmp_path):
         store = BlobStore(tmp_path / "store")
@@ -196,7 +200,7 @@ class TestMergeManifests:
             "data = b''.join(open(p, 'rb').read() for p in paths[:3] if p != '-')\n"
             "open(paths[3], 'wb').write(data)\n",
         )
-        result = merge_manifests(
+        merged, conflicts, _ = merge3_manifests(
             {"m.obj": d1},
             {"m.obj": d2},
             {"m.obj": d3},
@@ -204,15 +208,14 @@ class TestMergeManifests:
             MANUAL,
             strategies={"obj": CommandStrategy([PY, script])},
         )
-        merged_digest = result.manifest["m.obj"]
-        assert store.get(merged_digest) == b"1\n2\n3\n"
-        assert not result.conflicts
+        assert store.get(merged["m.obj"]) == b"1\n2\n3\n"
+        assert not conflicts
 
     def test_failing_validator_never_admits_blob(self, tmp_path):
         store = BlobStore(tmp_path)
         good = store.put(b"x = 1\n")
         bad = store.put(b"def f(:\n")
-        result = merge_manifests(
+        merged, _, dropped = merge3_manifests(
             {"ai.py": good},
             {"ai.py": bad},
             {"ai.py": good},
@@ -220,14 +223,14 @@ class TestMergeManifests:
             PREFER_B,
             validators={"py": [PY, "-m", "py_compile"]},
         )
-        assert result.manifest["ai.py"] == good  # ancestor kept
-        assert any("rejected by validator" in d.description for d in result.dropped)
+        assert merged["ai.py"] == good  # ancestor kept
+        assert any("rejected by validator" in d.description for d in dropped)
 
     def test_passing_validator_admits_blob(self, tmp_path):
         store = BlobStore(tmp_path)
         good = store.put(b"x = 1\n")
         better = store.put(b"x = 2\n")
-        result = merge_manifests(
+        merged, _, dropped = merge3_manifests(
             {"ai.py": good},
             {"ai.py": better},
             {"ai.py": good},
@@ -235,5 +238,5 @@ class TestMergeManifests:
             MANUAL,
             validators={"py": [PY, "-m", "py_compile"]},
         )
-        assert result.manifest["ai.py"] == better
-        assert not result.dropped
+        assert merged["ai.py"] == better
+        assert not dropped

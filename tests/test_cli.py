@@ -41,6 +41,15 @@ class TestValidateCommand:
         assert main(["validate", str(bad)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.lvl"
+        bad.write_bytes(b"lvl 1\r\nroot a\nnode a \xc3\xa9\xff\n")
+        assert main(["validate", str(bad)]) == 2
+        # the column counts characters, as every other parse error's does
+        assert capsys.readouterr().err == (
+            f"scenemerge: {bad}: line 3, column 9: byte 0xff is not UTF-8\n"
+        )
+
 
 class TestDiffCommand:
     def test_identical_files_exit_zero(self, capsys):
@@ -230,6 +239,26 @@ class TestMergeDriverCommand:
         current = copy_fixture("fig4-mine.lvl", tmp_path)
         other = copy_fixture("fig4-theirs.lvl", tmp_path)
         assert main(["merge-driver", "/no/such/base.lvl", current, other]) == 2
+
+    def test_other_file_that_is_not_utf8_exits_two_and_leaves_current(self, tmp_path):
+        import scenemerge
+
+        ancestor = tmp_path / "ok.lvl"
+        ancestor.write_text("lvl 1\nroot a\nnode a Scene\n")
+        current = tmp_path / "current.lvl"
+        current.write_bytes(ancestor.read_bytes())
+        other = tmp_path / "bad.lvl"
+        other.write_bytes(b"lvl 1\nroot a\nnode a \xff\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(scenemerge.__file__).resolve().parents[1])}
+        env.pop("SCENEMERGE_CONFIG", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "scenemerge.cli", "merge-driver", str(ancestor),
+             str(current), str(other)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2  # an input error, not "conflicts remain"
+        assert done.stderr == f"scenemerge: {other}: line 3, column 8: byte 0xff is not UTF-8\n"
+        assert current.read_bytes() == ancestor.read_bytes()
 
 
 FIG3 = ["fig3-base.lvl", "fig3-mine.lvl", "fig3-theirs.lvl"]
@@ -450,6 +479,13 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_config("frobnicate yes\n", tmp_path)
+
+    def test_file_that_is_not_utf8_is_a_config_error(self, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(b"policy prefer-a\nuser \xfe\n")
+        with pytest.raises(ConfigError) as caught:
+            load_config(str(conf))
+        assert str(caught.value) == f"{conf}: line 2, column 6: byte 0xfe is not UTF-8"
 
     def test_env_var_override(self, tmp_path, monkeypatch):
         conf = tmp_path / "alt.conf"

@@ -59,6 +59,16 @@ class TestValidate:
         graph = LevelGraph("root", [Node("root", "Scene")], [Edge("root", "ghost", D)])
         assert "dangling-edge" in codes(validate(graph))
 
+    def test_a_missing_node_passes_no_reachability_on(self):
+        # "ghost" is missing, so "c" below it is unreachable
+        graph = g(
+            "root",
+            [("root", "Scene"), ("c", "X")],
+            [("root", "ghost", D), ("ghost", "c", D)],
+        )
+        unreachable = [v.subjects for v in validate(graph).violations if v.code == "unreachable"]
+        assert unreachable == [("c",)]
+
     def test_bad_node_reference(self):
         graph = g(
             "root",
@@ -115,6 +125,14 @@ class TestDirectSubtree:
 
     def test_all_direct_graph_spans_everything(self, chain3):
         assert direct_subtree(chain3, "root") == set(chain3.node_ids())
+
+    def test_walk_stops_at_a_missing_node(self):
+        graph = g(
+            "root",
+            [("root", "S"), ("n", "X"), ("c", "X")],
+            [("root", "n", D), ("n", "ghost", D), ("ghost", "c", D), ("root", "c", I)],
+        )
+        assert direct_subtree(graph, "n") == {"n"}
 
     def test_unknown_node(self, chain3):
         with pytest.raises(UnknownNodeError):

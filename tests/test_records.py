@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from scenemerge.assets import AssetBlob, ManifestMergeResult, ValidationResult
+from scenemerge.assets import AssetBlob, ValidationResult
 from scenemerge.config import CliConfig
 from scenemerge.diff import DiffResult, DiffStats, NodeDelta
 from scenemerge.graph import (
@@ -154,9 +154,6 @@ CASES = [
           f"AssetBlob(id='a.py', type_tag='py', content=b'x', digest={_DIGEST!r})", True, True),
     _case(ValidationResult, dict(passed=True), dict(message=""), dict(passed=False),
           "ValidationResult(passed=True, message='')", True, True),
-    _case(ManifestMergeResult, dict(manifest={}, conflicts=[], dropped=[]), {},
-          dict(manifest={"a.py": "1"}, conflicts=[], dropped=[]),
-          "ManifestMergeResult(manifest={}, conflicts=[], dropped=[])", False, False),
 ]
 
 

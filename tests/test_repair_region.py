@@ -212,7 +212,7 @@ def _clone(state: _State) -> _State:
             table[node_id] = owned_copy[node_id].items()
     copy.relinks = set(state.relinks)
     copy.owners = dict(state.owners)
-    copy.touched = set(state.touched)
+    copy.ids, copy.pairs = set(state.ids), set(state.pairs)
     return copy
 
 
@@ -285,8 +285,12 @@ def test_edited_region_is_the_forward_closure_of_touched_nodes():
         ancestor = _random_level(rng)
         doomed = rng.choice([n for n in ancestor.node_ids() if n != ancestor.root])
         state = _random_state(rng, ancestor, doomed)
+        # the seeds: the children of the pairs set or removed, and the
+        # nodes not in the ancestor, kept to present nodes
+        seeds = {child for _, child in state.pairs}
+        seeds |= set(state.nodes) - set(ancestor.node_ids())
         expected: set[str] = set()
-        for node_id in state.touched & set(state.nodes):
+        for node_id in seeds & set(state.nodes):
             _grow(state, expected, node_id)
         region = state.edited_region()
         assert region == expected, seed
