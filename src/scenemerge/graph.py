@@ -7,7 +7,9 @@ parent changes onto the child (a container and its components); an
 assets it instantiates). One designated root must reach every node.
 
 Graphs are immutable after construction and safe to share across
-threads. The constructor is deliberately permissive: cyclic or
+threads; what a graph or node builds on first use (a read node's
+properties, `_holders`, a `_differences` record) two threads build
+equal. The constructor is deliberately permissive: cyclic or
 disconnected graphs can be represented so that intermediate merge
 states round-trip. `validate` reports every invariant violation as
 data rather than raising.
@@ -197,16 +199,20 @@ class PropertyValue(_Record):
         return PropertyValue("asset", asset_id)
 
 
-class Node(_Record):
+class Node(_Record, uncompared=("_read",)):
     """A level entity: unique id, free-form kind label, scalar properties.
 
     The id is the identity used by diffing; it must stay stable across
     versions of the same logical entity. The kind label is immutable
     across versions (a kind change has no 3-way meaning and is rejected
     when the versions meet). ``properties`` defaults to a new empty dict.
+
+    A node read from a canonical level text (`levelfile.parse`) builds
+    its properties from its own lines when they are first read; it is
+    equal to, and shows as, the node built with them.
     """
 
-    __slots__ = ("id", "kind", "properties")
+    __slots__ = ("id", "kind", "properties", "_read")
 
     def __init__(self, id: str, kind: str, properties: Mapping[str, PropertyValue] | None = None):
         if not id:
@@ -216,6 +222,15 @@ class Node(_Record):
         _set(self, "id", id)
         _set(self, "kind", kind)
         _set(self, "properties", {} if properties is None else properties)
+
+    def __getattr__(self, name: str):
+        # only a lazily read node lacks a field: its properties, built once
+        # by the reader it holds as ``_read`` (two threads build equal dicts)
+        if name != "properties":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        properties = self._read(self.id)
+        _set(self, "properties", properties)
+        return properties
 
 
 class Edge(_Record):
@@ -270,7 +285,9 @@ class LevelGraph:
     construction order.
     """
 
-    __slots__ = ("root", "_nodes", "_edges", "_out", "_in", "assets", "_patch", "__weakref__")
+    __slots__ = (
+        "root", "_nodes", "_edges", "_out", "_in", "assets", "_patch", "_holders", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -331,6 +348,7 @@ class LevelGraph:
         self._patch = None if base is None else (
             weakref.ref(base), frozenset(changed_ids), frozenset(changed)
         )
+        self._holders = None  # see `_holders`
         self._out: dict[str, list[tuple[str, DepKind]]] = {} if base is None else dict(base._out)
         self._in: dict[str, list[tuple[str, DepKind]]] = {} if base is None else dict(base._in)
         if base is None:
@@ -491,8 +509,30 @@ def _is_valid(graph: LevelGraph) -> bool:
         if direct > 1:
             return False
         pending[child] = len(parents)
-    taken = _kahn_taken([graph.root], pending, out_edges)
-    return taken == len(nodes) and _refs_resolve(nodes.values(), nodes, graph.assets)
+    if _kahn_taken([graph.root], pending, out_edges) != len(nodes):
+        return False
+    refs, assets = _holders(graph)
+    return all(map(nodes.__contains__, refs)) and all(map(graph.assets.__contains__, assets))
+
+
+def _holders(graph: LevelGraph) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Each node id that a ref property names, and each asset id that an
+    asset property names, mapped to the ids of the nodes that hold it.
+
+    Built by the first whole check of the graph, from every property, and
+    kept; a canonical read fills it from its ref and asset lines instead.
+    """
+    if graph._holders is None:
+        refs: dict[str, list[str]] = {}
+        assets: dict[str, list[str]] = {}
+        for node_id, node in graph._nodes.items():
+            for value in node.properties.values():
+                if value.kind == "ref":
+                    refs.setdefault(value.value, []).append(node_id)
+                elif value.kind == "asset":
+                    assets.setdefault(value.value, []).append(node_id)
+        graph._holders = (refs, assets)
+    return graph._holders
 
 
 def _differences(graph: LevelGraph, base: LevelGraph) -> tuple[Collection[str], Collection]:
@@ -501,7 +541,8 @@ def _differences(graph: LevelGraph, base: LevelGraph) -> tuple[Collection[str], 
     Every id whose presence or `Node` object differs is among the ids, and
     every pair whose presence or kind differs among the pairs; either may
     hold more. A graph the patch builder made from ``base`` itself answers
-    from its record; any other graph is compared with ``base`` whole.
+    from its record. A graph with no record is compared with ``base``
+    whole once, and keeps the result as its record.
     """
     patch = graph._patch
     if patch is not None and patch[0]() is base:
@@ -512,6 +553,8 @@ def _differences(graph: LevelGraph, base: LevelGraph) -> tuple[Collection[str], 
     edges, base_edges = graph._edges, base._edges
     pairs = {pair for pair, kind in edges.items() if base_edges.get(pair) is not kind}
     pairs.update(base_edges.keys() - edges.keys())
+    if patch is None:
+        graph._patch = (weakref.ref(base), frozenset(ids), frozenset(pairs))
     return ids, pairs
 
 
@@ -554,8 +597,10 @@ def _is_valid_against(graph: LevelGraph, base: LevelGraph) -> bool:
     and on no cycle as in the base. The closure is valid exactly when each
     of its nodes has at most one Direct parent, every node with no parent
     inside the closure has one outside it, and Kahn's walk takes the whole
-    closure. Refs and assets are checked on added and changed nodes, or on
-    every node once a node or asset id was removed. A changed root gives
+    closure. Refs and assets are checked on added and changed nodes; an
+    unchanged node holds the base's, which resolve unless their node or
+    asset id was removed, so of the unchanged nodes only those that
+    `_holders` names for a removed id are looked at. A changed root gives
     False whether or not the graph is valid; the caller then checks the
     whole graph.
     """
@@ -593,11 +638,13 @@ def _is_valid_against(graph: LevelGraph, base: LevelGraph) -> bool:
     if _kahn_taken(ready, pending, out_edges) != len(closure):
         return False
 
-    if not base.assets.keys() <= graph.assets.keys() or any(n in base_nodes for n in gone):
-        checked = nodes.values()
-    else:
-        checked = [nodes[node_id] for node_id in ids if node_id in nodes]
-    return _refs_resolve(checked, nodes, graph.assets)
+    removed = ([n for n in gone if n in base_nodes], base.assets.keys() - graph.assets.keys())
+    if any(removed):
+        for targets, holders in zip(removed, _holders(base)):
+            for target in targets:
+                if any(h in nodes and h not in ids for h in holders.get(target, ())):
+                    return False  # an unchanged node's ref or asset dangles
+    return _refs_resolve([nodes[n] for n in ids if n in nodes], nodes, graph.assets)
 
 
 def _kahn_taken(

@@ -25,12 +25,19 @@ omega`` is written bare, ``text "desk lamp"`` and the empty ``text ""``
 quoted.
 
 A merge parses three versions of one level that share almost every
-line. ``parse(text, base=ancestor)`` reads a version against such a
-base: only the lines that are not in both texts are tokenized, the
-base's tables are patched with them, and every node whose lines are all
-shared is the base's own `Node`. The result equals ``parse(text)``;
-where that cannot be shown, the text is parsed whole, so errors are
-the same with or without a base.
+line, and reads few of their properties. A canonical read checks every
+line and literal but builds no property: a `Node` builds its properties
+from its own prop lines when they are first read (two threads that
+read them at once build equal dicts), and the graph's index of the
+nodes holding each ref and asset target is filled from those lines.
+``parse(text, base=ancestor)`` reads a version against such a read:
+the two line lists, each in section order, are walked together as a
+merge of sorted lists that skips equal runs a block at a time, only the
+lines that are not in both texts are tokenized, the base's tables are
+patched with them, and every node whose lines are all shared is the
+base's own `Node`. The result equals ``parse(text)``; a text out of
+that order, or whose patch cannot be shown equal, is parsed whole, so
+errors are the same with or without a base.
 
 The merged level is such a patch, and ``serialize(merged, base=ancestor)``
 writes it as the ancestor's text with only the patched lines rendered.
@@ -41,13 +48,16 @@ Merge reports (``.lvlreport``) use the same tokenizer; see
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import stat
 from bisect import bisect_left, bisect_right
+from collections import deque
 from contextlib import contextmanager, suppress
-from operator import itemgetter
-from typing import Iterator, TextIO
+from itertools import compress, count, repeat
+from operator import and_, eq, is_, itemgetter, ne
+from typing import Iterable, Iterator, TextIO
 
 from .graph import (
     DepKind,
@@ -55,6 +65,7 @@ from .graph import (
     Node,
     PropertyValue,
     SceneMergeError,
+    _VALUE_KINDS,
     _gc_paused,
     _Record,
     _set,
@@ -85,15 +96,15 @@ class ParseError(SceneMergeError):
         self.reason = message
 
 
-class LevelDocument(_Record, uncompared=("source", "_split", "_sections", "_lines")):
+class LevelDocument(_Record, uncompared=("source", "_split", "_sections")):
     """A parsed level file: format version plus the graph (and manifest).
 
-    ``source`` is the text `parse` read, kept so that the document can be
-    the ``base`` of a later parse; a canonical read keeps its lines and
-    their keys too, for `serialize` to copy into a level patched from it.
+    ``source`` is the text `parse` read. A canonical read keeps its lines
+    and their keys too: a later parse walks its lines against them, and
+    `serialize` copies them into a level patched from it.
     """
 
-    __slots__ = ("format_version", "graph", "source", "_split", "_sections", "_lines")
+    __slots__ = ("format_version", "graph", "source", "_split", "_sections")
 
     def __init__(self, format_version: int, graph: LevelGraph, source: str | None = None):
         _set(self, "format_version", format_version)
@@ -101,16 +112,6 @@ class LevelDocument(_Record, uncompared=("source", "_split", "_sections", "_line
         _set(self, "source", source)
         _set(self, "_split", None)  # a canonical read's lines
         _set(self, "_sections", None)  # and the keys of its node, prop and edge lines
-        _set(self, "_lines", None)  # the line set, or False if a line repeats; None until read
-
-    @property
-    def _line_set(self) -> frozenset[str] | None:
-        """The set of the source's lines; None if one repeats, as then it cannot be a base."""
-        if self._lines is None and self.source is not None:
-            lines = self.source.split("\n") if self._split is None else self._split
-            unique = frozenset(lines)
-            _set(self, "_lines", unique if len(unique) == len(lines) else False)
-        return self._lines or None
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -439,6 +440,12 @@ def _read_canonical(text: str) -> LevelDocument | None:
     lines, each section in key order (as the space sorts first, its lines
     sorted, its keys distinct), bare tokens between single spaces, a final
     newline, and each literal spelled as `format_value` spells it.
+
+    Every line and literal is checked here, but no property is built: a
+    `Node` builds its properties from its own run of prop lines when they
+    are first read, one `PropertyValue` per distinct literal, and the
+    graph's ref and asset index (`graph._holders`) is filled from the ref
+    and asset lines alone.
     """
     lines = text.split("\n")
     end = len(lines) - 1  # the empty string after the final newline
@@ -457,71 +464,158 @@ def _read_canonical(text: str) -> LevelDocument | None:
             return None
         start = stop
     root, node_rows, prop_rows, edge_rows, asset_rows = rows
+    prop_lines = lines[bounds[2] : bounds[3]]
 
-    # the level holds one string per id, kind and key, and one value per distinct literal
+    # the level holds one string per id and kind
     kinds = dict(node_rows)
     ids = list(kinds)
     declared, words = dict(zip(ids, ids)), {}
-    values = dict.fromkeys(map(_third, prop_rows))
+    keys, literals = list(map(_second, prop_rows)), list(map(_third, prop_rows))
     try:
         [root] = map(declared.__getitem__, root)  # the one root line names a node
         owners = list(map(declared.__getitem__, map(_first, prop_rows)))
         parents = list(map(declared.__getitem__, map(_first, edge_rows)))
         children = list(map(declared.__getitem__, map(_second, edge_rows)))
-        for value in values:
-            values[value] = _parse_value(value.split(" "), 0, value, 0)
-    except (KeyError, ValueError, ParseError):
+    except (KeyError, ValueError):
         return None
-    if any(format_value(parsed) != value for value, parsed in values.items()):
-        return None  # such as real 1.50, real -0.0 or int 007
-    # one properties dict per owner, filled from the owner's run of lines
-    props: dict[str, dict[str, PropertyValue]] = {}
-    owner = None
-    for name, (_, key, value) in zip(owners, prop_rows):
-        if name is not owner:
-            owner = name
-            owned = props[owner] = {}
-        owned[words.setdefault(key, key)] = values[value]
-    kinds = map(words.setdefault, kinds.values(), kinds.values())
-    nodes = dict(zip(ids, map(Node, ids, kinds, map(props.get, ids))))
+    by_tag = _spelled_as_written(dict.fromkeys(literals))
     edges = dict(zip(zip(parents, children), map(_DEP_KINDS.get, map(_third, edge_rows))))
     assets = dict(asset_rows)
-    sizes = (len(nodes), sum(map(len, props.values())), len(edges), len(assets))
-    if sizes != tuple(map(len, rows[1:])) or any(map(str.__eq__, parents, children)):
+    if (
+        by_tag is None
+        or (len(ids), len(edges), len(assets)) != (len(node_rows), len(edge_rows), len(asset_rows))
+        or any(map(is_, parents, children))  # a declared id is one string
+        # sorted lines set a property twice only on adjacent lines
+        or any(map(and_, map(is_, owners[1:], owners), map(eq, keys[1:], keys)))
+    ):
         return None
-    doc = LevelDocument(FORMAT_VERSION, LevelGraph._of(root, nodes, edges, assets), text)
+
+    values = _Values()
+
+    def properties(node_id: str) -> dict[str, PropertyValue]:
+        lo = bisect_left(owners, node_id)
+        owned = {}
+        for line in prop_lines[lo : bisect_right(owners, node_id, lo)]:
+            _, _, key, value = line.split(" ", 3)
+            owned[key] = values[value]
+        return owned
+
+    # each node is built field by field, in C, with no properties but their reader
+    nodes = list(map(Node.__new__, repeat(Node, len(ids))))
+    kinds = map(words.setdefault, kinds.values(), kinds.values())
+    for field, column in (("id", ids), ("kind", kinds), ("_read", repeat(properties))):
+        deque(map(_set, nodes, repeat(field), column), 0)
+    graph = LevelGraph._of(root, dict(zip(ids, nodes)), edges, assets)
+    # the index `graph._holders` would build, from the ref and asset lines
+    held = {f"{tag} {literal}" for tag in ("ref", "asset") for literal in by_tag[tag]}
+    graph._holders = ({}, {})
+    for owner, value in compress(zip(owners, literals), map(held.__contains__, literals)):
+        tag, _, target = value.partition(" ")
+        graph._holders[tag == "asset"].setdefault(target, []).append(owner)
+    doc = LevelDocument(FORMAT_VERSION, graph, text)
     _set(doc, "_split", lines)
     _set(doc, "_sections", (ids, owners, list(edges)))
     return doc
 
 
+def _spelled_as_written(values: Iterable[str]) -> dict[str, list[str]] | None:
+    """The literals of the distinct ``<tag> <literal>`` ``values``, each a bare
+    token, by tag; None unless `format_value` spells each value so (it does
+    not spell ``real 1.50``, ``real -0.0``, ``int 007`` or ``color red``).
+    Checked in bulk, tag by tag."""
+    by_tag: dict[str, list[str]] = {tag: [] for tag in _VALUE_KINDS}
+    for value in values:
+        tag, _, literal = value.partition(" ")
+        if tag not in by_tag:
+            return None
+        by_tag[tag].append(literal)
+    reals, ints = by_tag["real"], by_tag["int"]
+    try:
+        floats = list(map(float, reals))
+        spelled = list(map(repr, floats)) == reals and list(map(str, map(int, ints))) == ints
+    except ValueError:
+        return None
+    finite = all(map(math.isfinite, floats)) and "-0.0" not in reals
+    return by_tag if spelled and finite and {*by_tag["bool"]} <= {"true", "false"} else None
+
+
+class _Values(dict):
+    """The `PropertyValue` of each checked ``<tag> <literal>`` looked up, made on its first lookup."""
+
+    def __missing__(self, text: str) -> PropertyValue:
+        value = self[text] = _parse_value(text.split(" "), 0, text, 0)
+        return value
+
+
+def _line_key(line: str) -> tuple[int, str]:
+    """The order of a canonical text's lines after its header: by section, then as strings."""
+    return _section_rank(line), line
+
+
+_BLOCK = 256  # lines the sorted walk compares in one C-level pass
+
+
+def _sorted_difference(old: list[str], new: list[str]) -> tuple[list[str], list[str]] | None:
+    """The lines of ``old`` not in ``new``, and those of ``new`` not in ``old``.
+
+    ``old`` is a canonical read's lines, so after the header they are
+    strictly increasing by `_line_key`; None unless ``new``'s are too. The
+    two lists are walked together as a merge of sorted lists: a run of
+    equal lines is skipped a block of `_BLOCK` at a time, and only the
+    lines that differ are compared on their own. Every line of ``new``
+    is matched in order with one of ``old`` or is new, so the two results
+    patch one list into the other in any order; ``new``'s order, checked
+    at each new line and its neighbours, is what keeps them as small as
+    the difference, so a text out of order is parsed whole instead.
+    """
+    gone, added = [], []
+    i = j = 1  # after the header
+    while i < len(old) and j < len(new):
+        if old[i] == new[j]:
+            block, other = old[i : i + _BLOCK], new[j : j + _BLOCK]
+            same = next(compress(count(), map(ne, block, other)), min(len(block), len(other)))
+            i, j = i + same, j + same
+        elif _line_key(old[i]) < _line_key(new[j]):
+            gone.append(old[i])
+            i += 1
+        else:
+            added.append(j)
+            j += 1
+    added += range(j, len(new))
+    for j in added:
+        if (j > 1 and _line_key(new[j - 1]) >= _line_key(new[j])) or (
+            j + 1 < len(new) and _line_key(new[j]) >= _line_key(new[j + 1])
+        ):
+            return None
+    return gone + old[i:], [new[j] for j in added]
+
+
 def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
     """``parse(text)``, by patching ``base`` with the lines not in both texts.
 
-    None where the patch cannot be shown equal to a whole parse: the
-    text has a CR, either text repeats a line, the text's first line is
-    not the base's header, a changed line does not read, or the patched
-    tables set a key twice, reference a node they lack or hold other
-    than one root. Line numbers only place errors, and an error here
-    means the text is parsed whole, so the changed lines go unnumbered.
+    ``base`` must be a canonical read, and ``text`` its header followed by
+    lines in the same order (`_sorted_difference`), as every text
+    `serialize` writes is; the lines one holds and the other lacks are
+    found by walking the two line lists together, and only those are read.
+    None where the patch cannot be shown equal to a whole parse: the base
+    is not canonical, the text is not so ordered, a changed line does not
+    read, or the patched tables set a key twice, reference a node they
+    lack or hold other than one root. Line numbers only place errors, and
+    an error here means the text is parsed whole, so the changed lines go
+    unnumbered.
     """
-    base_lines = base._line_set
-    # with CRLF line ends every line would differ
-    if "\r" in text or base_lines is None:
+    if base._split is None:
         return None
     lines = text.split("\n")
-    # the base's one line that starts with `lvl` is its header
-    if lines[0] not in base_lines or _line_texts(lines[0], 1)[:1] != ["lvl"]:
-        return None
-    kept = set(lines)
-    if len(kept) != len(lines):
+    changed = lines[0] == base._split[0] and _sorted_difference(base._split, lines)
+    if not changed:
         return None
     try:
         _, gone_root, gone_nodes, gone_props, gone_edges, gone_assets = _walk(
-            ((0, line) for line in base_lines - kept), base.format_version
+            ((0, line) for line in changed[0]), base.format_version
         )
         _, new_root, new_nodes, new_props, new_edges, new_assets = _walk(
-            ((0, line) for line in kept - base_lines), base.format_version
+            ((0, line) for line in changed[1]), base.format_version
         )
     except ParseError:
         return None

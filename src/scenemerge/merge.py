@@ -45,6 +45,7 @@ from .graph import (
     _gc_paused,
     _closure,
     _direct_parent,
+    _holders,
     _Record,
     _touched,
     direct_subtree,
@@ -983,7 +984,9 @@ def _repair_manifest_refs(
     referencing that asset survives; the reference wins and the entry is
     restored from whichever side still has the digest. Every merged value
     comes from a valid input, so only an asset id of an input manifest
-    that the merged manifest lacks can dangle.
+    that the merged manifest lacks can dangle. A node the merge did not
+    set is the ancestor's, so of those only the ancestor's holders of a
+    missing id (`graph._holders`) are read.
     """
     missing = {
         asset_id
@@ -993,8 +996,10 @@ def _repair_manifest_refs(
     }
     if not missing:
         return
-    for node in state.nodes.values():
-        for value in node.properties.values():
+    held = _holders(ancestor)[1]
+    checked = state.ids.union(*(held.get(asset_id, ()) for asset_id in missing))
+    for node_id in checked & state.nodes.keys():
+        for value in state.nodes[node_id].properties.values():
             if value.kind != "asset" or value.value not in missing:
                 continue
             asset_id = value.value

@@ -3,7 +3,10 @@
 `parse` reads a text exactly as `serialize` writes it in one checked pass
 (`levelfile._read_canonical`) and leaves every other text to the line
 reader (`levelfile._read_lines`); here the two are held to the same
-documents and the same errors. `serialize(doc, base=)` writes a level
+documents and the same errors, and so is a branch read against such a
+base (`levelfile._parse_against`). A canonical read builds a node's
+properties only when they are first read; a merge builds no more of
+them than its branches changed. `serialize(doc, base=)` writes a level
 patched from a canonically read base as the base's lines with the patch
 rendered in; here its text is held to the whole render's.
 """
@@ -12,16 +15,18 @@ from __future__ import annotations
 
 import functools
 import gc
+from operator import lt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenemerge import LevelGraph, MergePolicy, Node, ParseError, PolicyKind, merge3, parse
-from scenemerge import levelfile
+from scenemerge import cli, levelfile
 from scenemerge.levelfile import (
     FORMAT_VERSION,
     LevelDocument,
+    _line_key,
     _read_canonical,
     _read_lines,
     serialize,
@@ -66,15 +71,44 @@ def test_a_serialized_level_is_read_canonical_and_equals_a_line_read(seed, which
     assert doc._sections is not None
     assert_same_document(doc, _read_lines(text))
     assert serialize(doc) == text
-    # the line set holds the very strings of the one split
     assert doc._split == text.split("\n")
-    assert {id(line) for line in doc._line_set} == {id(line) for line in doc._split}
 
 
 def test_each_distinct_literal_is_one_value():
     doc = parse(_texts(5)[0])
     values = [value for node in doc.graph.nodes() for value in node.properties.values()]
     assert len({id(value) for value in values}) == len(set(values)) < len(values)
+
+
+def _built(node: Node) -> bool:
+    """Whether ``node``'s properties exist, without building them."""
+    try:
+        Node.properties.__get__(node)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_a_clean_file_merge_builds_the_properties_of_the_changed_nodes_only(tmp_path, monkeypatch):
+    sc = generate(2, SizeParams(nodes=10_000, edges=11_000, edits_a=100, edits_b=100))
+    graphs = (sc.base, apply_script(sc.base, sc.script_a), apply_script(sc.base, sc.script_b))
+    paths = [tmp_path / f"{role}.lvl" for role in ("base", "mine", "theirs")]
+    for path, graph in zip(paths, graphs):
+        path.write_text(serialize(LevelDocument(FORMAT_VERSION, graph)), encoding="utf-8")
+    docs = []
+    read = cli.read_document
+
+    def keeping_read(path, base=None):
+        docs.append(read(path, base=base))
+        return docs[-1]
+
+    monkeypatch.setattr(cli, "read_document", keeping_read)
+    out = tmp_path / "merged.lvl"
+    assert cli.main(["merge", *map(str, paths), "--output", str(out)]) == 0
+    ancestor, mine, theirs = (doc.graph for doc in docs)
+    assert parse(out.read_text(encoding="utf-8")).graph == merge3(*graphs).merged
+    built = [node.id for node in ancestor.nodes() if _built(node)]
+    assert len(built) <= len(mine._patch[1] | theirs._patch[1]) < ancestor.node_count // 10
 
 
 def _set_token(line: str, index: int, token: str) -> str:
@@ -121,12 +155,25 @@ MUTATIONS = {
     # a line taken out of its section
     "moved to the end": ("any", lambda lines, i: lines.append(lines.pop(min(i, len(lines) - 2))), True),
     "moved to the start": ("any", lambda lines, i: lines.insert(2, lines.pop(max(i, 3))), True),
+    "moved across sections": ("any", lambda lines, i: _move_across(lines, i), True),
+    "repeated at the end": ("any", lambda lines, i: lines.append(lines[i]), False),
 }
 WHOLE_TEXT = {
     "CRLF": lambda text: text.replace("\n", "\r\n"),
     "one CRLF": lambda text: text.replace("\n", "\r\n", 3),
     "no final newline": lambda text: text[:-1],
+    "header lvl 01": lambda text: text.replace("lvl 1", "lvl 01", 1),
+    "header lvl 2": lambda text: text.replace("lvl 1", "lvl 2", 1),
+    "spaced header": lambda text: text.replace("lvl 1", "lvl  1", 1),
 }
+
+
+def _move_across(lines, i):
+    """Move line ``i`` past the first line of the next section, or of the nodes."""
+    line = lines.pop(i)
+    directive = line.split(" ")[0]
+    later = [n for n in range(i, len(lines)) if lines[n].split(" ")[0] != directive]
+    lines.insert(later[0] + 1 if later else 3, line)
 
 
 def _respace(lines, i, old, new):
@@ -168,6 +215,26 @@ def test_the_reader_declines_a_mutated_text_and_parse_is_unchanged(name, seed, i
     assert read._sections is None
     if MUTATIONS.get(name, (None, None, True))[2]:
         assert read == parse(text)
+
+
+@pytest.mark.parametrize("name", [*MUTATIONS, *WHOLE_TEXT])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(1, 10_000), i=st.integers(0, 10_000))
+def test_a_mutated_branch_reads_against_the_ancestor_as_whole(name, seed, i):
+    base_text, branch_text, _ = _texts(seed)
+    ancestor = parse(base_text)
+    mutated = _mutated(branch_text, name, i)
+    read = _outcome(lambda text: parse(text, base=ancestor), mutated)
+    whole = _outcome(parse, mutated)
+    if isinstance(whole, tuple):
+        assert read == whole  # the same error, at the same line and column
+        return
+    assert_same_document(read, whole)
+    lines = mutated.split("\n")
+    keys = list(map(_line_key, lines[1:]))
+    if lines[0] != base_text.split("\n")[0] or not all(map(lt, keys, keys[1:])):
+        # out of the walk's order: read whole, sharing no node with the ancestor
+        assert not any(node is ancestor.graph._nodes.get(node.id) for node in read.graph.nodes())
 
 
 @pytest.mark.parametrize("index", [1, 2])

@@ -6,7 +6,8 @@ may have changed; `validate(base=)` and `classify` read only those. Here
 every id whose presence or `Node` object really differs from the base,
 and every pair whose presence or kind does, is found by brute force and
 must be in the record, and the patched tables must be those a whole
-build of the same graph gives.
+build of the same graph gives. A graph with no record is compared with
+its base whole once, and keeps the result as its record.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenemerge import LevelGraph, MergePolicy, PolicyKind, merge3, parse
+from scenemerge import diff as diff_module
+from scenemerge import graph as graph_module
 from scenemerge import merge as merge_module
 from scenemerge.levelfile import FORMAT_VERSION, LevelDocument, serialize
 from scenemerge.sim import SizeParams, apply_script, generate
@@ -86,3 +89,26 @@ def test_a_repaired_merge_records_its_differences_from_the_ancestor(case, policy
         assert reconnected[0]
     elif case == "manifest":
         assert outcome.merged.assets.keys() - mine.assets.keys() == {"x.obj"}
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_a_merge_compares_each_branch_with_no_record_whole_once(seed, monkeypatch):
+    compared = []
+    differences = graph_module._differences
+
+    def counting_differences(graph, base):
+        patch = graph._patch
+        if patch is None or patch[0]() is not base:
+            compared.append(graph)
+        return differences(graph, base)
+
+    # validate(base=) and classify each read the differences of both branches
+    for module in (graph_module, diff_module):
+        monkeypatch.setattr(module, "_differences", counting_differences)
+    sc = generate(seed, SIZE)
+    mine, theirs = (apply_script(sc.base, script) for script in (sc.script_a, sc.script_b))
+    assert mine._patch is None and theirs._patch is None
+    merge3(sc.base, mine, theirs)
+    assert sorted(map(id, compared)) == sorted([id(mine), id(theirs)])
+    for branch in (mine, theirs):
+        assert_record_covers(branch, sc.base)

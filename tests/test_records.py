@@ -26,7 +26,7 @@ from scenemerge.graph import (
     ValidationReport,
     Violation,
 )
-from scenemerge.levelfile import LevelDocument, _Token
+from scenemerge.levelfile import LevelDocument, _Token, parse
 from scenemerge.merge import (
     AddAddConflict,
     AssetConflict,
@@ -202,12 +202,34 @@ def test_record_parity(cls, required, defaults, other, shown, frozen, hashable):
         assert getattr(record, name) == "changed" and record != same
 
 
-def test_level_document_ignores_source_and_caches_its_line_set():
+def test_level_document_ignores_its_source():
     read = LevelDocument(1, _G, "a\nb")
     assert read == LevelDocument(1, _G) and repr(read) == repr(LevelDocument(1, _G))
-    assert read._line_set == frozenset({"a", "b"}) and read._line_set is read._line_set
-    assert LevelDocument(1, _G, "a\na")._line_set is None  # a repeated line
-    assert LevelDocument(1, _G)._line_set is None
+
+
+@pytest.mark.parametrize("lines, eager", [
+    ("prop n x int 3\n", Node("n", "Light", {"x": _PV})),
+    ("", Node("n", "Light")),
+])
+def test_a_node_read_lazily_is_the_node_built_eagerly(lines, eager):
+    """A canonical read builds a node's properties on their first read, and
+    the node behaves as the `Node` case of `test_record_parity` does."""
+    other = Node("n", "Light", {"x": PropertyValue("int", 4)})
+    node = parse(f"lvl 1\nroot n\nnode n Light\n{lines}").graph.node("n")
+    with pytest.raises(AttributeError):
+        Node.properties.__get__(node)  # not built by the read
+    assert repr(node) == repr(eager)  # the first read builds it
+    assert Node.properties.__get__(node) == eager.properties
+    node = parse(f"lvl 1\nroot n\nnode n Light\n{lines}").graph.node("n")
+    assert node == eager and not node != eager and eager == node
+    assert node != other and not node == other
+    with pytest.raises(TypeError):
+        hash(node)
+    with pytest.raises(AttributeError):
+        node.properties = {}
+    with pytest.raises(AttributeError):
+        node.no_such_field
+    assert node.properties is node.properties
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,10 @@ A branch is checked against its valid ancestor from the differences
 only. These tests break random valid branches in every way a level can
 be invalid and require the same report as `validate(graph)`, built both
 with fresh adjacency lists and as a patch of the ancestor that records
-its changed ids and pairs, as `parse(text, base=...)` builds it. A
+its changed ids and pairs, as `parse(text, base=...)` builds it, and
+read from its text against the ancestor's canonical read, whose ref and
+asset index comes from its lines. Deletions leave refs and asset refs
+dangling on unchanged nodes, on edited ones, and on deleted ones. A
 merged level is checked against the ancestor through the patch `merge3`
 records, including levels whose merge repaired a cycle, an orphan or a
 manifest entry, and broken the same ways.
@@ -27,12 +30,15 @@ from scenemerge import (
     MergePolicy,
     Node,
     PolicyKind,
+    ParseError,
     PropertyValue,
     SceneMergeError,
     merge3,
+    parse,
     validate,
 )
 from scenemerge.diff import check_same_level
+from scenemerge.levelfile import FORMAT_VERSION, LevelDocument, serialize
 from scenemerge.sim import SizeParams, apply_script, generate
 from conftest import repairing_merges
 
@@ -49,6 +55,10 @@ BREAKS = (
     "kind-change",
     "add-add-kind",
 )
+# deletions that leave a ref or asset ref on an edited or deleted holder,
+# for the validity check only: merge3 can keep a holder at its ancestor
+# state while the node it refers to is deleted (see CHANGES.md)
+HOLDER_BREAKS = ("ref-dropped-with-target", "holder-deleted-with-target", "asset-dropped-holder-edited")
 
 
 class _Level:
@@ -87,11 +97,22 @@ class _Level:
         )
 
 
+def _with(node: Node, key: str, value: PropertyValue) -> Node:
+    return Node(node.id, node.kind, {**node.properties, key: value})
+
+
 def _break(name: str, level: _Level, base: _Level, rng: random.Random, tag: str) -> None:
-    """Apply one invalidating edit to ``level``; ``base`` gains what it must share."""
+    """Apply one edit to ``level``, invalidating unless it drops the dangling
+    ref it makes; ``base`` gains what it must share."""
     ids = sorted(level.nodes)
     others = [n for n in ids if n != level.root]
     shared = [n for n in others if base.nodes.get(n) is level.nodes[n]]
+    leaves = [n for n in others if n in base.nodes and not any(p == n for p, _ in level.edges)]
+
+    def delete(node_id):
+        del level.nodes[node_id]
+        for parent in level.parents(node_id):
+            del level.edges[parent, node_id]
     if name == "cycle":
         for child in rng.sample(others, len(others)):
             above = sorted(level.ancestors(child) - {level.root})
@@ -115,26 +136,35 @@ def _break(name: str, level: _Level, base: _Level, rng: random.Random, tag: str)
                     return
     elif name == "root-in-edge" and others:
         level.edges[rng.choice(others), level.root] = DepKind.INDIRECT
-    elif name == "ref-to-deleted":
-        # an unchanged node of both keeps a ref to a leaf the branch deleted
-        leaves = [n for n in others if n in base.nodes and not any(p == n for p, _ in level.edges)]
+    elif name in ("ref-to-deleted", "ref-dropped-with-target"):
+        # an ancestor node refers to a leaf the branch deletes; the node is
+        # unchanged, or the branch's edit of it drops the ref (valid)
         holders = [n for n in shared if n not in leaves]
         if leaves and holders:
             target, holder = rng.choice(leaves), rng.choice(holders)
             old = level.nodes[holder]
-            node = Node(holder, old.kind, {**old.properties, "link": PropertyValue.node_ref(target)})
-            level.nodes[holder] = base.nodes[holder] = node
-            del level.nodes[target]
-            for parent in level.parents(target):
-                del level.edges[parent, target]
-    elif name == "asset-dropped":
-        # an unchanged node of both uses an asset the branch's manifest drops
+            base.nodes[holder] = level.nodes[holder] = _with(old, "link", PropertyValue.node_ref(target))
+            if name == "ref-dropped-with-target":
+                level.nodes[holder] = _with(old, "note", PropertyValue.text(tag))
+            delete(target)
+    elif name == "holder-deleted-with-target":
+        # an ancestor leaf refers to another, and the branch deletes both (valid)
+        holders = [n for n in shared if n in leaves]
+        if len(holders) > 1:
+            holder, target = rng.sample(holders, 2)
+            base.nodes[holder] = _with(level.nodes[holder], "link", PropertyValue.node_ref(target))
+            delete(holder)
+            delete(target)
+    elif name in ("asset-dropped", "asset-dropped-holder-edited"):
+        # an ancestor node uses an asset the branch's manifest drops; the
+        # node is unchanged, or edited and still using it
         kept = sorted(level.assets.keys() & base.assets.keys())
         if kept and shared:
             asset_id, holder = rng.choice(kept), rng.choice(shared)
-            old = level.nodes[holder]
-            node = Node(holder, old.kind, {**old.properties, "skin": PropertyValue.asset_ref(asset_id)})
+            node = _with(level.nodes[holder], "skin", PropertyValue.asset_ref(asset_id))
             level.nodes[holder] = base.nodes[holder] = node
+            if name == "asset-dropped-holder-edited":
+                level.nodes[holder] = _with(node, "note", PropertyValue.text(tag))
             del level.assets[asset_id]
     elif name == "kind-change" and shared:
         old = level.nodes[rng.choice(shared)]
@@ -146,14 +176,14 @@ def _break(name: str, level: _Level, base: _Level, rng: random.Random, tag: str)
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, breaks=BREAKS):
     """A valid ancestor and two branches, each broken by a few random edits."""
     sc = generate(draw(st.integers(1, 10_000)), SIZE)
     base = _Level(sc.base)
     branches = [_Level(apply_script(sc.base, script)) for script in (sc.script_a, sc.script_b)]
     for level, tag in zip(branches, "AB"):
         rng = random.Random(draw(st.integers(0, 2**32)))
-        for name in draw(st.lists(st.sampled_from(BREAKS), max_size=3)):
+        for name in draw(st.lists(st.sampled_from(breaks), max_size=3)):
             _break(name, level, base, rng, tag)
     ancestor = base.graph()
     assert validate(ancestor).ok
@@ -161,12 +191,22 @@ def scenarios(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(scenarios())
+@given(scenarios(BREAKS + HOLDER_BREAKS))
 def test_validate_against_the_ancestor_equals_the_whole_check(scenario):
     ancestor, branches = scenario
+    read = parse(_text(ancestor))
     for level in branches:
-        for version in (level.graph(), level.graph(base=ancestor)):
-            assert validate(version, base=ancestor) == validate(version)
+        versions = [(level.graph(), ancestor), (level.graph(base=ancestor), ancestor)]
+        try:
+            versions.append((parse(_text(level.graph()), base=read).graph, read.graph))
+        except ParseError:
+            pass  # a break the text cannot hold, such as a dangling edge
+        for version, base in versions:
+            assert validate(version, base=base) == validate(version)
+
+
+def _text(graph: LevelGraph) -> str:
+    return serialize(LevelDocument(FORMAT_VERSION, graph))
 
 
 def _check_merged(ancestor, mine, theirs, policy, rng, names) -> None:
