@@ -85,9 +85,9 @@ class _Record:
     An instance equals only an instance of its own class with equal
     fields, and shows as ``Name(field=value, ...)``. A subclass is
     frozen and hashable by its fields unless declared with
-    ``frozen=False``, which makes it mutable and unhashable. ``hidden``
-    fields are left out of the repr, and ``uncompared`` ones out of
-    equality and the hash as well. The generic constructor takes the
+    ``frozen=False``, which makes it mutable and unhashable.
+    ``uncompared`` fields are left out of equality, the hash and the
+    repr. The generic constructor takes the
     fields in order, by position or keyword; ``_defaults`` names those
     that may be left out, and a class given as a default is called for
     each instance. The types built by the hundred thousand define their
@@ -97,11 +97,10 @@ class _Record:
     __slots__ = ()
     _defaults: Mapping[str, object] = {}
 
-    def __init_subclass__(cls, frozen: bool = True, hidden=(), uncompared=()) -> None:
+    def __init_subclass__(cls, frozen: bool = True, uncompared=()) -> None:
         super().__init_subclass__()
-        compared = [name for name in cls.__slots__ if name not in uncompared]
-        cls._key = attrgetter(*compared)
-        cls._shown = [name for name in compared if name not in hidden]
+        cls._shown = [name for name in cls.__slots__ if name not in uncompared]
+        cls._key = attrgetter(*cls._shown)
         if not frozen:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__

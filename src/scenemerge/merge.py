@@ -2,15 +2,17 @@
 
 `merge3` replays both branches' edits onto the common ancestor in a
 fixed phase order: additions, deletions, property/edge modifications,
-conflict resolution, then structural repair (cycle breaking and
-reconnection of orphans). The phase order is normative: deletions must
-see concurrently added children to detect conflicts and relink
-correctly, and structural repair must see the final edge set.
+conflict resolution, then repair (references, relinks, cycles and
+orphans). The phase order is normative: deletions must see concurrently
+added children to detect conflicts and relink correctly, and structural
+repair must see the final node and edge sets.
 
 Conflicts are data. Under the manual policy they stay unresolved and
 every conflicting item is held at its ancestor state, so the merged
-graph always loads; under a branch preference the winning edit is
-applied and the losing fragment is recorded as a dropped edit.
+graph always loads; under a branch preference one rule (`_settle`)
+takes the winner's side of a conflicted cell and records the loser's
+as a dropped edit. A surviving reference wins over the deletion of what
+it names, for nodes as for manifest entries.
 
 Edge merging works on two kinds of three-way cells. Each surviving
 node's Direct parent is one cell (two branches assigning different
@@ -181,9 +183,7 @@ class ReparentConflict(_Record, frozen=False):
     _defaults = {"resolution": Resolution.UNRESOLVED}
 
 
-class DeleteModifyConflict(
-    _Record, frozen=False, hidden=("_touched_mods", "_anchored", "_reparent_ins")
-):
+class DeleteModifyConflict(_Record, frozen=False):
     """One branch deletes a subtree the other branch touched.
 
     ``subtree`` is the set of nodes the deletion covers; ``touched``
@@ -197,19 +197,8 @@ class DeleteModifyConflict(
     subtree: tuple[str, ...]
     touched: tuple[str, ...]
     resolution: Resolution
-    _touched_mods: tuple[str, ...]
-    _anchored: tuple[str, ...]
-    _reparent_ins: tuple[str, ...]
-    __slots__ = (
-        "deleting_branch", "deleted_node", "subtree", "touched", "resolution",
-        "_touched_mods", "_anchored", "_reparent_ins",
-    )
-    _defaults = {
-        "resolution": Resolution.UNRESOLVED,
-        "_touched_mods": (),
-        "_anchored": (),
-        "_reparent_ins": (),
-    }
+    __slots__ = ("deleting_branch", "deleted_node", "subtree", "touched", "resolution")
+    _defaults = {"resolution": Resolution.UNRESOLVED}
 
 
 class AssetConflict(_Record, frozen=False):
@@ -563,9 +552,6 @@ def _apply_deletions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> l
                         deleted_node=root_id,
                         subtree=tuple(sorted(scope)),
                         touched=tuple(sorted({*touched_mods, *anchored, *reparent_ins})),
-                        _touched_mods=tuple(touched_mods),
-                        _anchored=tuple(anchored),
-                        _reparent_ins=tuple(reparent_ins),
                     )
                 )
             elif root_id in clean:
@@ -691,6 +677,23 @@ def _apply_modifications(
     return conflicts
 
 
+# -- settling a conflict ---------------------------------------------------------
+
+
+def _settle(
+    conflict: Conflict, mine, theirs, winner: Branch, dropped: list[DroppedEdit], node, describe
+):
+    """The winner's side of a conflicted cell; the loser's is recorded as dropped.
+
+    ``mine`` and ``theirs`` are the branches' sides, and ``describe``
+    turns the losing side into the dropped edit's description.
+    """
+    take, lost = (mine, theirs) if winner is Branch.A else (theirs, mine)
+    conflict.resolution = _took(winner)
+    dropped.append(DroppedEdit(winner.other, node, describe(lost)))
+    return take
+
+
 # -- assets (one digest cell per asset id) -------------------------------------
 
 
@@ -722,38 +725,17 @@ def _merge_manifests(
         if take is CONFLICT:
             conflict = AssetConflict(asset_id, m, t, a)
             conflicts.append(conflict)
-            take = _settle_asset(conflict, winner, dropped)
+            # without a winner the ancestor digest is held
+            take = a if winner is None else _settle(
+                conflict, m, t, winner, dropped, None,
+                lambda lost: f"delete asset {asset_id}"
+                if lost is None else f"asset {asset_id} -> {lost}",
+            )
         if merger is not None and take is not None and take != a:
             take = merger.admit(asset_id, a, m, t, take, winner, dropped)
         if take is not None:
             manifest[asset_id] = take
     return conflicts, manifest, dropped
-
-
-def _settle_asset(
-    conflict: AssetConflict, winner: Branch | None, dropped: list[DroppedEdit]
-) -> str | None:
-    """The digest an asset conflict keeps under the policy's winner.
-
-    Without a winner the ancestor digest is held; otherwise the winner's
-    digest (None deletes the asset) is taken and the loser's edit is
-    recorded as dropped.
-    """
-    if winner is None:
-        return conflict.ancestor_digest
-    take, lost = conflict.digest_a, conflict.digest_b
-    if winner is Branch.B:
-        take, lost = lost, take
-    conflict.resolution = _took(winner)
-    asset_id = conflict.asset_id
-    dropped.append(
-        DroppedEdit(
-            winner.other,
-            None,
-            f"delete asset {asset_id}" if lost is None else f"asset {asset_id} -> {lost}",
-        )
-    )
-    return take
 
 
 # -- phase 5: resolution --------------------------------------------------------
@@ -782,15 +764,43 @@ def _restore_child_state(state: _State, node_id: str, ancestor: LevelGraph) -> N
             state.set_edge(parent, node_id, kind)
 
 
-def _undo_moves_into(
-    state: _State, conflict: DeleteModifyConflict, ancestor: LevelGraph
-) -> list[tuple[str, str]]:
-    """Undo the other branch's moves into the doomed subtree: reparented survivors
-    go back to their ancestor parent, anchored additions go; returns the moved."""
-    doomed = {*conflict.subtree, *conflict._anchored}
+def _settle_delete_modify(
+    state: _State,
+    conflict: DeleteModifyConflict,
+    winner: Branch | None,
+    other: DiffResult,
+    dropped: list[DroppedEdit],
+) -> None:
+    """Settle a delete-modify conflict; ``other`` is the touching branch's diff.
+
+    ``touched`` splits by ``other``: members of the subtree are its
+    modifications, members of ``other.added`` its anchored additions,
+    the rest survivors it moved into the subtree. If the touching branch
+    wins, the deletion is dropped. Otherwise the moves into the doomed
+    subtree are undone; then the manual policy holds the modifications
+    at ancestor state, and a winning deletion drops the touching edits
+    and cascades.
+    """
+    deleting = conflict.deleting_branch
+    if winner is deleting.other:
+        conflict.resolution = _took(winner)
+        dropped.append(
+            DroppedEdit(
+                deleting,
+                conflict.deleted_node,
+                f"delete {conflict.deleted_node} and its direct subtree "
+                f"({len(conflict.subtree)} nodes)",
+            )
+        )
+        return
+    ancestor = other.ancestor
+    subtree = set(conflict.subtree)
+    mods = [n for n in conflict.touched if n in subtree]
+    anchored = [n for n in conflict.touched if n in other.added]
+    doomed = subtree.union(anchored)
     moved = []
-    for node_id in conflict._reparent_ins:
-        if node_id not in state.nodes:
+    for node_id in conflict.touched:
+        if node_id in doomed or node_id not in state.nodes:
             continue
         current = state.direct_parent(node_id)
         if current in doomed:
@@ -799,32 +809,22 @@ def _undo_moves_into(
             if anc_parent in state.nodes:
                 state.set_edge(anc_parent, node_id, DepKind.DIRECT)
             moved.append((node_id, current))
-    for added_id in conflict._anchored:
+    for added_id in anchored:
         if added_id in state.nodes:
             state.remove_node(added_id)
-    return moved
 
-
-def _hold_delete_modify(
-    state: _State, conflict: DeleteModifyConflict, ancestor: LevelGraph
-) -> None:
-    """Manual policy: hold every conflicting item at ancestor state."""
-    _undo_moves_into(state, conflict, ancestor)
-    for node_id in conflict._touched_mods:
-        if node_id in state.nodes:
-            _restore_child_state(state, node_id, ancestor)
-
-
-def _win_delete(
-    state: _State, conflict: DeleteModifyConflict, other_diff: DiffResult, dropped: list[DroppedEdit]
-) -> None:
-    loser = conflict.deleting_branch.other
-    ancestor = other_diff.ancestor
-    for node_id, left in _undo_moves_into(state, conflict, ancestor):
+    if winner is None:
+        for node_id in mods:
+            if node_id in state.nodes:
+                _restore_child_state(state, node_id, ancestor)
+        return
+    conflict.resolution = _took(winner)
+    loser = deleting.other
+    for node_id, left in moved:
         dropped.append(DroppedEdit(loser, node_id, f"reparent under {left}"))
-    for added_id in conflict._anchored:
-        added = other_diff.version.node(added_id)
-        recorded = other_diff.version.direct_parent(added_id)
+    for added_id in anchored:
+        added = other.version.node(added_id)
+        recorded = other.version.direct_parent(added_id)
         dropped.append(
             DroppedEdit(
                 loser,
@@ -833,11 +833,10 @@ def _win_delete(
                 f"({len(added.properties)} properties)",
             )
         )
-    for node_id in conflict._touched_mods:
-        for fragment in _describe_delta(other_diff.deltas[node_id]):
+    for node_id in mods:
+        for fragment in _describe_delta(other.deltas[node_id]):
             dropped.append(DroppedEdit(loser, node_id, fragment))
-    scope = set(conflict.subtree)
-    _cascade_delete(state, conflict.deleted_node, scope, conflict.deleting_branch, ancestor)
+    _cascade_delete(state, conflict.deleted_node, subtree, deleting, ancestor)
 
 
 def _resolve(
@@ -849,60 +848,100 @@ def _resolve(
 ) -> list[DroppedEdit]:
     dropped: list[DroppedEdit] = []
     winner = policy.winner
-    ancestor = diff_a.ancestor
     # deletions cascade last so other resolutions see their targets alive
     ordered = [c for c in conflicts if not isinstance(c, DeleteModifyConflict)]
     ordered += [c for c in conflicts if isinstance(c, DeleteModifyConflict)]
 
     for conflict in ordered:
-        if winner is None:
-            if isinstance(conflict, DeleteModifyConflict):
-                _hold_delete_modify(state, conflict, ancestor)
+        if isinstance(conflict, DeleteModifyConflict):
+            other = diff_a if conflict.deleting_branch is Branch.B else diff_b
+            _settle_delete_modify(state, conflict, winner, other, dropped)
+        elif winner is None:
             continue
-
-        loser = winner.other
-        if isinstance(conflict, (PropertyConflict, AddAddConflict)):
-            take = conflict.value_a if winner is Branch.A else conflict.value_b
-            lose = conflict.value_b if winner is Branch.A else conflict.value_a
+        elif isinstance(conflict, ReparentConflict):
+            parent = _settle(
+                conflict, conflict.parent_a, conflict.parent_b, winner, dropped, conflict.node,
+                lambda lost: f"reparent under {lost or 'nothing'}",
+            )
+            if conflict.node in state.nodes:
+                _set_direct_parent(state, conflict.node, parent, winner)
+        else:  # a property or add-add conflict
+            key = conflict.key
+            value = _settle(
+                conflict, conflict.value_a, conflict.value_b, winner, dropped, conflict.node,
+                lambda lost: f"remove property {key}"
+                if lost is None else f"set {key} = {format_value(lost)}",
+            )
             node = state.nodes.get(conflict.node)
             if node is not None:
                 props = dict(node.properties)
-                if take is None:
-                    props.pop(conflict.key, None)
+                if value is None:
+                    props.pop(key, None)
                 else:
-                    props[conflict.key] = take
+                    props[key] = value
                 state.set_node(Node(node.id, node.kind, props))
-            if lose is None:
-                description = f"remove property {conflict.key}"
-            else:
-                description = f"set {conflict.key} = {format_value(lose)}"
-            dropped.append(DroppedEdit(loser, conflict.node, description))
-        elif isinstance(conflict, ReparentConflict):
-            take = conflict.parent_a if winner is Branch.A else conflict.parent_b
-            lose = conflict.parent_b if winner is Branch.A else conflict.parent_a
-            if conflict.node in state.nodes:
-                _set_direct_parent(state, conflict.node, take, winner)
-            dropped.append(
-                DroppedEdit(loser, conflict.node, f"reparent under {lose or 'nothing'}")
-            )
-        elif isinstance(conflict, DeleteModifyConflict):
-            if winner is conflict.deleting_branch:
-                other_diff = diff_b if winner is Branch.A else diff_a
-                _win_delete(state, conflict, other_diff, dropped)
-            else:
-                dropped.append(
-                    DroppedEdit(
-                        conflict.deleting_branch,
-                        conflict.deleted_node,
-                        f"delete {conflict.deleted_node} and its direct subtree "
-                        f"({len(conflict.subtree)} nodes)",
-                    )
-                )
-        conflict.resolution = _took(winner)
     return dropped
 
 
 # -- phase 6: structural repair -------------------------------------------------
+
+
+def _repair_refs(
+    state: _State, ancestor: LevelGraph, mine: LevelGraph, theirs: LevelGraph
+) -> None:
+    """Keep every surviving reference resolvable: the reference wins over a deletion.
+
+    A branch can win the deletion of a node or an asset while a
+    reference to it survives. A node that a surviving ref names is
+    restored, as the ancestor's `Node` or else as that of the branch
+    that added it, under those of its parents in that graph that are in
+    the merge; its own refs are repaired in turn. A manifest entry that
+    an asset property names is restored from whichever side still has
+    the digest. Every merged value comes from a valid input, so only an
+    id that the merge removed, or an asset id of an input manifest that
+    the merged manifest lacks, can dangle. A node the merge did not set
+    is the ancestor's, so of those only the ancestor's holders of such
+    an id (`graph._holders`) are read.
+    """
+    removed = [node_id for node_id in state.ids if node_id not in state.nodes]
+    lost = {
+        asset_id
+        for graph in (mine, theirs, ancestor)
+        for asset_id in graph.assets
+        if asset_id not in state.assets
+    }
+    if not removed and not lost:
+        return
+    refs, uses = _holders(ancestor)
+    held = state.ids.union(
+        *(refs.get(node_id, ()) for node_id in removed),
+        *(uses.get(asset_id, ()) for asset_id in lost),
+    )
+    pending = [state.nodes[node_id] for node_id in held if node_id in state.nodes]
+    sources: dict[str, LevelGraph] = {}  # restored id -> the graph it comes from
+    while pending:
+        for value in pending.pop().properties.values():
+            target = value.value
+            if value.kind == "ref" and target not in state.nodes and target not in sources:
+                source = next(g for g in (ancestor, mine, theirs) if g.has_node(target))
+                sources[target] = source
+                pending.append(source.node(target))
+            elif value.kind == "asset" and target not in state.assets:
+                digest = (
+                    mine.assets.get(target)
+                    or theirs.assets.get(target)
+                    or ancestor.assets.get(target)
+                )
+                if digest is not None:
+                    state.assets[target] = digest
+    # the set restored is the closure of the dangling refs, whatever the
+    # order of the walk; sorted, the edges are set in a fixed order too
+    for node_id in sorted(sources):
+        state.set_node(sources[node_id].node(node_id))
+    for node_id in sorted(sources):
+        for parent, kind in sources[node_id].parents(node_id):
+            if parent in state.nodes:
+                state.set_edge(parent, node_id, kind)
 
 
 def _prune_relinks(state: _State) -> None:
@@ -975,43 +1014,6 @@ def _reconnect_orphans(state: _State) -> None:
             _closure([node_id], state.out_, seen=reached)
 
 
-def _repair_manifest_refs(
-    state: _State, ancestor: LevelGraph, mine: LevelGraph, theirs: LevelGraph
-) -> None:
-    """Keep every surviving asset reference resolvable in the manifest.
-
-    A branch can win an asset deletion while the other branch's property
-    referencing that asset survives; the reference wins and the entry is
-    restored from whichever side still has the digest. Every merged value
-    comes from a valid input, so only an asset id of an input manifest
-    that the merged manifest lacks can dangle. A node the merge did not
-    set is the ancestor's, so of those only the ancestor's holders of a
-    missing id (`graph._holders`) are read.
-    """
-    missing = {
-        asset_id
-        for graph in (mine, theirs, ancestor)
-        for asset_id in graph.assets
-        if asset_id not in state.assets
-    }
-    if not missing:
-        return
-    held = _holders(ancestor)[1]
-    checked = state.ids.union(*(held.get(asset_id, ()) for asset_id in missing))
-    for node_id in checked & state.nodes.keys():
-        for value in state.nodes[node_id].properties.values():
-            if value.kind != "asset" or value.value not in missing:
-                continue
-            asset_id = value.value
-            digest = (
-                mine.assets.get(asset_id)
-                or theirs.assets.get(asset_id)
-                or ancestor.assets.get(asset_id)
-            )
-            if digest is not None:
-                state.assets[asset_id] = digest
-
-
 # -- the merge --------------------------------------------------------------------
 
 
@@ -1026,9 +1028,10 @@ def merge3(
     """Three-way merge of two edited versions against their common ancestor.
 
     The result is always a loadable, valid level: after applying both
-    branches' edits and resolving conflicts per policy, cycles created
-    by combined edge edits are broken and any orphaned node is
-    reconnected under the root. Cycle repair takes the cyclic component
+    branches' edits and resolving conflicts per policy, a node or asset
+    that the merge removed while a surviving reference names it is
+    restored, cycles created by combined edge edits are broken and any
+    orphaned node is reconnected under the root. Cycle repair takes the cyclic component
     whose smallest id is smallest and removes its lexicographically
     smallest internal Indirect edge, or its smallest internal edge if it
     has no Indirect one, until no cycle is left. Every
@@ -1062,11 +1065,11 @@ def merge3(
     )
     conflicts += asset_conflicts
     dropped += asset_drops
+    _repair_refs(state, ancestor, mine, theirs)
     _prune_relinks(state)
     removed_edges, cycle_drops = _repair_cycles_state(state)
     dropped += cycle_drops
     _reconnect_orphans(state)
-    _repair_manifest_refs(state, ancestor, mine, theirs)
 
     merged = state.to_graph()
     report = validate(merged, base=ancestor)

@@ -1,18 +1,27 @@
-"""Every public top-level name in the package is used by the package itself.
+"""Every public top-level name in the package is used by the package itself,
+and every call site the benchmark's tracer wraps exists.
 
 A name that only tests call is API kept alive for the tests. Each public
 (not underscore-prefixed) function, class or variable defined at the top
 level of a module under ``src/scenemerge`` must be referenced somewhere
 in ``src/`` outside its own definition: a call, an annotation, an import
 or an export from ``__init__`` all count.
+
+``perfbench/spans.py`` replaces module attributes with recording
+wrappers; a renamed or removed attribute, or a call routed around one,
+makes a traced benchmark run fail its coverage check. The tracer is
+imported from its file and only used, never changed.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import scenemerge
+from scenemerge import cli
+from conftest import fixture_path
 
 SRC = Path(scenemerge.__file__).resolve().parent
 
@@ -59,3 +68,40 @@ def test_every_public_name_is_used_inside_the_package():
             ):
                 unused.append(f"{module}: {name}")
     assert not unused, f"public names no code in src/ uses: {unused}"
+
+
+def _spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_call_site_the_tracer_wraps_exists():
+    absent = [
+        f"{module}.{attr}"
+        for module, attr, _ in _spans().WRAPPED
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert not absent, f"wrapped attributes missing: {absent}"
+
+
+def test_a_traced_file_merge_records_every_layer_call(tmp_path, monkeypatch):
+    monkeypatch.delenv("SCENEMERGE_CONFIG", raising=False)
+    monkeypatch.chdir(tmp_path)
+    spans = _spans()
+    tracer = spans.Tracer()
+    levels = [str(fixture_path(f"fig4-{role}.lvl")) for role in ("base", "mine", "theirs")]
+    argv = ["merge", *levels, "--output", str(tmp_path / "merged.lvl"),
+            "--report", str(tmp_path / "merged.lvlreport")]
+    tracer.install()
+    try:
+        code = tracer.call(1, "cli.main", cli.main, argv)
+    finally:
+        tracer.uninstall()
+    assert code == 1  # the fig4 delete-modify conflict stays unresolved
+    assert tracer.missing == []
+    layers = spans.merge_layers(tracer.take(1)[0])
+    calls = {"graph.validate_calls": 4, "diff.classify_calls": 2, "levelfile.parse_calls": 3}
+    assert {name: layers[name] for name in calls} == calls

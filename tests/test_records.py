@@ -113,13 +113,10 @@ CASES = [
           dict(resolution=Resolution.UNRESOLVED), dict(node="n", parent_a="a", parent_b="b"),
           f"ReparentConflict(node='n', parent_a='a', parent_b=None, {_UNRESOLVED})",
           False, False),
-    # the private fields are compared but not shown
     _case(DeleteModifyConflict,
           dict(deleting_branch=Branch.A, deleted_node="n", subtree=("n",), touched=()),
-          dict(resolution=Resolution.UNRESOLVED, _touched_mods=(), _anchored=(),
-               _reparent_ins=()),
-          dict(deleting_branch=Branch.A, deleted_node="n", subtree=("n",), touched=(),
-               _anchored=("m",)),
+          dict(resolution=Resolution.UNRESOLVED),
+          dict(deleting_branch=Branch.A, deleted_node="n", subtree=("n",), touched=("m",)),
           "DeleteModifyConflict(deleting_branch=<Branch.A: 'a'>, deleted_node='n', "
           f"subtree=('n',), touched=(), {_UNRESOLVED})", False, False),
     _case(AssetConflict, dict(asset_id="a.py", digest_a="1", digest_b="2", ancestor_digest=None),

@@ -10,7 +10,9 @@ asset index comes from its lines. Deletions leave refs and asset refs
 dangling on unchanged nodes, on edited ones, and on deleted ones. A
 merged level is checked against the ancestor through the patch `merge3`
 records, including levels whose merge repaired a cycle, an orphan or a
-manifest entry, and broken the same ways.
+manifest entry, and broken the same ways. Valid inputs, holder breaks
+included, merge to a valid level under every policy, and to the same
+bytes with the branches swapped.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ BREAKS = (
     "kind-change",
     "add-add-kind",
 )
-# deletions that leave a ref or asset ref on an edited or deleted holder,
-# for the validity check only: merge3 can keep a holder at its ancestor
-# state while the node it refers to is deleted (see CHANGES.md)
+# deletions that leave a ref or asset ref on an edited or deleted holder;
+# a merge can keep such a holder (at its ancestor state, say) while the
+# node or asset it names is deleted, and then restores what it names
 HOLDER_BREAKS = ("ref-dropped-with-target", "holder-deleted-with-target", "asset-dropped-holder-edited")
 
 
@@ -265,13 +267,19 @@ def _seed_error(ancestor, mine, theirs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(scenarios(), st.booleans())
+@given(scenarios(BREAKS + HOLDER_BREAKS), st.booleans())
 def test_merge3_raises_what_it_raised_with_whole_validation(scenario, shared_lists):
     ancestor, branches = scenario
     mine, theirs = (level.graph(base=ancestor if shared_lists else None) for level in branches)
     expected = _seed_error(ancestor, mine, theirs)
     if expected is None:
-        merge3(ancestor, mine, theirs)
+        # valid inputs merge to a valid level under every policy, the
+        # same with the branches swapped
+        for policy in map(MergePolicy, PolicyKind):
+            merged = merge3(ancestor, mine, theirs, policy).merged
+            assert validate(merged).ok
+            swapped = merge3(ancestor, theirs, mine, policy.mirrored()).merged
+            assert _text(swapped) == _text(merged)
         return
     with pytest.raises(SceneMergeError) as raised:
         merge3(ancestor, mine, theirs)
