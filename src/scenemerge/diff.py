@@ -119,21 +119,20 @@ class DiffStats(_Record):
 
 
 def check_same_level(
-    a: LevelGraph, b: LevelGraph, role_a: str, role_b: str, ids: Collection[str] | None = None
+    a: LevelGraph, b: LevelGraph, role_a: str, role_b: str, ids: Collection[str]
 ) -> None:
     """Reject graph pairs that cannot be versions of the same level.
 
-    ``ids`` limits the kind check to those ids of nodes in both graphs,
-    for a caller that has already checked the others.
+    Only the kinds of the nodes of ``a`` named in ``ids`` are compared;
+    the caller has checked the rest.
     """
     if a.root != b.root:
         raise GraphMismatchError(
             f"root ids differ: {a.root!r} ({role_a}) vs {b.root!r} ({role_b})"
         )
     a_nodes, b_nodes = a._nodes, b._nodes
-    checked = a_nodes.items() if ids is None else [(i, a_nodes[i]) for i in sorted(ids)]
-    for node_id, node in checked:
-        other = b_nodes.get(node_id)
+    for node_id in sorted(ids):
+        node, other = a_nodes[node_id], b_nodes.get(node_id)
         if other is not None and other.kind != node.kind:
             raise GraphMismatchError(
                 f"node {node_id!r} has kind {node.kind!r} in {role_a} but {other.kind!r} "

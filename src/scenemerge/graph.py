@@ -24,7 +24,7 @@ from bisect import bisect_left
 from contextlib import ContextDecorator
 from enum import Enum
 from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Collection, Container, Iterable, Iterator, Mapping
 
 
@@ -310,69 +310,28 @@ class LevelGraph:
 
     @classmethod
     def _of(
-        cls,
-        root: str,
-        nodes: Mapping[str, Node],
-        edges: Mapping[tuple[str, str], DepKind],
+        cls, root: str, nodes: Mapping[str, Node], edges: Mapping[tuple[str, str], DepKind],
         assets: Mapping[str, str] | None,
-        base: "LevelGraph | None" = None,
-        changed: Collection[tuple[str, str]] = (),
-        changed_ids: Collection[str] = (),
     ) -> "LevelGraph":
-        """A graph over an id -> node and a (parent, child) -> kind mapping.
-
-        ``base`` is a graph that differs from ``nodes`` and ``edges`` only
-        in the ``changed_ids`` (presence or `Node` object) and the
-        ``changed`` pairs (presence or kind), and any other key keeps its
-        place in the base's order. Every node at neither end of a changed
-        pair keeps the base's adjacency lists, and the graph records the
-        patch for `_differences`.
-        """
+        """A graph over an id -> node and a (parent, child) -> kind mapping."""
         graph = cls.__new__(cls)
-        graph._fill(root, nodes, edges, assets, base, changed, changed_ids)
+        graph._fill(root, nodes, edges, assets)
         return graph
 
-    def _fill(self, root, nodes, edges, assets, base=None, changed=(), changed_ids=()) -> None:
+    def _fill(self, root, nodes, edges, assets) -> None:
         # nodes, edges, assets and each node's adjacency list are stored
         # sorted, so every reader iterates them in canonical order
         self.root = root
-        if base is None:
-            self._nodes: dict[str, Node] = _sorted_table(nodes)
-            self._edges: dict[tuple[str, str], DepKind] = _sorted_table(edges)
-        else:
-            self._nodes = _patched_table(nodes, changed_ids)
-            self._edges = _patched_table(edges, changed)
+        self._nodes: dict[str, Node] = _sorted_table(nodes)
+        self._edges: dict[tuple[str, str], DepKind] = _sorted_table(edges)
         self.assets: dict[str, str] = dict(sorted(assets.items())) if assets else {}
-        # held weakly, so a chain of patched graphs keeps no earlier level alive
-        self._patch = None if base is None else (
-            weakref.ref(base), frozenset(changed_ids), frozenset(changed)
-        )
+        self._patch = None  # see `_Patch.to_graph` and `_differences`
         self._holders = None  # see `_holders`
-        self._out: dict[str, list[tuple[str, DepKind]]] = {} if base is None else dict(base._out)
-        self._in: dict[str, list[tuple[str, DepKind]]] = {} if base is None else dict(base._in)
-        if base is None:
-            for (parent, child), kind in self._edges.items():
-                self._out.setdefault(parent, []).append((child, kind))
-                self._in.setdefault(child, []).append((parent, kind))
-            return
-        for side, lists in enumerate((self._out, self._in)):
-            # a node's list changes only where it is this side of a changed pair
-            patched: dict[str, list[tuple[str, DepKind]]] = {}
-            for pair in changed:
-                node_id, other = pair[side], pair[1 - side]
-                if node_id not in patched:
-                    patched[node_id] = list(lists.get(node_id, ()))
-                listed = patched[node_id]
-                i = bisect_left(listed, other, key=itemgetter(0))
-                if i < len(listed) and listed[i][0] == other:
-                    del listed[i]
-                if pair in self._edges:
-                    listed.insert(i, (other, self._edges[pair]))
-            for node_id, listed in patched.items():
-                if listed:
-                    lists[node_id] = listed
-                else:
-                    lists.pop(node_id, None)
+        self._out: dict[str, list[tuple[str, DepKind]]] = {}
+        self._in: dict[str, list[tuple[str, DepKind]]] = {}
+        for (parent, child), kind in self._edges.items():
+            self._out.setdefault(parent, []).append((child, kind))
+            self._in.setdefault(child, []).append((parent, kind))
 
     # -- queries ---------------------------------------------------------
 
@@ -433,6 +392,102 @@ class LevelGraph:
             f"LevelGraph(root={self.root!r}, nodes={self.node_count}, "
             f"edges={self.edge_count})"
         )
+
+
+class _Patch:
+    """A level edited from a base graph, copy-on-write; the builder of every patched graph.
+
+    It starts as a copy of the base's tables. ``out_`` and ``in_`` map a
+    node to its (other end, kind) pairs: the base's list until the node's
+    adjacency is first written, then a live view of the patch's own dict
+    in ``owned``. ``ids`` records every node
+    added, removed or replaced and ``pairs`` every (parent, child) pair
+    set or removed, and `to_graph` patches the base with them. The graph
+    takes over the patch's tables, so a patch is not written after it.
+    """
+
+    __slots__ = ("base", "root", "nodes", "edges", "out_", "in_", "owned", "assets", "ids", "pairs")
+
+    def __init__(self, base: LevelGraph) -> None:
+        self.base = base
+        self.root = base.root
+        self.nodes: dict[str, Node] = dict(base._nodes)
+        self.edges: dict[tuple[str, str], DepKind] = dict(base._edges)
+        self.out_: dict[str, Iterable[tuple[str, DepKind]]] = dict(base._out)
+        self.in_: dict[str, Iterable[tuple[str, DepKind]]] = dict(base._in)
+        self.owned: tuple[dict[str, dict[str, DepKind]], ...] = ({}, {})  # for out_, in_
+        self.assets: dict[str, str] = dict(base.assets)
+        self.ids: set[str] = set()
+        self.pairs: set[tuple[str, str]] = set()
+
+    def to_graph(self) -> LevelGraph:
+        """The patched graph, recording the patch for `_differences`.
+
+        Only a patched key can have left its sorted place, and only a
+        written adjacency list is sorted again; every other node keeps the
+        base's lists.
+        """
+        graph = LevelGraph.__new__(LevelGraph)
+        graph.root = self.root
+        graph._nodes = _patched_table(self.nodes, self.ids)
+        graph._edges = _patched_table(self.edges, self.pairs)
+        graph.assets = dict(sorted(self.assets.items()))
+        # held weakly, so a chain of patched graphs keeps no earlier level alive
+        graph._patch = (weakref.ref(self.base), frozenset(self.ids), frozenset(self.pairs))
+        graph._holders = None
+        for table, owned in zip((self.out_, self.in_), self.owned):
+            for node_id, adjacency in owned.items():
+                if adjacency:
+                    table[node_id] = sorted(adjacency.items())
+                else:
+                    del table[node_id]
+        graph._out, graph._in = self.out_, self.in_
+        return graph
+
+    def _own(self, side: int, node_id: str) -> dict[str, DepKind]:
+        """The patch's own adjacency dict of ``node_id`` (0 out, 1 in), copied on first write."""
+        owned = self.owned[side]
+        adjacency = owned.get(node_id)
+        if adjacency is None:
+            table = self.in_ if side else self.out_
+            adjacency = owned[node_id] = dict(table.get(node_id, ()))
+            table[node_id] = adjacency.items()
+        return adjacency
+
+    def edge_kind(self, parent: str, child: str) -> DepKind | None:
+        return self.edges.get((parent, child))
+
+    def direct_parent(self, node_id: str) -> str | None:
+        return _direct_parent(self.in_.get(node_id, ()))
+
+    def set_node(self, node: Node) -> None:
+        self.nodes[node.id] = node
+        self.ids.add(node.id)
+
+    def add_nodes(self, nodes: Mapping[str, Node]) -> None:
+        self.nodes.update(nodes)
+        self.ids.update(nodes)
+
+    def set_edge(self, parent: str, child: str, kind: DepKind) -> None:
+        self.edges[parent, child] = kind
+        self._own(0, parent)[child] = kind
+        self._own(1, child)[parent] = kind
+        self.pairs.add((parent, child))
+
+    def remove_edge(self, parent: str, child: str) -> None:
+        if self.edges.pop((parent, child), None) is not None:
+            del self._own(0, parent)[child]
+            del self._own(1, child)[parent]
+        self.pairs.add((parent, child))
+
+    def remove_node(self, node_id: str) -> None:
+        """Remove the node and every edge at it."""
+        self.nodes.pop(node_id, None)
+        self.ids.add(node_id)
+        for child, _ in list(self.out_.get(node_id, ())):
+            self.remove_edge(node_id, child)
+        for parent, _ in list(self.in_.get(node_id, ())):
+            self.remove_edge(parent, node_id)
 
 
 # -- validation ------------------------------------------------------------
@@ -637,13 +692,10 @@ def _is_valid_against(graph: LevelGraph, base: LevelGraph) -> bool:
     if _kahn_taken(ready, pending, out_edges) != len(closure):
         return False
 
-    removed = ([n for n in gone if n in base_nodes], base.assets.keys() - graph.assets.keys())
-    if any(removed):
-        for targets, holders in zip(removed, _holders(base)):
-            for target in targets:
-                if any(h in nodes and h not in ids for h in holders.get(target, ())):
-                    return False  # an unchanged node's ref or asset dangles
-    return _refs_resolve([nodes[n] for n in ids if n in nodes], nodes, graph.assets)
+    lost = base.assets.keys() - graph.assets.keys()
+    refs, uses = _holders(base) if gone or lost else ({}, {})
+    held = ids.union(*(refs.get(n, ()) for n in gone), *(uses.get(a, ()) for a in lost))
+    return _refs_resolve([nodes[n] for n in held if n in nodes], nodes, graph.assets)
 
 
 def _kahn_taken(

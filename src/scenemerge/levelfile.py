@@ -33,9 +33,9 @@ nodes holding each ref and asset target is filled from those lines.
 ``parse(text, base=ancestor)`` reads a version against such a read:
 the two line lists, each in section order, are walked together as a
 merge of sorted lists that skips equal runs a block at a time, only the
-lines that are not in both texts are tokenized, the base's tables are
-patched with them, and every node whose lines are all shared is the
-base's own `Node`. The result equals ``parse(text)``; a text out of
+lines that are not in both texts are tokenized and applied to the base
+through `graph._Patch`, and every node whose lines are all shared is
+the base's own `Node`. The result equals ``parse(text)``; a text out of
 that order, or whose patch cannot be shown equal, is parsed whole, so
 errors are the same with or without a base.
 
@@ -65,6 +65,7 @@ from .graph import (
     Node,
     PropertyValue,
     SceneMergeError,
+    _Patch,
     _VALUE_KINDS,
     _gc_paused,
     _Record,
@@ -96,20 +97,19 @@ class ParseError(SceneMergeError):
         self.reason = message
 
 
-class LevelDocument(_Record, uncompared=("source", "_split", "_sections")):
+class LevelDocument(_Record, uncompared=("_split", "_sections")):
     """A parsed level file: format version plus the graph (and manifest).
 
-    ``source`` is the text `parse` read. A canonical read keeps its lines
-    and their keys too: a later parse walks its lines against them, and
-    `serialize` copies them into a level patched from it.
+    A canonical read keeps its lines and their keys: a later parse walks
+    its lines against them, and `serialize` copies them into a level
+    patched from it.
     """
 
-    __slots__ = ("format_version", "graph", "source", "_split", "_sections")
+    __slots__ = ("format_version", "graph", "_split", "_sections")
 
-    def __init__(self, format_version: int, graph: LevelGraph, source: str | None = None):
+    def __init__(self, format_version: int, graph: LevelGraph):
         _set(self, "format_version", format_version)
         _set(self, "graph", graph)
-        _set(self, "source", source)
         _set(self, "_split", None)  # a canonical read's lines
         _set(self, "_sections", None)  # and the keys of its node, prop and edge lines
 
@@ -416,7 +416,7 @@ def _read_lines(text: str) -> LevelDocument:
         {pair: kind for pair, (kind, _) in edges.items()},
         {aid: digest for aid, (digest, _) in assets.items()},
     )
-    return LevelDocument(version, graph, text)
+    return LevelDocument(version, graph)
 
 
 _SECTIONS = ("root", "node", "prop", "edge", "asset")  # in the order `serialize` writes them
@@ -512,7 +512,7 @@ def _read_canonical(text: str) -> LevelDocument | None:
     for owner, value in compress(zip(owners, literals), map(held.__contains__, literals)):
         tag, _, target = value.partition(" ")
         graph._holders[tag == "asset"].setdefault(target, []).append(owner)
-    doc = LevelDocument(FORMAT_VERSION, graph, text)
+    doc = LevelDocument(FORMAT_VERSION, graph)
     _set(doc, "_split", lines)
     _set(doc, "_sections", (ids, owners, list(edges)))
     return doc
@@ -623,7 +623,6 @@ def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
 
     if (gone_root is None) != (new_root is None):
         return None
-    root = graph.root if new_root is None else new_root[0]
 
     base_nodes = graph._nodes
     for node_id in new_nodes:
@@ -643,9 +642,8 @@ def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
         props[owner][key] = value
 
     # a node is rebuilt only when its node line or one of its prop lines changed
-    nodes = dict(base_nodes)
-    rebuilt = gone_nodes.keys() | new_nodes.keys() | props.keys()
-    for node_id in rebuilt:
+    patch, removed = _Patch(graph), []
+    for node_id in gone_nodes.keys() | new_nodes.keys() | props.keys():
         node = base_nodes.get(node_id)
         owned = props[node_id] if node_id in props else node.properties if node else {}
         if node_id in new_nodes:
@@ -653,40 +651,33 @@ def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
         elif node is None or node_id in gone_nodes:
             if owned:
                 return None  # a property of an undeclared node
-            nodes.pop(node_id, None)
+            removed.append(node_id)
             continue
         else:
             kind = node.kind
-        nodes[node_id] = Node(node_id, kind, dict(sorted(owned.items())))
-    if root not in nodes:
-        return None
-
-    edges = dict(graph._edges)
+        patch.set_node(Node(node_id, kind, dict(sorted(owned.items()))))
     for pair in gone_edges:
-        del edges[pair]
+        patch.remove_edge(*pair)
+    for node_id in removed:
+        if patch.out_.get(node_id) or patch.in_.get(node_id):
+            return None  # an edge of an undeclared node
+        patch.remove_node(node_id)
+    if new_root is not None:
+        patch.root = new_root[0]
+    if patch.root not in patch.nodes:
+        return None
     for pair, (kind, _) in new_edges.items():
-        if pair in edges or pair[0] not in nodes or pair[1] not in nodes:
+        if pair in patch.edges or pair[0] not in patch.nodes or pair[1] not in patch.nodes:
             return None
-        edges[pair] = kind
-    for node_id in gone_nodes.keys() - nodes.keys():
-        for child, _ in graph._out.get(node_id, ()):
-            if (node_id, child) in edges:
-                return None
-        for parent, _ in graph._in.get(node_id, ()):
-            if (parent, node_id) in edges:
-                return None
+        patch.set_edge(*pair, kind)
 
-    assets = dict(graph.assets)
     for asset_id in gone_assets:
-        del assets[asset_id]
+        del patch.assets[asset_id]
     for asset_id, (digest, _) in new_assets.items():
-        if asset_id in assets:
+        if asset_id in patch.assets:
             return None
-        assets[asset_id] = digest
-
-    changed = gone_edges.keys() | new_edges.keys()
-    graph = LevelGraph._of(root, nodes, edges, assets, graph, changed, rebuilt)
-    return LevelDocument(base.format_version, graph, text)
+        patch.assets[asset_id] = digest
+    return LevelDocument(base.format_version, patch.to_graph())
 
 
 class _Tokens(dict):

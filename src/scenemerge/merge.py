@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from enum import Enum
-from typing import Container, Iterable, Mapping, Union
+from typing import Container, Mapping, Union
 
 from .diff import (
     DiffResult,
@@ -46,8 +46,8 @@ from .graph import (
     SceneMergeError,
     _gc_paused,
     _closure,
-    _direct_parent,
     _holders,
+    _Patch,
     _Record,
     _touched,
     direct_subtree,
@@ -257,101 +257,35 @@ class MergeOutcome(_Record, frozen=False):
 # -- mutable working graph ----------------------------------------------------
 
 
-class _State:
-    """The merge pipeline's working graph; mutation stays inside this module.
+class _State(_Patch):
+    """The merge pipeline's working graph: the ancestor patched through `_Patch`.
 
-    It starts as the ancestor, whose tables it copies only where written.
-    ``out_`` and ``in_`` map a node to its (other end, kind) pairs: the
-    ancestor's list until the node's adjacency is first written, then a
-    live view of the state's own dict in ``owned``. ``ids`` records every
-    node added, removed or replaced and ``pairs`` every (parent, child)
-    pair set or removed, so `to_graph` patches the ancestor with them, and
-    structural repair finds the edited region from them.
+    Mutation stays inside this module. ``owners`` records which branch's
+    edit set an edge and ``relinks`` the edges a cascading deletion set
+    to keep a survivor reachable; removing an edge forgets both.
     """
 
-    __slots__ = (
-        "base", "root", "nodes", "edges", "out_", "in_", "owned", "assets",
-        "relinks", "owners", "ids", "pairs",
-    )
+    __slots__ = ("relinks", "owners")
 
     def __init__(self, ancestor: LevelGraph) -> None:
-        self.base = ancestor
-        self.root = ancestor.root
-        self.nodes: dict[str, Node] = dict(ancestor._nodes)
-        self.edges: dict[tuple[str, str], DepKind] = dict(ancestor._edges)
-        self.out_: dict[str, Iterable[tuple[str, DepKind]]] = dict(ancestor._out)
-        self.in_: dict[str, Iterable[tuple[str, DepKind]]] = dict(ancestor._in)
-        self.owned: tuple[dict[str, dict[str, DepKind]], ...] = ({}, {})  # for out_, in_
-        self.assets: dict[str, str] = dict(ancestor.assets)
+        super().__init__(ancestor)
         self.relinks: set[tuple[str, str]] = set()
         self.owners: dict[tuple[str, str], Branch] = {}
-        self.ids: set[str] = set()
-        self.pairs: set[tuple[str, str]] = set()
-
-    def to_graph(self) -> LevelGraph:
-        return LevelGraph._of(
-            self.root, self.nodes, self.edges, self.assets, self.base, self.pairs, self.ids
-        )
-
-    def _own(self, side: int, node_id: str) -> dict[str, DepKind]:
-        """The state's own adjacency dict of ``node_id`` (0 out, 1 in), copied on first write."""
-        owned = self.owned[side]
-        adjacency = owned.get(node_id)
-        if adjacency is None:
-            table = self.in_ if side else self.out_
-            adjacency = owned[node_id] = dict(table.get(node_id, ()))
-            table[node_id] = adjacency.items()
-        return adjacency
-
-    def edge_kind(self, parent: str, child: str) -> DepKind | None:
-        return self.edges.get((parent, child))
-
-    def set_node(self, node: Node) -> None:
-        self.nodes[node.id] = node
-        self.ids.add(node.id)
-
-    def add_nodes(self, nodes: Mapping[str, Node]) -> None:
-        self.nodes.update(nodes)
-        self.ids.update(nodes)
 
     def set_edge(
-        self,
-        parent: str,
-        child: str,
-        kind: DepKind,
-        owner: Branch | None = None,
+        self, parent: str, child: str, kind: DepKind, owner: Branch | None = None,
         relink: bool = False,
     ) -> None:
-        self.edges[parent, child] = kind
-        self._own(0, parent)[child] = kind
-        self._own(1, child)[parent] = kind
-        self.pairs.add((parent, child))
+        super().set_edge(parent, child, kind)
         if owner is not None:
             self.owners[(parent, child)] = owner
         if relink:
             self.relinks.add((parent, child))
 
     def remove_edge(self, parent: str, child: str) -> None:
-        if self.edges.pop((parent, child), None) is not None:
-            del self._own(0, parent)[child]
-            del self._own(1, child)[parent]
-        self.pairs.add((parent, child))
+        super().remove_edge(parent, child)
         self.relinks.discard((parent, child))
         self.owners.pop((parent, child), None)
-
-    def remove_node(self, node_id: str) -> None:
-        self.nodes.pop(node_id, None)
-        self.ids.add(node_id)
-        for child, _ in list(self.out_.get(node_id, ())):
-            self.remove_edge(node_id, child)
-        for parent, _ in list(self.in_.get(node_id, ())):
-            self.remove_edge(parent, node_id)
-        for table, owned in zip((self.out_, self.in_), self.owned):
-            table.pop(node_id, None)
-            owned.pop(node_id, None)
-
-    def direct_parent(self, node_id: str) -> str | None:
-        return _direct_parent(self.in_.get(node_id, ()))
 
     def reaches_root(self, node_id: str, via: Container[str] = ()) -> bool:
         """Whether a path of current edges leads to the node from the root

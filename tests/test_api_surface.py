@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import scenemerge
@@ -102,6 +103,14 @@ def test_a_traced_file_merge_records_every_layer_call(tmp_path, monkeypatch):
         tracer.uninstall()
     assert code == 1  # the fig4 delete-modify conflict stays unresolved
     assert tracer.missing == []
-    layers = spans.merge_layers(tracer.take(1)[0])
+    recorded = tracer.take(1)[0]
+    layers = spans.merge_layers(recorded)
     calls = {"graph.validate_calls": 4, "diff.classify_calls": 2, "levelfile.parse_calls": 3}
     assert {name: layers[name] for name in calls} == calls
+    # each layer call cli.main makes goes through its wrapper
+    counted = Counter(span[0] for span in recorded)
+    layer_calls = {
+        "config.load": 1, "levelfile.read": 3, "merge.merge3": 1,
+        "levelfile.write": 1, "levelfile.serialize": 1, "report.render": 1,
+    }
+    assert {name: counted[name] for name in layer_calls} == layer_calls

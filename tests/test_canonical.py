@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from scenemerge import LevelGraph, MergePolicy, Node, ParseError, PolicyKind, merge3, parse
 from scenemerge import cli, levelfile
+from scenemerge.graph import _Patch
 from scenemerge.levelfile import (
     FORMAT_VERSION,
     LevelDocument,
@@ -307,16 +308,14 @@ def test_a_repaired_merge_spliced_into_the_ancestor_is_its_whole_render(case, po
 
 def test_a_spliced_level_may_add_remove_and_quote():
     base = parse("lvl 1\nroot r\nnode a X\nnode r S\nprop a k int 1\nedge r a direct\n")
-    nodes = dict(base.graph._nodes)
-    nodes["a b"] = Node("a b", "Odd Kind", {"name": levelfile.PropertyValue.text("x y")})
-    nodes["0"] = Node("0", "X")
-    del nodes["a"]
-    edges = {("r", "a b"): D, ("r", "0"): I}
-    graph = LevelGraph._of(
-        "r", nodes, edges, {"t.png": "00"}, base.graph,
-        [("r", "a"), ("r", "a b"), ("r", "0")], ["a", "a b", "0"],
-    )
-    doc = LevelDocument(FORMAT_VERSION, graph)
+    patch = _Patch(base.graph)
+    patch.set_node(Node("a b", "Odd Kind", {"name": levelfile.PropertyValue.text("x y")}))
+    patch.set_node(Node("0", "X"))
+    patch.remove_node("a")  # and its edge r -> a
+    patch.set_edge("r", "a b", D)
+    patch.set_edge("r", "0", I)
+    patch.assets["t.png"] = "00"
+    doc = LevelDocument(FORMAT_VERSION, patch.to_graph())
     assert serialize(doc) == (
         'lvl 1\nroot r\nnode 0 X\nnode "a b" "Odd Kind"\nnode r S\n'
         'prop "a b" name text "x y"\nedge r 0 indirect\nedge r "a b" direct\nasset t.png 00\n'
@@ -363,19 +362,15 @@ def test_a_patched_graph_places_appended_and_re_added_keys_in_order():
         [("r", "S"), ("a", "X"), ("b", "X"), ("c", "X"), ("d", "X")],
         [("r", "a", D), ("r", "b", D), ("r", "c", D), ("a", "d", D), ("b", "d", I)],
     )
-    nodes = dict(base._nodes)
-    del nodes["b"]
-    nodes["b"] = Node("b", "Y")  # removed, then added back: it lands at the end
-    nodes["a0"] = Node("a0", "X")
-    del nodes["d"]
-    edges = dict(base._edges)
-    for pair in (("a", "d"), ("b", "d"), ("r", "b")):
-        del edges[pair]
-    edges["r", "a0"] = D
-    edges["r", "b"] = I  # the same pair, another kind
-    edges["a0", "c"] = I
-    changed = [("a", "d"), ("b", "d"), ("r", "b"), ("r", "a0"), ("a0", "c")]
-    patched = LevelGraph._of("r", nodes, edges, {}, base, changed, ["b", "a0", "d"])
+    patch = _Patch(base)
+    patch.remove_node("b")  # and its edges r -> b and b -> d
+    patch.set_node(Node("b", "Y"))  # removed, then added back: it lands at the end
+    patch.set_node(Node("a0", "X"))
+    patch.remove_node("d")  # and its edge a -> d
+    patch.set_edge("r", "a0", D)
+    patch.set_edge("r", "b", I)  # the same pair, another kind
+    patch.set_edge("a0", "c", I)
+    patched = patch.to_graph()
     whole = LevelGraph(patched.root, patched.nodes(), patched.edges())
     assert list(patched._nodes) == list(whole._nodes) == ["a", "a0", "b", "c", "r"]
     assert list(patched._edges) == list(whole._edges)

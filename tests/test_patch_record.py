@@ -6,23 +6,25 @@ may have changed; `validate(base=)` and `classify` read only those. Here
 every id whose presence or `Node` object really differs from the base,
 and every pair whose presence or kind does, is found by brute force and
 must be in the record, and the patched tables must be those a whole
-build of the same graph gives. A graph with no record is compared with
-its base whole once, and keeps the result as its record.
+build of the same graph gives. Both build through `graph._Patch`, which
+is also driven here by random edits of a small level. A graph with no
+record is compared with its base whole once, and keeps the result as
+its record.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scenemerge import LevelGraph, MergePolicy, PolicyKind, merge3, parse
+from scenemerge import DepKind, LevelGraph, MergePolicy, Node, PolicyKind, merge3, parse
 from scenemerge import diff as diff_module
 from scenemerge import graph as graph_module
 from scenemerge import merge as merge_module
 from scenemerge.levelfile import FORMAT_VERSION, LevelDocument, serialize
 from scenemerge.sim import SizeParams, apply_script, generate
-from conftest import repairing_merges
+from conftest import D, I, repairing_merges
 
 SIZE = SizeParams(nodes=40, edges=48, ops_per_branch=6)
 
@@ -43,6 +45,55 @@ def assert_record_covers(graph: LevelGraph, base: LevelGraph) -> None:
     whole = LevelGraph(graph.root, graph.nodes(), graph.edges(), graph.assets)
     assert list(graph._nodes) == list(whole._nodes) and list(graph._edges) == list(whole._edges)
     assert graph._out == whole._out and graph._in == whole._in
+
+
+_IDS = ("a", "b", "c", "d", "e")
+_PAIRS = st.tuples(st.sampled_from(_IDS), st.sampled_from(_IDS)).filter(lambda p: p[0] != p[1])
+_KINDS = st.sampled_from(list(DepKind))
+_EDITS = st.one_of(
+    st.tuples(st.just("set_node"), st.sampled_from(_IDS), st.sampled_from(("X", "Y"))),
+    st.tuples(st.just("remove_node"), st.sampled_from(_IDS)),
+    st.tuples(st.just("set_edge"), _PAIRS, _KINDS),
+    st.tuples(st.just("remove_edge"), _PAIRS),
+    st.tuples(st.just("set_asset"), st.sampled_from(("m.png", "n.png")), st.sampled_from(("0", "1"))),
+)
+
+
+def _tables(graph: LevelGraph):
+    return (
+        list(graph._nodes.items()), list(graph._edges.items()),
+        {k: list(v) for k, v in graph._out.items()}, {k: list(v) for k, v in graph._in.items()},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sets(st.sampled_from(_IDS), min_size=1),
+    st.dictionaries(_PAIRS, _KINDS, max_size=8),
+    st.lists(_EDITS, max_size=14),
+)
+# a node removed with its edges and added back, and an edge's kind flipped
+@example({"a", "b", "c"}, {("a", "b"): D, ("b", "c"): I, ("a", "c"): D}, [
+    ("remove_node", "b"), ("set_node", "b", "Y"), ("set_edge", ("a", "c"), I),
+    ("set_edge", ("a", "b"), D), ("remove_edge", ("a", "c")), ("set_edge", ("a", "c"), D),
+])
+def test_any_patch_builds_the_graph_its_record_covers(ids, edges, edits):
+    base = LevelGraph._of(min(ids), {i: Node(i, "X") for i in ids}, edges, {"m.png": "0"})
+    before = _tables(base)
+    patch = graph_module._Patch(base)
+    for name, key, *value in edits:
+        if name == "set_node":
+            patch.set_node(Node(key, *value))
+        elif name == "remove_node":
+            patch.remove_node(key)
+        elif name == "set_edge":
+            patch.set_edge(*key, *value)
+        elif name == "remove_edge":
+            patch.remove_edge(*key)
+        else:
+            patch.assets[key] = value[0]
+    assert_record_covers(patch.to_graph(), base)
+    assert _tables(base) == before
 
 
 @settings(max_examples=60, deadline=None)

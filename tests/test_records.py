@@ -88,7 +88,7 @@ CASES = [
           dict(added=1, deleted=2, modified_intrinsic=3, modified_propagated=5),
           "DiffStats(added=1, deleted=2, modified_intrinsic=3, modified_propagated=4)",
           True, True),
-    _case(LevelDocument, dict(format_version=1, graph=_G), dict(source=None),
+    _case(LevelDocument, dict(format_version=1, graph=_G), {},
           dict(format_version=2, graph=_G),
           f"LevelDocument(format_version=1, graph={_G_REPR})", True, False),
     _case(_Token, dict(text="abc", column=3), {}, dict(text="abc", column=4),
@@ -199,9 +199,11 @@ def test_record_parity(cls, required, defaults, other, shown, frozen, hashable):
         assert getattr(record, name) == "changed" and record != same
 
 
-def test_level_document_ignores_its_source():
-    read = LevelDocument(1, _G, "a\nb")
-    assert read == LevelDocument(1, _G) and repr(read) == repr(LevelDocument(1, _G))
+def test_level_document_ignores_its_lines():
+    read = parse("lvl 1\nroot n\nnode n Light\n")
+    assert read._split is not None and read._sections is not None
+    built = LevelDocument(1, read.graph)
+    assert read == built and repr(read) == repr(built)
 
 
 @pytest.mark.parametrize("lines, eager", [

@@ -40,6 +40,7 @@ from scenemerge import (
     validate,
 )
 from scenemerge.diff import check_same_level
+from scenemerge.graph import _Patch
 from scenemerge.levelfile import FORMAT_VERSION, LevelDocument, serialize
 from scenemerge.sim import SizeParams, apply_script, generate
 from conftest import repairing_merges
@@ -90,13 +91,22 @@ class _Level:
             return LevelGraph(self.root, self.nodes.values(), edges, self.assets)
         # every node at neither end of a changed pair keeps the base's
         # lists, and the graph records the changed ids and pairs
-        pairs = self.edges.keys() | base._edges.keys()
-        changed = [pair for pair in pairs if self.edges.get(pair) is not base._edges.get(pair)]
-        ids = self.nodes.keys() | base._nodes.keys()
-        changed_ids = [i for i in ids if self.nodes.get(i) is not base._nodes.get(i)]
-        return LevelGraph._of(
-            self.root, self.nodes, self.edges, self.assets, base, changed, changed_ids
-        )
+        patch = _Patch(base)
+        for node_id in self.nodes.keys() | base._nodes.keys():
+            node = self.nodes.get(node_id)
+            if node is None:  # removed, its edges left as they are
+                patch.nodes.pop(node_id)
+                patch.ids.add(node_id)
+            elif node is not base._nodes.get(node_id):
+                patch.set_node(node)
+        for pair in self.edges.keys() | base._edges.keys():
+            kind = self.edges.get(pair)
+            if kind is None:
+                patch.remove_edge(*pair)
+            elif kind is not base._edges.get(pair):
+                patch.set_edge(*pair, kind)
+        patch.root, patch.assets = self.root, dict(self.assets)
+        return patch.to_graph()
 
 
 def _with(node: Node, key: str, value: PropertyValue) -> Node:
@@ -257,10 +267,10 @@ def _seed_error(ancestor, mine, theirs):
     try:
         require(ancestor, "ancestor")
         require(mine, "mine")
-        check_same_level(ancestor, mine, "ancestor", "version")
+        check_same_level(ancestor, mine, "ancestor", "version", ancestor.node_ids())
         require(theirs, "theirs")
-        check_same_level(ancestor, theirs, "ancestor", "version")
-        check_same_level(mine, theirs, "mine", "theirs")
+        check_same_level(ancestor, theirs, "ancestor", "version", ancestor.node_ids())
+        check_same_level(mine, theirs, "mine", "theirs", mine.node_ids())
     except SceneMergeError as exc:
         return type(exc), str(exc)
     return None
