@@ -395,7 +395,7 @@ class LevelGraph:
 
 
 class _Patch:
-    """A level edited from a base graph, copy-on-write; the builder of every patched graph.
+    """A level edited copy-on-write from a base graph; every patched graph is made by one.
 
     It starts as a copy of the base's tables. ``out_`` and ``in_`` map a
     node to its (other end, kind) pairs: the base's list until the node's
