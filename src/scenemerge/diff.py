@@ -187,7 +187,7 @@ def classify(
             new_direct_parent=version.direct_parent(node_id),
             intrinsic=True,
         )
-    # then the ancestor's ids, in its (sorted) order
+    # then the ancestor's ids
     classes.update(dict.fromkeys(a_nodes, ChangeClass.UNCHANGED))
     classes.update(dict.fromkeys(deleted, ChangeClass.DELETED))
 
@@ -195,8 +195,8 @@ def classify(
     candidates = replaced.union(c for _, c in pairs if c in a_nodes and c in v_nodes)
     for node_id in sorted(candidates):
         old, new = a_nodes[node_id], v_nodes[node_id]
-        # in-edge lists are sorted by parent, so equal lists mean no
-        # reparent, no kind flip and no in-edge change
+        # equal in-edge lists mean no reparent, no kind flip and no in-edge
+        # change; lists that differ, if only in order, are compared as dicts
         if (old is new or old == new) and a_in.get(node_id) == v_in.get(node_id):
             continue
         sets = {

@@ -6,6 +6,11 @@ parent changes onto the child (a container and its components); an
 *indirect* edge records a reference without mirroring (a script and the
 assets it instantiates). One designated root must reach every node.
 
+A graph's tables are unordered: they keep the order they were built
+in. Canonical order belongs to the readers that show it: the listings
+`LevelGraph.node_ids`, `nodes`, `edges`, `children` and `parents`
+return it sorted, and so does `levelfile.serialize`.
+
 Graphs are immutable after construction and safe to share across
 threads; what a graph or node builds on first use (a read node's
 properties, `_holders`, a `_differences` record) two threads build
@@ -20,10 +25,8 @@ from __future__ import annotations
 import gc
 import math
 import weakref
-from bisect import bisect_left
 from contextlib import ContextDecorator
 from enum import Enum
-from itertools import islice
 from operator import attrgetter
 from typing import Callable, Collection, Container, Iterable, Iterator, Mapping
 
@@ -243,28 +246,6 @@ class Edge(_Record):
         _set(self, "kind", kind)
 
 
-def _sorted_table(table: Mapping) -> dict:
-    """A copy of ``table`` with its keys in sorted order; a table already in order is copied whole."""
-    keys = sorted(table)
-    return dict(table) if keys == list(table) else dict(zip(keys, map(table.__getitem__, keys)))
-
-
-def _patched_table(table: Mapping, changed: Collection) -> dict:
-    """A copy of ``table``, a sorted table patched in place, with its keys in sorted order.
-
-    Only a key in ``changed`` can have moved, and only to the end, so only
-    that many last keys are sorted, each placed by bisection among the rest."""
-    keys = list(table)
-    head = len(keys) - sum(key in table for key in changed)
-    items, patched, at = iter(table.items()), {}, 0
-    for key in sorted(keys[head:]):
-        i = bisect_left(keys, key, at, head)
-        patched.update(islice(items, i - at))
-        patched[key], at = table[key], i
-    patched.update(islice(items, head - at))
-    return patched
-
-
 def _direct_parent(in_edges: Iterable[tuple[str, DepKind]]) -> str | None:
     """The Direct parent in (parent, kind) in-edges, or None. The smallest id wins if there
     are (illegally) several; determinism matters more than punishing an invalid input."""
@@ -281,7 +262,9 @@ class LevelGraph:
     ``nodes`` maps id to Node, ``edges`` holds at most one edge per
     ordered (parent, child) pair, and ``assets`` maps asset id to
     content digest. Equality is structural and independent of
-    construction order.
+    construction order. The tables keep the order they were built in;
+    the listings (`node_ids`, `nodes`, `edges`, `children`, `parents`)
+    return new sorted lists.
     """
 
     __slots__ = (
@@ -306,25 +289,28 @@ class LevelGraph:
             if key in edge_map:
                 raise ValueError(f"duplicate edge {edge.parent!r} -> {edge.child!r}")
             edge_map[key] = edge.kind
-        self._fill(root, node_map, edge_map, assets)
+        self._fill(root, node_map, edge_map, dict(assets) if assets else {})
 
     @classmethod
     def _of(
-        cls, root: str, nodes: Mapping[str, Node], edges: Mapping[tuple[str, str], DepKind],
-        assets: Mapping[str, str] | None,
+        cls, root: str, nodes: dict[str, Node], edges: dict[tuple[str, str], DepKind],
+        assets: dict[str, str],
     ) -> "LevelGraph":
-        """A graph over an id -> node and a (parent, child) -> kind mapping."""
+        """A graph over an id -> node, a (parent, child) -> kind and an asset -> digest dict.
+
+        The graph takes the three dicts over as its tables, without copying
+        them, so the caller passes dicts of its own and does not write them after.
+        """
         graph = cls.__new__(cls)
         graph._fill(root, nodes, edges, assets)
         return graph
 
     def _fill(self, root, nodes, edges, assets) -> None:
-        # nodes, edges, assets and each node's adjacency list are stored
-        # sorted, so every reader iterates them in canonical order
+        # the tables are taken over as they are, in the order they were built
         self.root = root
-        self._nodes: dict[str, Node] = _sorted_table(nodes)
-        self._edges: dict[tuple[str, str], DepKind] = _sorted_table(edges)
-        self.assets: dict[str, str] = dict(sorted(assets.items())) if assets else {}
+        self._nodes: dict[str, Node] = nodes
+        self._edges: dict[tuple[str, str], DepKind] = edges
+        self.assets: dict[str, str] = assets
         self._patch = None  # see `_Patch.to_graph` and `_differences`
         self._holders = None  # see `_holders`
         self._out: dict[str, list[tuple[str, DepKind]]] = {}
@@ -344,10 +330,10 @@ class LevelGraph:
         return len(self._edges)
 
     def node_ids(self) -> list[str]:
-        return list(self._nodes)
+        return sorted(self._nodes)
 
     def nodes(self) -> Iterator[Node]:
-        return iter(self._nodes.values())
+        return map(self._nodes.__getitem__, sorted(self._nodes))
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._nodes
@@ -359,16 +345,17 @@ class LevelGraph:
             raise UnknownNodeError(node_id) from None
 
     def edges(self) -> list[Edge]:
-        return [Edge(p, c, k) for (p, c), k in self._edges.items()]
+        edges = self._edges  # its keys sort many times faster than its (key, kind) items
+        return [Edge(p, c, edges[p, c]) for p, c in sorted(edges)]
 
     def edge_kind(self, parent: str, child: str) -> DepKind | None:
         return self._edges.get((parent, child))
 
     def children(self, node_id: str) -> list[tuple[str, DepKind]]:
-        return self._out.get(node_id, [])
+        return sorted(self._out.get(node_id, ()))
 
     def parents(self, node_id: str) -> list[tuple[str, DepKind]]:
-        return self._in.get(node_id, [])
+        return sorted(self._in.get(node_id, ()))
 
     def direct_parent(self, node_id: str) -> str | None:
         """The unique Direct parent, or None (see `_direct_parent`)."""
@@ -402,8 +389,10 @@ class _Patch:
     adjacency is first written, then a live view of the patch's own dict
     in ``owned``. ``ids`` records every node
     added, removed or replaced and ``pairs`` every (parent, child) pair
-    set or removed, and `to_graph` patches the base with them. The graph
-    takes over the patch's tables, so a patch is not written after it.
+    set or removed, and `to_graph` records them. The tables are unordered:
+    a key set anew goes to the end, and no list is sorted (see the module
+    docstring). The graph takes over the patch's tables, so a patch is not
+    written after it.
     """
 
     __slots__ = ("base", "root", "nodes", "edges", "out_", "in_", "owned", "assets", "ids", "pairs")
@@ -423,22 +412,20 @@ class _Patch:
     def to_graph(self) -> LevelGraph:
         """The patched graph, recording the patch for `_differences`.
 
-        Only a patched key can have left its sorted place, and only a
-        written adjacency list is sorted again; every other node keeps the
-        base's lists.
+        The graph takes over the patch's tables without copying them; a
+        written adjacency list becomes a list, and every other node keeps
+        the base's lists.
         """
         graph = LevelGraph.__new__(LevelGraph)
         graph.root = self.root
-        graph._nodes = _patched_table(self.nodes, self.ids)
-        graph._edges = _patched_table(self.edges, self.pairs)
-        graph.assets = dict(sorted(self.assets.items()))
+        graph._nodes, graph._edges, graph.assets = self.nodes, self.edges, self.assets
         # held weakly, so a chain of patched graphs keeps no earlier level alive
         graph._patch = (weakref.ref(self.base), frozenset(self.ids), frozenset(self.pairs))
         graph._holders = None
         for table, owned in zip((self.out_, self.in_), self.owned):
             for node_id, adjacency in owned.items():
                 if adjacency:
-                    table[node_id] = sorted(adjacency.items())
+                    table[node_id] = list(adjacency.items())
                 else:
                     del table[node_id]
         graph._out, graph._in = self.out_, self.in_

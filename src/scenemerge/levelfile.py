@@ -175,7 +175,10 @@ def _split_line(line: str, lineno: int) -> list[_Token]:
                         digits = line[i + 2 : i + 6]
                         if len(digits) != 4 or not all(c in "0123456789abcdefABCDEF" for c in digits):
                             raise ParseError("invalid \\u escape", lineno, i + 1)
-                        parts.append(chr(int(digits, 16)))
+                        code = int(digits, 16)
+                        if 0xD800 <= code <= 0xDFFF:  # a surrogate, which UTF-8 cannot write
+                            raise ParseError("invalid \\u escape", lineno, i + 1)
+                        parts.append(chr(code))
                         i += 6
                     else:
                         raise ParseError(f"unknown escape \\{esc}", lineno, i + 1)
@@ -725,8 +728,9 @@ def serialize(doc: LevelDocument, base: LevelDocument | None = None) -> str:
                 at = bisect_right(keys, key, lo)
             lines += base._split[start + at : start + len(keys)]
             start += len(keys)
-    else:  # a graph stores its nodes and edges in canonical order
-        for keys, render in zip((nodes, nodes, edges), renders):
+    else:  # a graph's tables are unordered, so the whole level is written sorted
+        ids = sorted(nodes)
+        for keys, render in zip((ids, ids, sorted(edges)), renders):
             for key in keys:
                 render(key)
     for asset_id in sorted(graph.assets):

@@ -31,6 +31,15 @@ def g(root: str, nodes, edges=(), assets=None) -> LevelGraph:
     return LevelGraph(root, built, [Edge(p, c, k) for p, c, k in edges], assets)
 
 
+def tables(graph: LevelGraph) -> tuple:
+    """What a graph stores, in no order: its tables as mappings, its adjacency as sets."""
+    return (
+        graph.root, graph._nodes, graph._edges, graph.assets,
+        {node_id: set(pairs) for node_id, pairs in graph._out.items()},
+        {node_id: set(pairs) for node_id, pairs in graph._in.items()},
+    )
+
+
 def merge3_manifests(ancestor, mine, theirs, store, policy, strategies=None, validators=None):
     """`merge3` on one-node levels that carry the three manifests, with an
     `assets.ManifestMerger` over ``store``: the merged manifest, the

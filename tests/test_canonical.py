@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import random
 from operator import lt
 
 import pytest
@@ -33,7 +34,7 @@ from scenemerge.levelfile import (
     serialize,
 )
 from scenemerge.sim import SizeParams, apply_script, generate
-from conftest import D, I, g, repairing_merges
+from conftest import D, I, g, repairing_merges, tables
 
 SIZE = SizeParams(nodes=30, edges=36, ops_per_branch=6)
 
@@ -55,10 +56,8 @@ def _outcome(read, text):
 
 def assert_same_document(doc: LevelDocument, other: LevelDocument) -> None:
     assert doc == other
-    # graph equality leaves out the adjacency lists and the order of the tables
-    assert list(doc.graph._nodes) == list(other.graph._nodes)
-    assert list(doc.graph._edges) == list(other.graph._edges)
-    assert (doc.graph._out, doc.graph._in) == (other.graph._out, other.graph._in)
+    # graph equality leaves out the adjacency lists
+    assert tables(doc.graph) == tables(other.graph)
 
 
 # -- the canonical reader ---------------------------------------------------------
@@ -353,14 +352,15 @@ def test_serialize_renders_whole_unless_the_patch_names_a_canonical_base():
     assert serialize(merged, base=other) == whole and copied_lines(merged, other) == 0
 
 
-# -- the patched tables keep the base's order ----------------------------------------
+# -- the tables are unordered; the listings and the writer sort ---------------------
 
 
-def test_a_patched_graph_places_appended_and_re_added_keys_in_order():
+def test_a_level_built_in_any_order_lists_and_serializes_the_same():
     base = g(
         "r",
         [("r", "S"), ("a", "X"), ("b", "X"), ("c", "X"), ("d", "X")],
         [("r", "a", D), ("r", "b", D), ("r", "c", D), ("a", "d", D), ("b", "d", I)],
+        {"m.png": "0", "n.png": "1"},
     )
     patch = _Patch(base)
     patch.remove_node("b")  # and its edges r -> b and b -> d
@@ -370,10 +370,30 @@ def test_a_patched_graph_places_appended_and_re_added_keys_in_order():
     patch.set_edge("r", "a0", D)
     patch.set_edge("r", "b", I)  # the same pair, another kind
     patch.set_edge("a0", "c", I)
+    patch.assets["l.png"] = "2"
     patched = patch.to_graph()
-    whole = LevelGraph(patched.root, patched.nodes(), patched.edges())
-    assert list(patched._nodes) == list(whole._nodes) == ["a", "a0", "b", "c", "r"]
-    assert list(patched._edges) == list(whole._edges)
-    assert (patched._out, patched._in) == (whole._out, whole._in)
-    assert patched._out["r"] == [("a", D), ("a0", D), ("b", I), ("c", D)]
+    assert list(patched._nodes) == ["r", "a", "c", "b", "a0"]  # as the patch wrote them
+    builds = [patched]
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        nodes, edges = list(patched.nodes()), patched.edges()
+        assets = list(patched.assets.items())
+        for listing in (nodes, edges, assets):
+            rng.shuffle(listing)
+        builds.append(LevelGraph("r", nodes, edges, dict(assets)))
+    assert len({tuple(build._nodes) for build in builds}) == 3
+    assert len({tuple(build._edges) for build in builds}) == 3
+    texts = {serialize(LevelDocument(FORMAT_VERSION, build)) for build in builds}
+    assert len(texts) == 1
+
+    def listings(graph: LevelGraph) -> tuple:
+        ids = graph.node_ids()
+        return (
+            ids, list(graph.nodes()), graph.edges(),
+            [graph.children(node_id) for node_id in ids], [graph.parents(node_id) for node_id in ids],
+        )
+
+    assert listings(builds[0]) == listings(builds[1]) == listings(builds[2])
+    assert patched.node_ids() == ["a", "a0", "b", "c", "r"]
+    assert patched.children("r") == [("a", D), ("a0", D), ("b", I), ("c", D)]
     assert "a" not in patched._out and base._out["a"] == [("d", D)]  # the base is untouched

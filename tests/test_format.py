@@ -28,7 +28,7 @@ from scenemerge.levelfile import (
     read_document,
 )
 from scenemerge.sim import SizeParams, apply_script, generate
-from conftest import D, I, fixture_text, g
+from conftest import D, I, fixture_text, g, tables
 
 
 def roundtrip(doc):
@@ -422,7 +422,7 @@ def test_parse_against_a_base_equals_a_whole_parse(texts):
     assert patched == whole
     assert serialize(patched) == serialize(whole)
     # graph equality leaves out the adjacency lists
-    assert (patched.graph._out, patched.graph._in) == (whole.graph._out, whole.graph._in)
+    assert tables(patched.graph) == tables(whole.graph)
     lines = text.split("\n")
     keys = list(map(_line_key, lines[1:]))
     if "\r" in text or lines[0] != base._split[0] or not all(map(lt, keys, keys[1:])):
@@ -442,6 +442,36 @@ def test_a_branch_parsed_against_its_ancestor_shares_the_unchanged_nodes():
     assert 0 < len(shared) < mine.graph.node_count
     # a document read with a base serves as a base in turn
     assert parse(base_text, base=mine) == base
+
+
+_CANONICAL = "lvl 1\nroot r\nnode a X\nnode r S\nedge r a direct\n"
+
+
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uDBFF", "\\udc00", "\\uDFFF"])
+def test_a_surrogate_escape_is_a_parse_error_with_or_without_a_base(escape):
+    text = _CANONICAL.replace("\nedge", f'\nprop a name text "{escape}"\nedge')
+    base = parse(_CANONICAL)
+    assert base._sections is not None
+    for read in (parse, lambda text: parse(text, base=base)):
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert (err.value.line, err.value.column, err.value.reason) == (5, 19, "invalid \\u escape")
+    assert parse(text.replace(escape, "\\ud7ff")).graph.node("a").properties["name"].value == "\ud7ff"
+
+
+def test_the_merge_driver_rejects_a_surrogate_escape_and_keeps_the_current_file(tmp_path, capsys):
+    from scenemerge.cli import main
+
+    ancestor, current, other = (tmp_path / name for name in ("base.lvl", "current.lvl", "other.lvl"))
+    ancestor.write_text(_CANONICAL)
+    other.write_text(_CANONICAL)
+    current.write_text(_CANONICAL.replace("\nedge", '\nprop a name text "\\ud800"\nedge'))
+    before = current.read_bytes()
+    assert main(["merge-driver", str(ancestor), str(current), str(other)]) == 2
+    assert capsys.readouterr().err == (
+        f"scenemerge: {current}: line 5, column 19: invalid \\u escape\n"
+    )
+    assert current.read_bytes() == before
 
 
 def test_read_document_names_the_file_and_keeps_the_position(tmp_path):

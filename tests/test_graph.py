@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,9 @@ from scenemerge import (
     direct_subtree,
     validate,
 )
-from scenemerge.graph import _full_report
+from scenemerge.graph import _full_report, _Patch
 from scenemerge.sim import SizeParams, apply_script, generate
-from conftest import D, I, g
+from conftest import D, I, g, tables
 
 
 def codes(report):
@@ -241,3 +242,35 @@ def _small_graphs(draw):
 @given(_small_graphs())
 def test_validate_matches_the_full_checker_on_small_graphs(graph):
     assert validate(graph) == _full_report(graph)
+
+
+def test_a_listing_is_a_copy_that_leaves_both_graphs_as_they_were():
+    base = g("r", [("r", "S"), ("a", "X"), ("b", "X")], [("r", "a", D), ("r", "b", I)])
+    patch = _Patch(base)
+    patch.set_node(Node("b", "Y"))  # the patched graph shares the base's adjacency lists
+    mine = patch.to_graph()
+    before = [(tables(graph), validate(graph)) for graph in (base, mine)]
+    for graph in (base, mine):
+        graph.children("r").append(("ghost", D))
+        graph.parents("a").append(("ghost", D))
+        graph.node_ids().append("ghost")
+        graph.edges().append(Edge("ghost", "a", D))
+    assert [(tables(graph), validate(graph)) for graph in (base, mine)] == before
+    assert before[0][1].ok and before[1][1].ok
+
+
+def test_a_no_op_patch_builds_its_graph_without_copying_a_table():
+    ids = [f"n{i:05d}" for i in range(10_000)]
+    base = LevelGraph._of(
+        ids[0], {i: Node(i, "X") for i in ids},
+        {(ids[(k - 1) // 2], ids[k]): D for k in range(1, len(ids))}, {"m.png": "0"},
+    )
+    patch = _Patch(base)
+    tracemalloc.start()
+    try:
+        patched = patch.to_graph()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert patched == base
+    assert peak < 16 * 1024

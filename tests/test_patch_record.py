@@ -5,8 +5,8 @@ and the graph records the node ids and (parent, child) pairs the patch
 may have changed; `validate(base=)` and `classify` read only those. Here
 every id whose presence or `Node` object really differs from the base,
 and every pair whose presence or kind does, is found by brute force and
-must be in the record, and the patched tables must be those a whole
-build of the same graph gives. Both build through `graph._Patch`, which
+must be in the record, and the patched tables must hold what a whole
+build of the same graph holds, in any order. Both build through `graph._Patch`, which
 is also driven here by random edits of a small level. A graph with no
 record is compared with its base whole once, and keeps the result as
 its record.
@@ -24,7 +24,7 @@ from scenemerge import graph as graph_module
 from scenemerge import merge as merge_module
 from scenemerge.levelfile import FORMAT_VERSION, LevelDocument, serialize
 from scenemerge.sim import SizeParams, apply_script, generate
-from conftest import D, I, repairing_merges
+from conftest import D, I, repairing_merges, tables
 
 SIZE = SizeParams(nodes=40, edges=48, ops_per_branch=6)
 
@@ -42,9 +42,7 @@ def assert_record_covers(graph: LevelGraph, base: LevelGraph) -> None:
     ):
         keys = table.keys() | base_table.keys()
         assert {key for key in keys if table.get(key) is not base_table.get(key)} <= recorded
-    whole = LevelGraph(graph.root, graph.nodes(), graph.edges(), graph.assets)
-    assert list(graph._nodes) == list(whole._nodes) and list(graph._edges) == list(whole._edges)
-    assert graph._out == whole._out and graph._in == whole._in
+    assert tables(graph) == tables(LevelGraph(graph.root, graph.nodes(), graph.edges(), graph.assets))
 
 
 _IDS = ("a", "b", "c", "d", "e")

@@ -11,8 +11,10 @@ commit and a copy of the change. Each ``--plan WORKLOAD:SEED:PAIRS:TRACE``
 runs ``python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds 30
 --trace TRACE`` PAIRS times in each checkout. Pair k runs the parent first
 when k is odd and the change first when k is even. Plans run in the order
-given, and every run is kept: its exit code, ROW line, final JSON line and,
-for a traced run, its LAYER and TRACE lines. The output file is rewritten
+given, and every run is kept: its exit code, ROW line, every FAILED line,
+final JSON line and, for a traced run, its LAYER and TRACE lines. A run
+that exits non-zero or ends in no JSON line also keeps the tails of its
+stdout, where ``perfbench/run.py`` prints merge tracebacks, and stderr. The output file is rewritten
 after every run, so an interrupted session leaves the runs made so far.
 
 The summary holds, per untraced workload and seed, the median of every
@@ -74,12 +76,15 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         "trace": trace,
         "exit": done.returncode,
         "row": next((line for line in lines if line.startswith("ROW ")), None),
+        "failed": [line for line in lines if line.startswith("FAILED ")],
     }
     try:
         run["result"] = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         run["result"] = None
-        run["stderr"] = done.stderr[-2000:]
+    if done.returncode or run["result"] is None:  # keep the reason: tracebacks go to stdout
+        run["stdout_tail"] = done.stdout[-4000:]
+        run["stderr_tail"] = done.stderr[-2000:]
     run["elapsed_s"] = round(time.perf_counter() - start, 1)
     if trace:
         run["layers"] = [line for line in lines if line.startswith("LAYER ")]
