@@ -84,9 +84,6 @@ class BlobStore:
     def path_for(self, digest: str) -> Path:
         return self.root / digest
 
-    def has(self, digest: str) -> bool:
-        return self.path_for(digest).is_file()
-
     def get(self, digest: str) -> bytes:
         """The content stored under ``digest``, which must hash to it."""
         path = self.path_for(digest)

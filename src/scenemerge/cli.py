@@ -51,6 +51,7 @@ def _cmd_validate(args) -> int:
 
 
 def _describe_changes(diff) -> list[str]:
+    """A line for each edited node, then one for each changed manifest entry."""
     from .merge import _describe_delta  # single authoritative delta renderer
 
     lines = []
@@ -74,6 +75,15 @@ def _describe_changes(diff) -> list[str]:
             lines.append(f"modify {node_id}: " + "; ".join(fragments))
         elif not delta.reparented:
             lines.append(f"modify {node_id}")
+    base_assets, assets = diff.ancestor.assets, diff.version.assets
+    for asset_id in sorted(base_assets.keys() | assets.keys()):
+        old, new = base_assets.get(asset_id), assets.get(asset_id)
+        if old is None:
+            lines.append(f"add asset {asset_id} {new}")
+        elif new is None:
+            lines.append(f"delete asset {asset_id}")
+        elif old != new:
+            lines.append(f"modify asset {asset_id}: {old} -> {new}")
     return lines
 
 
@@ -88,9 +98,10 @@ def _cmd_diff(args) -> int:
         f"({stats.modified_intrinsic} intrinsic, {stats.modified_propagated} propagated)"
     )
     print(f"total edited nodes: {stats.total_edited}")
-    for line in _describe_changes(diff):
+    lines = _describe_changes(diff)
+    for line in lines:
         print(line)
-    return EXIT_DIFFERENCES if stats.total_edited else EXIT_CLEAN
+    return EXIT_DIFFERENCES if lines else EXIT_CLEAN
 
 
 def _manifest_merger(config):

@@ -81,16 +81,15 @@ class NodeDelta(_Record):
 
 
 class DiffResult(_Record):
-    """Per-node classification plus the deltas needed to replay the edit.
+    """The edited nodes of one version plus the deltas needed to replay the edit.
 
-    ``added``, ``deleted`` and ``intrinsic`` (the intrinsically Modified
-    nodes) are computed once by `classify`; the merge reads them per
-    deletion root, so they must not cost a pass over ``classes``.
+    Every Added and every Modified node carries a delta; ``intrinsic``
+    names the intrinsically Modified ones. A node of the ancestor that is
+    neither deleted nor in ``deltas`` is Unchanged.
     """
 
     ancestor: LevelGraph
     version: LevelGraph
-    classes: Mapping[str, ChangeClass]
     deltas: Mapping[str, NodeDelta]
     added_edges: frozenset[Edge]
     removed_edges: frozenset[Edge]
@@ -98,12 +97,19 @@ class DiffResult(_Record):
     deleted: frozenset[str]
     intrinsic: frozenset[str]
     __slots__ = (
-        "ancestor", "version", "classes", "deltas",
+        "ancestor", "version", "deltas",
         "added_edges", "removed_edges", "added", "deleted", "intrinsic",
     )
 
     def nodes_in_class(self, cls: ChangeClass) -> list[str]:
-        return sorted(n for n, c in self.classes.items() if c is cls)
+        if cls is ChangeClass.ADDED:
+            return sorted(self.added)
+        if cls is ChangeClass.DELETED:
+            return sorted(self.deleted)
+        if cls is ChangeClass.MODIFIED:
+            return sorted(self.deltas.keys() - self.added)
+        edited = self.deltas.keys() | self.deleted
+        return [node_id for node_id in self.ancestor.node_ids() if node_id not in edited]
 
 
 class DiffStats(_Record):
@@ -176,21 +182,15 @@ def classify(
     added_edges = {Edge(*p, v_edges[p]) for p in pairs if p in v_edges and p not in a_edges}
     removed_edges = {Edge(*p, a_edges[p]) for p in pairs if p in a_edges and p not in v_edges}
 
-    classes: dict[str, ChangeClass] = {}
     deltas: dict[str, NodeDelta] = {}
     intrinsic_set: set[str] = set()
     for node_id in sorted(added):
-        classes[node_id] = ChangeClass.ADDED
         deltas[node_id] = NodeDelta(
             property_sets=dict(v_nodes[node_id].properties),
             reparented=True,
             new_direct_parent=version.direct_parent(node_id),
             intrinsic=True,
         )
-    # then the ancestor's ids
-    classes.update(dict.fromkeys(a_nodes, ChangeClass.UNCHANGED))
-    classes.update(dict.fromkeys(deleted, ChangeClass.DELETED))
-
     # a survivor can change only where its node object or an in-edge pair did
     candidates = replaced.union(c for _, c in pairs if c in a_nodes and c in v_nodes)
     for node_id in sorted(candidates):
@@ -226,7 +226,6 @@ def classify(
                 in_edge_change = True
 
         if sets or removals or reparented or kind_changes or in_edge_change:
-            classes[node_id] = ChangeClass.MODIFIED
             intrinsic_set.add(node_id)
             deltas[node_id] = NodeDelta(
                 property_sets=sets,
@@ -238,16 +237,15 @@ def classify(
             )
 
     # Propagate along Direct edges of the edited graph: a direct parent's
-    # change is mirrored onto its whole direct subtree.
+    # change is mirrored onto its whole direct subtree. A node of the
+    # edited graph with no delta yet is an unchanged ancestor node.
     for node_id in _closure(intrinsic_set, version._out, DepKind.DIRECT):
-        if classes.get(node_id) is ChangeClass.UNCHANGED:
-            classes[node_id] = ChangeClass.MODIFIED
+        if node_id not in deltas:
             deltas[node_id] = NodeDelta(intrinsic=False)
 
     return DiffResult(
         ancestor=ancestor,
         version=version,
-        classes=classes,
         deltas=deltas,
         added_edges=frozenset(added_edges),
         removed_edges=frozenset(removed_edges),

@@ -46,6 +46,7 @@ from .graph import (
     SceneMergeError,
     _gc_paused,
     _closure,
+    _differences,
     _holders,
     _Patch,
     _Record,
@@ -568,22 +569,17 @@ def _apply_modifications(
         elif parent != base_dp:
             _set_direct_parent(state, node_id, parent, Branch.A if parent == dp_a else Branch.B)
 
-    # Indirect-presence cells, one per (parent, child) pair some branch
-    # changed: an edge added or removed, or a kind flipped. A pair no
-    # branch changed merges to the ancestor's presence, and applying that
-    # leaves the working graph as it is. If the ancestor has the indirect
-    # edge, the graph still has an edge on the pair: only a deleted
-    # endpoint removes one before this point, and a Direct parent set over
-    # it is a kind flip. If not, the graph holds an indirect edge there
-    # only as a relink, which the removal rule spares.
-    pairs = {
-        (edge.parent, edge.child)
-        for diff in (diff_a, diff_b)
-        for edge in diff.added_edges | diff.removed_edges
-    }
-    for diff in (diff_a, diff_b):
-        for node_id in diff.intrinsic:
-            pairs.update((parent, node_id) for parent, _ in diff.deltas[node_id].dep_kind_changes)
+    # Indirect-presence cells, one per (parent, child) pair some branch's
+    # patch record names: every pair whose edge a branch added, removed or
+    # flipped is among them. The record may hold more pairs than changed.
+    # A pair no branch changed merges to the ancestor's presence, and
+    # applying that leaves the working graph as it is. If the ancestor has
+    # the indirect edge, the graph still has an edge on the pair: only a
+    # deleted endpoint removes one before this point, and a Direct parent
+    # set over it is a kind flip. If not, the graph holds an indirect edge
+    # there only as a relink, which the removal rule spares.
+    pairs = set(_differences(version_a, ancestor)[1])
+    pairs.update(_differences(version_b, ancestor)[1])
     for parent, child in sorted(pairs):
         if parent not in state.nodes or child not in state.nodes:
             continue

@@ -696,7 +696,7 @@ def check_scenario(
         repaired |= {e.parent for e in outcome.removed_cycle_edges}
         for diff in (diff_a, diff_b):
             for node_id in diff.intrinsic:
-                if node_id not in rediff.classes or node_id in repaired:
+                if node_id in repaired:
                     continue
                 if rediff.deltas.get(node_id) != diff.deltas.get(node_id):
                     violations.append(

@@ -3,9 +3,11 @@ and every call site the benchmark's tracer wraps exists.
 
 A name that only tests call is API kept alive for the tests. Each public
 (not underscore-prefixed) function, class or variable defined at the top
-level of a module under ``src/scenemerge`` must be referenced somewhere
-in ``src/`` outside its own definition: a call, an annotation, an import
-or an export from ``__init__`` all count.
+level of a module under ``src/scenemerge``, and each public method or
+property of such a class, must be referenced somewhere in ``src/``
+outside its own definition: a call, an annotation, an import or an
+export from ``__init__`` all count. A member is matched by its name
+alone, so any attribute read of that name counts.
 
 ``perfbench/spans.py`` replaces module attributes with recording
 wrappers; a renamed or removed attribute, or a call routed around one,
@@ -28,7 +30,8 @@ SRC = Path(scenemerge.__file__).resolve().parent
 
 
 def _defined(tree: ast.Module):
-    """(name, first line, last line) of each public top-level definition."""
+    """(label, name, first line, last line) of each public top-level
+    definition and of each public method or property of a public class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -40,7 +43,13 @@ def _defined(tree: ast.Module):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield name, node.lineno, node.end_lineno
+                yield name, name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    not member.name.startswith("_")
+                ):
+                    yield f"{node.name}.{member.name}", member.name, member.lineno, member.end_lineno
 
 
 def _references(tree: ast.Module):
@@ -62,12 +71,12 @@ def test_every_public_name_is_used_inside_the_package():
     }
     unused = []
     for module, tree in sorted(trees.items()):
-        for name, first, last in _defined(tree):
+        for label, name, first, last in _defined(tree):
             if not any(
                 ref_name == name and not (ref_module == module and first <= line <= last)
                 for ref_module, ref_name, line in references
             ):
-                unused.append(f"{module}: {name}")
+                unused.append(f"{module}: {label}")
     assert not unused, f"public names no code in src/ uses: {unused}"
 
 

@@ -77,7 +77,6 @@ class TestBlobStore:
         store = BlobStore(tmp_path / "assets")
         digest = store.put(b"payload")
         assert store.get(digest) == b"payload"
-        assert store.has(digest)
 
     def test_missing_digest_is_hard_error(self, tmp_path):
         store = BlobStore(tmp_path)

@@ -69,6 +69,17 @@ class TestDiffCommand:
         assert "delete drawers" in out
         assert "add dollhouse" in out
 
+    def test_manifest_changes_alone_exit_one(self, tmp_path, capsys):
+        base, version = tmp_path / "base.lvl", tmp_path / "version.lvl"
+        base.write_text("lvl 1\nroot r\nnode r Scene\nasset a.png 111\nasset c.png 333\n")
+        version.write_text("lvl 1\nroot r\nnode r Scene\nasset a.png 222\nasset b.png 444\n")
+        assert main(["diff", str(base), str(version)]) == 1
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "modify asset a.png: 111 -> 222",
+            "add asset b.png 444",
+            "delete asset c.png",
+        ]
+
     def test_root_mismatch_exits_two(self, capsys):
         assert main([
             "diff",

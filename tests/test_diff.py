@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -37,6 +38,19 @@ def _reparsed(graph):
     return parse(serialize(LevelDocument(FORMAT_VERSION, graph))).graph
 
 
+def _classes(diff) -> dict[str, ChangeClass]:
+    """Each node's class as `nodes_in_class` lists it; the four sorted lists
+    must partition ancestor-union-version."""
+    classes: dict[str, ChangeClass] = {}
+    for cls in ChangeClass:
+        listed = diff.nodes_in_class(cls)
+        assert listed == sorted(listed), cls
+        for node_id in listed:
+            assert classes.setdefault(node_id, cls) is cls, node_id
+    assert classes.keys() == set(diff.ancestor.node_ids()) | set(diff.version.node_ids())
+    return classes
+
+
 def _detailed_intrinsics(ancestor, version) -> dict[str, NodeDelta]:
     """The intrinsic delta of every surviving node, each compared in full
     through the public graph API with no unchanged-node shortcut."""
@@ -71,7 +85,8 @@ def _detailed_intrinsics(ancestor, version) -> dict[str, NodeDelta]:
 class TestClassify:
     def test_identity_diff(self, chain3):
         diff = classify(chain3, chain3)
-        assert set(diff.classes.values()) == {U}
+        assert set(_classes(diff).values()) == {U}
+        assert diff.nodes_in_class(U) == chain3.node_ids()
         assert not diff.deltas
         assert not diff.added_edges and not diff.removed_edges
 
@@ -82,9 +97,10 @@ class TestClassify:
             [("root", "a", D), ("a", "b", D)],
         )
         diff = classify(chain3, edited)
-        assert diff.classes["root"] is U
-        assert diff.classes["a"] is M and diff.deltas["a"].intrinsic
-        assert diff.classes["b"] is M and not diff.deltas["b"].intrinsic
+        classes = _classes(diff)
+        assert classes["root"] is U
+        assert classes["a"] is M and diff.deltas["a"].intrinsic
+        assert classes["b"] is M and not diff.deltas["b"].intrinsic
 
     def test_propagation_matches_brute_force_closure(self):
         rng = random.Random(23)
@@ -104,12 +120,10 @@ class TestClassify:
                     for child, kind in version.children(node_id):
                         if kind is DepKind.DIRECT and child not in marked:
                             if version.has_node(child) and scenario.base.has_node(child):
-                                if diff.classes.get(child) is not ChangeClass.ADDED:
+                                if child not in diff.added:
                                     marked.add(child)
                                     changed = True
-            expected_modified = {
-                n for n, c in diff.classes.items() if c is M
-            }
+            expected_modified = {n for n, c in _classes(diff).items() if c is M}
             computed = {
                 n
                 for n in marked
@@ -121,14 +135,15 @@ class TestClassify:
         base = read_document(fixture_path("fig3-base.lvl")).graph
         theirs = read_document(fixture_path("fig3-theirs.lvl")).graph
         diff = classify(base, theirs)
-        assert diff.classes["bunny"] is M
+        classes = _classes(diff)
+        assert classes["bunny"] is M
         assert diff.deltas["bunny"].intrinsic
         assert diff.deltas["bunny"].reparented
         assert diff.deltas["bunny"].new_direct_parent == "dollhouse"
-        assert diff.classes["drawers"] is DEL
-        assert diff.classes["dollhouse"] is A
+        assert classes["drawers"] is DEL
+        assert classes["dollhouse"] is A
         # the move mirrors onto bunny's components
-        assert diff.classes["bunny-transform"] is M
+        assert classes["bunny-transform"] is M
         assert not diff.deltas["bunny-transform"].intrinsic
 
     def test_cascade_fallout_is_not_a_modification(self):
@@ -137,7 +152,7 @@ class TestClassify:
         base = read_document(fixture_path("fig3-base.lvl")).graph
         theirs = read_document(fixture_path("fig3-theirs.lvl")).graph
         diff = classify(base, theirs)
-        assert diff.classes["lamp"] is U
+        assert _classes(diff)["lamp"] is U
 
     def test_root_mismatch_rejected(self, chain3):
         other = g("other", [("other", "Scene")])
@@ -168,8 +183,7 @@ class TestClassify:
             scenario = generate(seed, SizeParams(nodes=12, edges=15, ops_per_branch=5))
             version = apply_script(scenario.base, scenario.script_a)
             diff = classify(scenario.base, version)
-            all_ids = set(scenario.base.node_ids()) | set(version.node_ids())
-            assert set(diff.classes) == all_ids
+            _classes(diff)
             assert diff.added == set(version.node_ids()) - set(scenario.base.node_ids())
             assert diff.deleted == set(scenario.base.node_ids()) - set(version.node_ids())
 
@@ -197,8 +211,10 @@ class TestClassify:
                     assert diff.intrinsic - diff.added == set(expected), seed
                     assert {n: diff.deltas[n] for n in expected} == expected, seed
                     a_ids, v_ids = set(ancestor.node_ids()), set(edited.node_ids())
-                    # added ids sorted first, then the ancestor's in sorted order
-                    assert list(diff.classes) == sorted(v_ids - a_ids) + sorted(a_ids)
+                    classes = _classes(diff)
+                    assert diff.nodes_in_class(A) == sorted(v_ids - a_ids)
+                    assert diff.nodes_in_class(DEL) == sorted(a_ids - v_ids)
+                    assert {n for n, c in classes.items() if c is M} >= set(expected)
                     a_edges, v_edges = set(ancestor.edges()), set(edited.edges())
                     a_pairs = {(e.parent, e.child) for e in a_edges}
                     v_pairs = {(e.parent, e.child) for e in v_edges}
@@ -258,6 +274,32 @@ class TestClassify:
         assert diff.added == set() and diff.deleted == set()
 
 
+def _classify_peak(nodes: int) -> int:
+    """The `tracemalloc` peak of classifying one 400-edit branch, read
+    against its canonically read ancestor, on a level of ``nodes`` nodes."""
+    scenario = generate(7, SizeParams(nodes=nodes, edges=nodes * 9 // 8, edits_a=400))
+    version = apply_script(scenario.base, scenario.script_a)
+    read = parse(serialize(LevelDocument(FORMAT_VERSION, scenario.base)))
+    ancestor = read.graph
+    branch = parse(serialize(LevelDocument(FORMAT_VERSION, version)), base=read).graph
+    assert branch._patch[0]() is ancestor
+    tracemalloc.start()
+    try:
+        diff = classify(ancestor, branch, validated=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diff_stats(diff).total_edited >= 400
+    return peak
+
+
+def test_classify_allocates_with_the_diff_not_the_level():
+    # the same edit count at 10k and 40k nodes: no table keyed by every
+    # ancestor id, so the peak does not grow with the level
+    small, large = _classify_peak(10_000), _classify_peak(40_000)
+    assert large <= 1.25 * small, (small, large)
+
+
 class TestDiffStats:
     def test_identity_all_zero(self, chain3):
         stats = diff_stats(classify(chain3, chain3))
@@ -282,7 +324,7 @@ class TestDiffStats:
             scenario = generate(seed + 700, SizeParams(nodes=25, edges=32, ops_per_branch=10))
             version = apply_script(scenario.base, scenario.script_b)
             diff = classify(scenario.base, version)
-            classes = list(diff.classes.items())
+            classes = list(_classes(diff).items())
             propagated = sum(
                 c is M and not diff.deltas[n].intrinsic for n, c in classes
             )

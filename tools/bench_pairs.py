@@ -11,8 +11,10 @@ commit and a copy of the change. Each ``--plan WORKLOAD:SEED:PAIRS:TRACE``
 runs ``python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds 30
 --trace TRACE`` PAIRS times in each checkout. Pair k runs the parent first
 when k is odd and the change first when k is even. Plans run in the order
-given, and every run is kept: its exit code, ROW line, every FAILED line,
-final JSON line and, for a traced run, its LAYER and TRACE lines. A run
+given, and every run is kept: its start time (UTC), the 1, 5 and 15
+minute load averages before and after it, which show the host's phase,
+its exit code, ROW line, every FAILED line, final JSON line and, for a
+traced run, its LAYER and TRACE lines. A run
 that exits non-zero or ends in no JSON line also keeps the tails of its
 stdout, where ``perfbench/run.py`` prints merge tracebacks, and stderr. The output file is rewritten
 after every run, so an interrupted session leaves the runs made so far.
@@ -67,6 +69,8 @@ TRACED = (
 def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", "30", "--trace", str(trace)]
+    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    load_before = [round(load, 2) for load in os.getloadavg()]
     start = time.perf_counter()
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.splitlines()
@@ -74,6 +78,9 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         "workload": workload,
         "seed": seed,
         "trace": trace,
+        "started": started,
+        "loadavg_before": load_before,
+        "loadavg_after": [round(load, 2) for load in os.getloadavg()],
         "exit": done.returncode,
         "row": next((line for line in lines if line.startswith("ROW ")), None),
         "failed": [line for line in lines if line.startswith("FAILED ")],
