@@ -66,12 +66,8 @@ def _describe_changes(diff) -> list[str]:
             continue
         if delta.reparented:
             lines.append(f"reparent {node_id} under {delta.new_direct_parent or 'nothing'}")
-        fragments = [
-            f
-            for f in _describe_delta(delta)
-            if not f.startswith("reparent")
-        ]
-        if fragments and (delta.property_sets or delta.property_removals or delta.dep_kind_changes):
+        fragments = [f for f in _describe_delta(delta) if not f.startswith("reparent")]
+        if delta.property_sets or delta.property_removals or delta.dep_kind_changes:
             lines.append(f"modify {node_id}: " + "; ".join(fragments))
         elif not delta.reparented:
             lines.append(f"modify {node_id}")

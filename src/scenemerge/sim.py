@@ -695,9 +695,7 @@ def check_scenario(
         repaired = {e.child for e in outcome.removed_cycle_edges}
         repaired |= {e.parent for e in outcome.removed_cycle_edges}
         for diff in (diff_a, diff_b):
-            for node_id in diff.intrinsic:
-                if node_id in repaired:
-                    continue
+            for node_id in diff.intrinsic - repaired:
                 if rediff.deltas.get(node_id) != diff.deltas.get(node_id):
                     violations.append(
                         f"disjoint preservation: delta of {node_id!r} not observable"
