@@ -130,14 +130,15 @@ def _merge_files(args):
 
 
 def _run_merge(args, out_path, report_path) -> int:
-    # the ancestor's document is held until the merged level, its patch, is written
+    # the merged level's record holds the ancestor weakly, so the ancestor is
+    # held here until the write, which splices the merge into its lines
     config, policy, ancestor, outcome = _merge_files(args)
 
     merged_doc = LevelDocument(FORMAT_VERSION, outcome.merged)
     if out_path == "-":
-        sys.stdout.write(serialize(merged_doc, base=ancestor))
+        sys.stdout.write(serialize(merged_doc))
     else:
-        write_document(merged_doc, out_path, base=ancestor)
+        write_document(merged_doc, out_path)
     if report_path:
         with atomic_open(report_path) as handle:
             handle.write(render_report(outcome, policy, config.report_meta()))

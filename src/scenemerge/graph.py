@@ -13,8 +13,9 @@ return it sorted, and so does `levelfile.serialize`.
 
 Graphs are immutable after construction and safe to share across
 threads; what a graph or node builds on first use (a read node's
-properties, `_holders`, a `_differences` record) two threads build
-equal. The constructor is deliberately permissive: cyclic or
+properties, `_holders`) two threads build equal. A `_differences`
+record may be replaced by a later comparison, but it is set in one
+step and covers the base it names. The constructor is deliberately permissive: cyclic or
 disconnected graphs can be represented so that intermediate merge
 states round-trip. `validate` reports every invariant violation as
 data rather than raising.
@@ -268,7 +269,8 @@ class LevelGraph:
     """
 
     __slots__ = (
-        "root", "_nodes", "_edges", "_out", "_in", "assets", "_patch", "_holders", "__weakref__"
+        "root", "_nodes", "_edges", "_out", "_in", "assets", "_patch", "_holders", "_lines",
+        "__weakref__",
     )
 
     def __init__(
@@ -313,6 +315,7 @@ class LevelGraph:
         self.assets: dict[str, str] = assets
         self._patch = None  # see `_Patch.to_graph` and `_differences`
         self._holders = None  # see `_holders`
+        self._lines = None  # a canonical read's lines; see `levelfile._read_canonical`
         self._out: dict[str, list[tuple[str, DepKind]]] = {}
         self._in: dict[str, list[tuple[str, DepKind]]] = {}
         for (parent, child), kind in self._edges.items():
@@ -421,7 +424,7 @@ class _Patch:
         graph._nodes, graph._edges, graph.assets = self.nodes, self.edges, self.assets
         # held weakly, so a chain of patched graphs keeps no earlier level alive
         graph._patch = (weakref.ref(self.base), frozenset(self.ids), frozenset(self.pairs))
-        graph._holders = None
+        graph._holders = graph._lines = None
         for table, owned in zip((self.out_, self.in_), self.owned):
             for node_id, adjacency in owned.items():
                 if adjacency:
@@ -581,9 +584,10 @@ def _differences(graph: LevelGraph, base: LevelGraph) -> tuple[Collection[str], 
 
     Every id whose presence or `Node` object differs is among the ids, and
     every pair whose presence or kind differs among the pairs; either may
-    hold more. A graph the patch builder made from ``base`` itself answers
-    from its record. A graph with no record is compared with ``base``
-    whole once, and keeps the result as its record.
+    hold more. A graph whose record names ``base`` answers from it: the
+    patch builder records the base it patched. Any other graph is compared
+    with ``base`` whole, and the result replaces its record, as every
+    record covers the differences from the base it names.
     """
     patch = graph._patch
     if patch is not None and patch[0]() is base:
@@ -594,8 +598,7 @@ def _differences(graph: LevelGraph, base: LevelGraph) -> tuple[Collection[str], 
     edges, base_edges = graph._edges, base._edges
     pairs = {pair for pair, kind in edges.items() if base_edges.get(pair) is not kind}
     pairs.update(base_edges.keys() - edges.keys())
-    if patch is None:
-        graph._patch = (weakref.ref(base), frozenset(ids), frozenset(pairs))
+    graph._patch = (weakref.ref(base), frozenset(ids), frozenset(pairs))
     return ids, pairs
 
 

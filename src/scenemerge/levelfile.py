@@ -39,8 +39,9 @@ the base's own `Node`. The result equals ``parse(text)``; a text out of
 that order, or whose patch cannot be shown equal, is parsed whole, so
 errors are the same with or without a base.
 
-The merged level is such a patch, and ``serialize(merged, base=ancestor)``
-writes it as the ancestor's text with only the patched lines rendered.
+The merged level is such a patch, and its record names the ancestor, so
+while that read is alive `serialize` writes the merged level as the
+ancestor's text with only the patched lines rendered.
 
 Merge reports (``.lvlreport``) use the same tokenizer; see
 `render_report` for the line inventory.
@@ -97,21 +98,10 @@ class ParseError(SceneMergeError):
         self.reason = message
 
 
-class LevelDocument(_Record, uncompared=("_split", "_sections")):
-    """A parsed level file: format version plus the graph (and manifest).
+class LevelDocument(_Record):
+    """A parsed level file: format version plus the graph (and manifest)."""
 
-    A canonical read keeps its lines and their keys: a later parse walks
-    its lines against them, and `serialize` copies them into a level
-    patched from it.
-    """
-
-    __slots__ = ("format_version", "graph", "_split", "_sections")
-
-    def __init__(self, format_version: int, graph: LevelGraph):
-        _set(self, "format_version", format_version)
-        _set(self, "graph", graph)
-        _set(self, "_split", None)  # a canonical read's lines
-        _set(self, "_sections", None)  # and the keys of its node, prop and edge lines
+    __slots__ = ("format_version", "graph")
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -515,10 +505,10 @@ def _read_canonical(text: str) -> LevelDocument | None:
     for owner, value in compress(zip(owners, literals), map(held.__contains__, literals)):
         tag, _, target = value.partition(" ")
         graph._holders[tag == "asset"].setdefault(target, []).append(owner)
-    doc = LevelDocument(FORMAT_VERSION, graph)
-    _set(doc, "_split", lines)
-    _set(doc, "_sections", (ids, owners, list(edges)))
-    return doc
+    # its lines and the keys of its node, prop and edge lines: a later parse walks
+    # its lines against them, and `serialize` copies them into a level patched from it
+    graph._lines = (lines, (ids, owners, list(edges)))
+    return LevelDocument(FORMAT_VERSION, graph)
 
 
 def _spelled_as_written(values: Iterable[str]) -> dict[str, list[str]] | None:
@@ -596,7 +586,7 @@ def _sorted_difference(old: list[str], new: list[str]) -> tuple[list[str], list[
 def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
     """``parse(text)``, by patching ``base`` with the lines not in both texts.
 
-    ``base`` must be a canonical read, and ``text`` its header followed by
+    ``base``'s graph must be a canonical read, and ``text`` its header followed by
     lines in the same order (`_sorted_difference`), as every text
     `serialize` writes is; the lines one holds and the other lacks are
     found by walking the two line lists together, and only those are read.
@@ -607,10 +597,11 @@ def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
     an error here means the text is parsed whole, so the changed lines go
     unnumbered.
     """
-    if base._split is None:
+    graph = base.graph
+    if graph._lines is None:
         return None
-    lines = text.split("\n")
-    changed = lines[0] == base._split[0] and _sorted_difference(base._split, lines)
+    lines, base_lines = text.split("\n"), graph._lines[0]
+    changed = lines[0] == base_lines[0] and _sorted_difference(base_lines, lines)
     if not changed:
         return None
     try:
@@ -622,7 +613,6 @@ def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
         )
     except ParseError:
         return None
-    graph = base.graph
 
     if (gone_root is None) != (new_root is None):
         return None
@@ -691,11 +681,11 @@ class _Tokens(dict):
         return text
 
 
-def serialize(doc: LevelDocument, base: LevelDocument | None = None) -> str:
+def serialize(doc: LevelDocument) -> str:
     """Render the canonical byte form of a document (see module docstring).
 
-    If ``doc``'s graph was patched from that of ``base``, a canonical read,
-    ``base``'s lines are kept but for those of the patched ids and pairs."""
+    If the record of ``doc``'s graph names a live canonical read, that
+    read's lines are kept but for those of the recorded ids and pairs."""
     graph = doc.graph
     nodes, edges = graph._nodes, graph._edges
     # ids, kinds and keys repeat across lines; each is formatted once
@@ -717,16 +707,18 @@ def serialize(doc: LevelDocument, base: LevelDocument | None = None) -> str:
 
     renders = (node_line, prop_lines, edge_line)
     patch = graph._patch
-    if base is not None and base._sections is not None and patch and patch[0]() is base.graph:
+    base = patch and patch[0]()
+    if base is not None and base._lines is not None:
+        base_lines, sections = base._lines
         start = 2  # the node lines follow the header and the root line
-        for keys, patched, render in zip(base._sections, (patch[1], patch[1], patch[2]), renders):
+        for keys, patched, render in zip(sections, (patch[1], patch[1], patch[2]), renders):
             at = 0
             for key in sorted(patched):
                 lo = bisect_left(keys, key, at)
-                lines += base._split[start + at : start + lo]
+                lines += base_lines[start + at : start + lo]
                 render(key)
                 at = bisect_right(keys, key, lo)
-            lines += base._split[start + at : start + len(keys)]
+            lines += base_lines[start + at : start + len(keys)]
             start += len(keys)
     else:  # a graph's tables are unordered, so the whole level is written sorted
         ids = sorted(nodes)
@@ -801,9 +793,9 @@ def atomic_open(path) -> Iterator[TextIO]:
             os.close(dir_fd)
 
 
-def write_document(doc: LevelDocument, path, base: LevelDocument | None = None) -> None:
+def write_document(doc: LevelDocument, path) -> None:
     with atomic_open(path) as handle:
-        handle.write(serialize(doc, base=base))
+        handle.write(serialize(doc))
 
 
 def canonical_bytes(graph: LevelGraph) -> bytes:

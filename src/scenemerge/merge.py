@@ -382,42 +382,31 @@ def _deletion_roots(diff: DiffResult) -> list[str]:
     return roots
 
 
-def _by_new_direct_parent(diff: DiffResult, node_ids) -> dict[str, list[str]]:
-    """New Direct parent -> those of ``node_ids`` the branch put under it.
+def _by_new_direct_parent(diff: DiffResult, node_ids) -> dict[str, list[tuple[str, DepKind]]]:
+    """New Direct parent -> a (node, Direct) pair for each of ``node_ids`` the
+    branch put under it: out-edges that `_closure` can walk.
 
     `classify` records a new Direct parent only on added and reparented
     nodes, so over ``diff.added`` this indexes additions by parent and
     over ``diff.intrinsic`` it indexes reparented survivors by their new
     parent, at the cost of the diff, not the level.
     """
-    index: dict[str, list[str]] = {}
+    index: dict[str, list[tuple[str, DepKind]]] = {}
     for node_id in node_ids:
         parent = diff.deltas[node_id].new_direct_parent
         if parent is not None:
-            index.setdefault(parent, []).append(node_id)
+            index.setdefault(parent, []).append((node_id, DepKind.DIRECT))
     return index
 
 
-def _anchored_adds(added_children: Mapping[str, list[str]], scope: set[str]) -> list[str]:
-    """Other-branch additions whose Direct-parent chain lands in the scope."""
-    anchored: set[str] = set()
-    frontier = list(scope)
-    while frontier:
-        for added in added_children.get(frontier.pop(), ()):
-            if added not in anchored:
-                anchored.add(added)
-                frontier.append(added)
-    return sorted(anchored)
-
-
 def _reparent_ins(
-    reparented_into: Mapping[str, list[str]], target_set: set[str], scope: set[str]
+    reparented_into: Mapping[str, list[tuple[str, DepKind]]], target_set: set[str], scope: set[str]
 ) -> list[str]:
     """Surviving nodes the other branch reparented into the doomed subtree."""
     return sorted(
         node_id
         for target in target_set
-        for node_id in reparented_into.get(target, ())
+        for node_id, _ in reparented_into.get(target, ())
         if node_id not in scope
     )
 
@@ -478,8 +467,10 @@ def _apply_deletions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> l
         for root_id in _deletion_roots(diff):
             scope = direct_subtree(ancestor, root_id) & diff.deleted
             touched_mods = sorted(scope & other.intrinsic)
-            anchored = _anchored_adds(added_children, scope)
-            reparent_ins = _reparent_ins(reparented_into, scope | set(anchored), scope)
+            # the scope and the other branch's additions whose Direct-parent chain lands in it
+            reach = _closure(scope, added_children)
+            anchored = sorted(reach - scope)
+            reparent_ins = _reparent_ins(reparented_into, reach, scope)
             if touched_mods or anchored or reparent_ins:
                 conflicts.append(
                     DeleteModifyConflict(

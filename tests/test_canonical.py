@@ -6,9 +6,10 @@ reader (`levelfile._read_lines`); here the two are held to the same
 documents and the same errors, and so is a branch read against such a
 base (`levelfile._parse_against`). A canonical read builds a node's
 properties only when they are first read; a merge builds no more of
-them than its branches changed. `serialize(doc, base=)` writes a level
-patched from a canonically read base as the base's lines with the patch
-rendered in; here its text is held to the whole render's.
+them than its branches changed. A canonical read keeps its lines on its
+graph, and `serialize` writes a level whose record names such a read,
+while it is alive, as its lines with the patch rendered in; here that
+text is held to the whole render's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenemerge import LevelGraph, MergePolicy, Node, ParseError, PolicyKind, merge3, parse
-from scenemerge import cli, levelfile
+from scenemerge import cli, levelfile, read_document, write_document
 from scenemerge.graph import _Patch
 from scenemerge.levelfile import (
     FORMAT_VERSION,
@@ -68,10 +69,10 @@ def assert_same_document(doc: LevelDocument, other: LevelDocument) -> None:
 def test_a_serialized_level_is_read_canonical_and_equals_a_line_read(seed, which):
     text = _texts(seed)[which]
     doc = parse(text)
-    assert doc._sections is not None
+    assert doc.graph._lines is not None
     assert_same_document(doc, _read_lines(text))
     assert serialize(doc) == text
-    assert doc._split == text.split("\n")
+    assert doc.graph._lines[0] == text.split("\n")
 
 
 def test_each_distinct_literal_is_one_value():
@@ -212,7 +213,7 @@ def test_the_reader_declines_a_mutated_text_and_parse_is_unchanged(name, seed, i
         assert read == whole  # the same error, at the same line and column
         return
     assert_same_document(read, whole)
-    assert read._sections is None
+    assert read.graph._lines is None
     if MUTATIONS.get(name, (None, None, True))[2]:
         assert read == parse(text)
 
@@ -260,24 +261,37 @@ def test_a_literal_the_line_reader_rejects_keeps_its_error(name):
 # -- the splice ---------------------------------------------------------------------
 
 
-def copied_lines(doc: LevelDocument, base: LevelDocument) -> int:
-    """How many of ``base``'s node, prop and edge lines `serialize(doc, base=base)` copies.
+def copied_lines(doc: LevelDocument, base: LevelDocument, write=serialize) -> int:
+    """How many of ``base``'s node, prop and edge lines ``write(doc)`` copies.
 
-    Each such line of ``base`` is marked for the one call, so a copied line
-    shows the mark and a rendered one does not.
+    ``write`` returns the text it wrote. Each such line of ``base``'s graph
+    is marked for the one call, so a copied line shows the mark and a
+    rendered one does not.
     """
-    if base._split is None:
+    if base.graph._lines is None:
         return 0
-    saved = list(base._split)
-    base._split[2:-1] = [line + " ~" for line in saved[2:-1]]
+    lines = base.graph._lines[0]
+    saved = list(lines)
+    lines[2:-1] = [line + " ~" for line in saved[2:-1]]
     try:
-        return serialize(doc, base=base).count(" ~\n")
+        return write(doc).count(" ~\n")
     finally:
-        base._split[:] = saved
+        lines[:] = saved
+
+
+def whole_render(doc: LevelDocument) -> str:
+    """`serialize(doc)` with the graph's record set aside: the level rendered whole."""
+    graph = doc.graph
+    patch, graph._patch = graph._patch, None
+    try:
+        return serialize(doc)
+    finally:
+        graph._patch = patch
 
 
 def assert_spliced(doc: LevelDocument, base: LevelDocument) -> None:
-    assert serialize(doc, base=base) == serialize(doc)
+    assert doc.graph._patch[0]() is base.graph
+    assert serialize(doc) == whole_render(doc)
     assert copied_lines(doc, base) > 0
 
 
@@ -292,7 +306,7 @@ def test_a_merged_level_spliced_into_the_ancestor_is_its_whole_render(seed, poli
     ancestor = parse(base_text)
     mine, theirs = (parse(text, base=ancestor) for text in branch_texts)
     for branch, text in zip((mine, theirs), branch_texts):
-        assert serialize(branch, base=ancestor) == text
+        assert serialize(branch) == text
         assert_spliced(branch, ancestor)
     assert_spliced(_merged(ancestor, mine.graph, theirs.graph, policy), ancestor)
 
@@ -329,27 +343,54 @@ def test_serialize_renders_whole_unless_the_patch_names_a_canonical_base():
     mine = parse(mine_text, base=ancestor)
     theirs = parse(theirs_text, base=ancestor)
     merged = _merged(ancestor, mine.graph, theirs.graph, PolicyKind.MANUAL)
-    whole = serialize(merged)
+    whole = whole_render(merged)
     assert_spliced(merged, ancestor)
-
-    # a base that was not read canonical
-    respaced = parse(base_text.replace(" ", "  ", 1))
-    assert respaced == ancestor and respaced._sections is None
-    assert serialize(merged, base=respaced) == whole
-    # a canonical base that is not the one the record names
+    # a canonical read that the record does not name gives no line
     other = parse(base_text)
-    assert serialize(merged, base=other) == whole and copied_lines(merged, other) == 0
+    assert copied_lines(merged, other) == 0
+
+    # the record names a base that was not read canonical: read by the
+    # line reader, or built whole
+    respaced = parse(base_text.replace(" ", "  ", 1))
+    assert respaced == ancestor and respaced.graph._lines is None
+    built = LevelDocument(FORMAT_VERSION, LevelGraph(
+        ancestor.graph.root, ancestor.graph.nodes(), ancestor.graph.edges(), ancestor.graph.assets
+    ))
+    for base in (respaced, built):
+        remerged = _merged(base, mine.graph, theirs.graph, PolicyKind.MANUAL)
+        assert remerged.graph._patch[0]() is base.graph
+        assert serialize(remerged) == whole and copied_lines(remerged, ancestor) == 0
     # a graph with no record
     unrecorded = LevelDocument(FORMAT_VERSION, LevelGraph(
         merged.graph.root, merged.graph.nodes(), merged.graph.edges(), merged.graph.assets
     ))
-    assert serialize(unrecorded, base=ancestor) == whole and copied_lines(unrecorded, ancestor) == 0
+    assert serialize(unrecorded) == whole and copied_lines(unrecorded, ancestor) == 0
 
     # the record's base is gone: its weak reference is dead
     del ancestor, mine, theirs
     gc.collect()
     assert merged.graph._patch[0]() is None
-    assert serialize(merged, base=other) == whole and copied_lines(merged, other) == 0
+    assert serialize(merged) == whole and copied_lines(merged, other) == 0
+
+
+def test_the_readme_library_flow_writes_the_merge_spliced(tmp_path):
+    """README's library use reads three files and writes the merge with no
+    base given; the writer still copies the ancestor's unchanged lines."""
+    paths = [tmp_path / f"{role}.lvl" for role in ("base", "mine", "theirs")]
+    for path, text in zip(paths, _texts(13)):
+        path.write_text(text, encoding="utf-8", newline="\n")
+    ancestor = read_document(paths[0])
+    mine = read_document(paths[1], base=ancestor)
+    theirs = read_document(paths[2], base=ancestor)
+    outcome = merge3(ancestor.graph, mine.graph, theirs.graph, MergePolicy(PolicyKind.PREFER_B))
+    merged, out = LevelDocument(1, outcome.merged), tmp_path / "merged.lvl"
+
+    def write(doc: LevelDocument) -> str:
+        write_document(doc, out)
+        return out.read_text(encoding="utf-8")
+
+    assert copied_lines(merged, ancestor, write) > 0
+    assert write(merged) == whole_render(merged)
 
 
 # -- the tables are unordered; the listings and the writer sort ---------------------

@@ -174,13 +174,14 @@ class TestMergeCommand:
         for path, graph in zip(paths, graphs):
             path.write_text(serialize(LevelDocument(FORMAT_VERSION, graph)), newline="\n")
         whole = serialize(LevelDocument(FORMAT_VERSION, merge3(*graphs).merged))
-        # each output is rendered against the ancestor the merged level was patched from
+        # each output is rendered against the ancestor the merged level was patched
+        # from: its record names a canonical read that is still alive
         bases = []
 
-        def recording(doc, base=None):
-            bases.append(base is not None and doc.graph._patch[0]() is base.graph
-                         and base._sections is not None)
-            return serialize(doc, base=base)
+        def recording(doc):
+            base = doc.graph._patch[0]()
+            bases.append(base is not None and base._lines is not None)
+            return serialize(doc)
 
         monkeypatch.setattr(levelfile, "serialize", recording)
         monkeypatch.setattr(cli, "serialize", recording)
@@ -285,7 +286,7 @@ class TestFailedMerges:
         ancestor, current, other = self._driver_args(tmp_path)
         before = Path(current).read_bytes()
 
-        def broken(doc, base=None):
+        def broken(doc):
             raise RuntimeError("interrupted mid-write")
 
         monkeypatch.setattr(levelfile, "serialize", broken)

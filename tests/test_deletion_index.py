@@ -1,9 +1,10 @@
 """The deletion phase's indexed scans against the full scans they replaced.
 
-`_anchored_adds` and `_reparent_ins` read per-branch indexes built from
-the diff. The functions below are the full-level scans they replaced,
-kept here as the oracle: on seeded random-op scenarios both must give
-exactly the same lists.
+The deletion phase walks the other branch's additions below a scope with
+`graph._closure`, over an index built from the diff, and `_reparent_ins`
+reads another such index. The functions below are the full-level scans
+they replaced, kept here as the oracle: on seeded random-op scenarios
+both must give exactly the same lists.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 import random
 
 from scenemerge.diff import DiffResult, classify
-from scenemerge.graph import direct_subtree
+from scenemerge.graph import _closure, direct_subtree
 from scenemerge.merge import (
-    _anchored_adds,
     _by_new_direct_parent,
     _deletion_roots,
     _reparent_ins,
@@ -73,7 +73,7 @@ def test_indexed_scans_match_full_scans_on_random_scenarios():
             added_children = _by_new_direct_parent(other, other.added)
             reparented_into = _by_new_direct_parent(other, other.intrinsic)
             for scope in _scopes(diff, rng):
-                anchored = _anchored_adds(added_children, scope)
+                anchored = sorted(_closure(scope, added_children) - scope)
                 assert anchored == full_scan_anchored_adds(other, scope), seed
                 targets = scope | set(anchored)
                 reparent_ins = _reparent_ins(reparented_into, targets, scope)

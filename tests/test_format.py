@@ -97,7 +97,7 @@ class TestParse:
         doc = parse(text)
         assert serialize(doc) == text
         # read in one pass, unless a quoted token leaves it to the line reader
-        assert (doc._sections is not None) == ('"' not in text)
+        assert (doc.graph._lines is not None) == ('"' not in text)
 
     @pytest.mark.parametrize(
         "bad",
@@ -425,7 +425,7 @@ def test_parse_against_a_base_equals_a_whole_parse(texts):
     assert tables(patched.graph) == tables(whole.graph)
     lines = text.split("\n")
     keys = list(map(_line_key, lines[1:]))
-    if "\r" in text or lines[0] != base._split[0] or not all(map(lt, keys, keys[1:])):
+    if "\r" in text or lines[0] != base.graph._lines[0][0] or not all(map(lt, keys, keys[1:])):
         return  # read whole, or with a CR that `_owned_lines` cannot tokenize
     base_owned = _owned_lines(base_text)
     for node_id, owned in _owned_lines(text).items():
@@ -451,7 +451,7 @@ _CANONICAL = "lvl 1\nroot r\nnode a X\nnode r S\nedge r a direct\n"
 def test_a_surrogate_escape_is_a_parse_error_with_or_without_a_base(escape):
     text = _CANONICAL.replace("\nedge", f'\nprop a name text "{escape}"\nedge')
     base = parse(_CANONICAL)
-    assert base._sections is not None
+    assert base.graph._lines is not None
     for read in (parse, lambda text: parse(text, base=base)):
         with pytest.raises(ParseError) as err:
             read(text)

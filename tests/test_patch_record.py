@@ -7,9 +7,9 @@ every id whose presence or `Node` object really differs from the base,
 and every pair whose presence or kind does, is found by brute force and
 must be in the record, and the patched tables must hold what a whole
 build of the same graph holds, in any order. Both build through `graph._Patch`, which
-is also driven here by random edits of a small level. A graph with no
-record is compared with its base whole once, and keeps the result as
-its record.
+is also driven here by random edits of a small level. A graph whose
+record names no base or another base is compared with its base whole
+once: the result replaces its record.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ def test_a_repaired_merge_records_its_differences_from_the_ancestor(case, policy
         assert outcome.merged.assets.keys() - mine.assets.keys() == {"x.obj"}
 
 
-@pytest.mark.parametrize("seed", [3, 17])
-def test_a_merge_compares_each_branch_with_no_record_whole_once(seed, monkeypatch):
+def _whole_comparisons(monkeypatch) -> list[LevelGraph]:
+    """The graphs `_differences` will compare with their base whole, one entry a comparison."""
     compared = []
     differences = graph_module._differences
 
@@ -151,9 +151,16 @@ def test_a_merge_compares_each_branch_with_no_record_whole_once(seed, monkeypatc
             compared.append(graph)
         return differences(graph, base)
 
-    # validate(base=) and classify each read the differences of both branches
-    for module in (graph_module, diff_module):
+    # validate(base=), classify and the modification phase each read the
+    # differences of both branches
+    for module in (graph_module, diff_module, merge_module):
         monkeypatch.setattr(module, "_differences", counting_differences)
+    return compared
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_a_merge_compares_each_branch_with_no_record_whole_once(seed, monkeypatch):
+    compared = _whole_comparisons(monkeypatch)
     sc = generate(seed, SIZE)
     mine, theirs = (apply_script(sc.base, script) for script in (sc.script_a, sc.script_b))
     assert mine._patch is None and theirs._patch is None
@@ -161,3 +168,21 @@ def test_a_merge_compares_each_branch_with_no_record_whole_once(seed, monkeypatc
     assert sorted(map(id, compared)) == sorted([id(mine), id(theirs)])
     for branch in (mine, theirs):
         assert_record_covers(branch, sc.base)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_a_merge_against_a_reparsed_ancestor_compares_each_branch_whole_once(seed, monkeypatch):
+    compared = _whole_comparisons(monkeypatch)
+    sc = generate(seed, SIZE)
+    read = parse(_text(sc.base))
+    mine, theirs = (
+        parse(_text(apply_script(sc.base, script)), base=read).graph
+        for script in (sc.script_a, sc.script_b)
+    )
+    assert mine._patch[0]() is theirs._patch[0]() is read.graph
+    ancestor = parse(_text(sc.base)).graph  # equal to the read, but not the graph recorded
+    merge3(ancestor, mine, theirs)
+    # the first comparison of each branch replaces its record, which answers the rest
+    assert sorted(map(id, compared)) == sorted([id(mine), id(theirs)])
+    for branch in (mine, theirs):
+        assert_record_covers(branch, ancestor)

@@ -201,8 +201,10 @@ def test_record_parity(cls, required, defaults, other, shown, frozen, hashable):
 
 def test_level_document_ignores_its_lines():
     read = parse("lvl 1\nroot n\nnode n Light\n")
-    assert read._split is not None and read._sections is not None
-    built = LevelDocument(1, read.graph)
+    graph = read.graph
+    assert graph._lines is not None
+    built = LevelDocument(1, LevelGraph(graph.root, graph.nodes(), graph.edges(), graph.assets))
+    assert built.graph._lines is None
     assert read == built and repr(read) == repr(built)
 
 
