@@ -5,7 +5,9 @@ fixed phase order: additions, deletions, property/edge modifications,
 conflict resolution, then repair (references, relinks, cycles and
 orphans). The phase order is normative: deletions must see concurrently
 added children to detect conflicts and relink correctly, and structural
-repair must see the final node and edge sets.
+repair must see the final node and edge sets. Each phase takes only
+`_State`, the merge in progress, and appends what it finds to its
+conflicts, dropped edits and removed cycle edges, in phase order.
 
 Conflicts are data. Under the manual policy they stay unresolved and
 every conflicting item is held at its ancestor state, so the merged
@@ -25,6 +27,7 @@ cells combined.
 
 from __future__ import annotations
 
+import math
 import time
 from enum import Enum
 from typing import Container, Mapping, Union
@@ -255,21 +258,30 @@ class MergeOutcome(_Record, frozen=False):
         return [c for c in self.conflicts if c.resolution is Resolution.UNRESOLVED]
 
 
-# -- mutable working graph ----------------------------------------------------
+# -- the merge in progress ----------------------------------------------------
 
 
 class _State(_Patch):
-    """The merge pipeline's working graph: the ancestor patched through `_Patch`.
+    """The merge in progress: the ancestor patched through `_Patch`, the
+    branches' diffs and the policy, and what the phases have found.
 
+    ``diffs`` holds branch A's diff, then B's; ``base`` is their
+    ancestor. The phases append to ``conflicts``, ``dropped`` and
+    ``removed_edges``, which become the `MergeOutcome`'s lists.
     Mutation stays inside this module. ``owners`` records which branch's
     edit set an edge and ``relinks`` the edges a cascading deletion set
     to keep a survivor reachable; removing an edge forgets both.
     """
 
-    __slots__ = ("relinks", "owners")
+    __slots__ = ("diffs", "policy", "conflicts", "dropped", "removed_edges", "relinks", "owners")
 
-    def __init__(self, ancestor: LevelGraph) -> None:
-        super().__init__(ancestor)
+    def __init__(self, diff_a: DiffResult, diff_b: DiffResult, policy: MergePolicy) -> None:
+        super().__init__(diff_a.ancestor)
+        self.diffs = (diff_a, diff_b)
+        self.policy = policy
+        self.conflicts: list[Conflict] = []
+        self.dropped: list[DroppedEdit] = []
+        self.removed_edges: list[Edge] = []
         self.relinks: set[tuple[str, str]] = set()
         self.owners: dict[tuple[str, str], Branch] = {}
 
@@ -321,8 +333,8 @@ class _State(_Patch):
 # -- phase 2: additions -------------------------------------------------------
 
 
-def _apply_additions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> list[Conflict]:
-    conflicts: list[Conflict] = []
+def _apply_additions(state: _State) -> None:
+    diff_a, diff_b = state.diffs
     added_a = diff_a.added
     added_b = diff_b.added
 
@@ -337,7 +349,7 @@ def _apply_additions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> l
                 vb = node_b.properties.get(key)
                 value = merge_cell(None, va, vb)  # an addition has no base value
                 if value is CONFLICT:
-                    conflicts.append(AddAddConflict(node_id, key, va, vb))
+                    state.conflicts.append(AddAddConflict(node_id, key, va, vb))
                 else:
                     props[key] = value
             merged_nodes[node_id] = Node(node_id, node_a.kind, props)
@@ -355,7 +367,7 @@ def _apply_additions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> l
         if in_a and in_b and parent_a != parent_b:
             # same added id, two different Direct parents: hold at the
             # scene root until the conflict resolves
-            conflicts.append(ReparentConflict(node_id, parent_a, parent_b))
+            state.conflicts.append(ReparentConflict(node_id, parent_a, parent_b))
             state.set_edge(state.root, node_id, DepKind.DIRECT)
             continue
         recorded = parent_a if in_a else parent_b
@@ -366,34 +378,25 @@ def _apply_additions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> l
             state.set_edge(recorded, node_id, DepKind.DIRECT, owner=owner)
         else:
             state.set_edge(state.root, node_id, DepKind.DIRECT, owner=owner)
-    return conflicts
 
 
 # -- phase 3: deletions -------------------------------------------------------
 
 
-def _deletion_roots(diff: DiffResult) -> list[str]:
-    deleted = diff.deleted
-    roots = []
-    for node_id in sorted(deleted):
-        parent = diff.ancestor.direct_parent(node_id)
-        if parent is None or parent not in deleted:
-            roots.append(node_id)
-    return roots
-
-
-def _by_new_direct_parent(diff: DiffResult, node_ids) -> dict[str, list[tuple[str, DepKind]]]:
+def _by_new_direct_parent(
+    deltas: Mapping[str, NodeDelta], node_ids
+) -> dict[str, list[tuple[str, DepKind]]]:
     """New Direct parent -> a (node, Direct) pair for each of ``node_ids`` the
     branch put under it: out-edges that `_closure` can walk.
 
     `classify` records a new Direct parent only on added and reparented
-    nodes, so over ``diff.added`` this indexes additions by parent and
-    over ``diff.intrinsic`` it indexes reparented survivors by their new
-    parent, at the cost of the diff, not the level.
+    nodes, so over a diff's ``added`` this indexes additions by parent
+    and over its ``intrinsic`` it indexes reparented survivors by their
+    new parent, at the cost of the diff, not the level.
     """
     index: dict[str, list[tuple[str, DepKind]]] = {}
     for node_id in node_ids:
-        parent = diff.deltas[node_id].new_direct_parent
+        parent = deltas[node_id].new_direct_parent
         if parent is not None:
             index.setdefault(parent, []).append((node_id, DepKind.DIRECT))
     return index
@@ -411,26 +414,25 @@ def _reparent_ins(
     )
 
 
-def _alive_chain(ancestor: LevelGraph, root_id: str, state: _State) -> list[str]:
+def _alive_chain(state: _State, root_id: str) -> list[str]:
     """Ancestor Direct-parent chain of a deleted node, filtered to the living."""
     chain = []
-    current = ancestor.direct_parent(root_id)
+    current = state.base.direct_parent(root_id)
     while current is not None:
         if current in state.nodes:
             chain.append(current)
-        current = ancestor.direct_parent(current)
+        current = state.base.direct_parent(current)
     chain.append(state.root)
     return chain
 
 
-def _cascade_delete(
-    state: _State, root_id: str, scope: set[str], branch: Branch, ancestor: LevelGraph
-) -> None:
+def _cascade_delete(state: _State, root_id: str, scope: set[str], branch: Branch) -> None:
     """Remove the scope and relink survivors that lost their route to the root.
 
-    A severed survivor is re-attached to the deleted node's nearest
-    surviving ancestor parent, preserving the severed edge's dependency
-    kind; Direct wins when several severed edges disagree.
+    A severed survivor that no longer reaches the root is re-attached
+    under the nearest surviving node on the deleted node's ancestor
+    Direct chain, or under the root, preserving the severed edge's
+    dependency kind; Direct wins when several severed edges disagree.
     """
     severed: dict[str, DepKind] = {}
     for member in sorted(scope):
@@ -443,7 +445,7 @@ def _cascade_delete(
         state.remove_node(member)
     if not severed:
         return
-    chain = _alive_chain(ancestor, root_id, state)
+    chain = _alive_chain(state, root_id)
     relinked: set[str] = set()
     for child in sorted(severed):
         # a survivor below an earlier relinked one counts as reconnected
@@ -456,23 +458,24 @@ def _cascade_delete(
         relinked.add(child)
 
 
-def _apply_deletions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> list[Conflict]:
-    ancestor = diff_a.ancestor
-    conflicts: list[Conflict] = []
+def _apply_deletions(state: _State) -> None:
+    diff_a, diff_b = state.diffs
     clean: dict[str, tuple[set[str], Branch]] = {}
 
     for branch, diff, other in ((Branch.A, diff_a, diff_b), (Branch.B, diff_b, diff_a)):
-        added_children = _by_new_direct_parent(other, other.added)
-        reparented_into = _by_new_direct_parent(other, other.intrinsic)
-        for root_id in _deletion_roots(diff):
-            scope = direct_subtree(ancestor, root_id) & diff.deleted
+        added_children = _by_new_direct_parent(other.deltas, other.added)
+        reparented_into = _by_new_direct_parent(other.deltas, other.intrinsic)
+        for root_id in sorted(diff.deleted):
+            if state.base.direct_parent(root_id) in diff.deleted:
+                continue  # its deleted parent's subtree holds it
+            scope = direct_subtree(state.base, root_id) & diff.deleted
             touched_mods = sorted(scope & other.intrinsic)
             # the scope and the other branch's additions whose Direct-parent chain lands in it
             reach = _closure(scope, added_children)
             anchored = sorted(reach - scope)
             reparent_ins = _reparent_ins(reparented_into, reach, scope)
             if touched_mods or anchored or reparent_ins:
-                conflicts.append(
+                state.conflicts.append(
                     DeleteModifyConflict(
                         deleting_branch=branch,
                         deleted_node=root_id,
@@ -487,8 +490,7 @@ def _apply_deletions(state: _State, diff_a: DiffResult, diff_b: DiffResult) -> l
 
     for root_id in sorted(clean):
         scope, branch = clean[root_id]
-        _cascade_delete(state, root_id, scope, branch, ancestor)
-    return conflicts
+        _cascade_delete(state, root_id, scope, branch)
 
 
 # -- phase 4: modifications ---------------------------------------------------
@@ -507,13 +509,10 @@ def _set_direct_parent(state: _State, node_id: str, parent: str | None, owner: B
     state.set_edge(parent, node_id, DepKind.DIRECT, owner=owner)
 
 
-def _apply_modifications(
-    state: _State, diff_a: DiffResult, diff_b: DiffResult, policy: MergePolicy
-) -> list[Conflict]:
-    ancestor = diff_a.ancestor
-    version_a = diff_a.version
-    version_b = diff_b.version
-    conflicts: list[Conflict] = []
+def _apply_modifications(state: _State) -> None:
+    diff_a, diff_b = state.diffs
+    ancestor, version_a, version_b = state.base, diff_a.version, diff_b.version
+    policy = state.policy
 
     # only an intrinsic modification changes a node's properties or Direct parent
     for node_id in sorted(diff_a.intrinsic | diff_b.intrinsic):
@@ -541,9 +540,11 @@ def _apply_modifications(
                     and theirs.kind == "real"
                     and anc_node.kind in policy.averageable_kinds
                 ):
-                    conflicts.append(PropertyConflict(node_id, key, mine, theirs, base))
+                    state.conflicts.append(PropertyConflict(node_id, key, mine, theirs, base))
                     continue
-                value = PropertyValue.real((float(mine.value) + float(theirs.value)) / 2.0)
+                a, b = float(mine.value), float(theirs.value)
+                mean = (a + b) / 2.0  # halved first only where the sum overflows
+                value = PropertyValue.real(mean if math.isfinite(mean) else a / 2.0 + b / 2.0)
             if value is None:
                 current.pop(key, None)
             else:
@@ -556,7 +557,7 @@ def _apply_modifications(
         dp_b = version_b.direct_parent(node_id) if in_b else base_dp
         parent = merge_cell(base_dp, dp_a, dp_b)
         if parent is CONFLICT:
-            conflicts.append(ReparentConflict(node_id, dp_a, dp_b))
+            state.conflicts.append(ReparentConflict(node_id, dp_a, dp_b))
         elif parent != base_dp:
             _set_direct_parent(state, node_id, parent, Branch.A if parent == dp_a else Branch.B)
 
@@ -595,36 +596,28 @@ def _apply_modifications(
             # an existing Direct edge on the pair wins over indirect presence
         elif current is DepKind.INDIRECT and (parent, child) not in state.relinks:
             state.remove_edge(parent, child)
-    return conflicts
 
 
 # -- settling a conflict ---------------------------------------------------------
 
 
-def _settle(
-    conflict: Conflict, mine, theirs, winner: Branch, dropped: list[DroppedEdit], node, describe
-):
-    """The winner's side of a conflicted cell; the loser's is recorded as dropped.
+def _settle(state: _State, conflict: Conflict, mine, theirs, node, describe):
+    """The policy winner's side of a conflicted cell; the loser's is recorded as dropped.
 
     ``mine`` and ``theirs`` are the branches' sides, and ``describe``
     turns the losing side into the dropped edit's description.
     """
+    winner = state.policy.winner
     take, lost = (mine, theirs) if winner is Branch.A else (theirs, mine)
     conflict.resolution = _took(winner)
-    dropped.append(DroppedEdit(winner.other, node, describe(lost)))
+    state.dropped.append(DroppedEdit(winner.other, node, describe(lost)))
     return take
 
 
 # -- assets (one digest cell per asset id) -------------------------------------
 
 
-def _merge_manifests(
-    base: Mapping[str, str],
-    mine: Mapping[str, str],
-    theirs: Mapping[str, str],
-    policy: MergePolicy,
-    merger,
-) -> tuple[list[Conflict], dict[str, str], list[DroppedEdit]]:
+def _merge_manifests(state: _State, merger) -> None:
     """Manifest merge, one `merge_cell` per asset id; conflicts resolve like property conflicts.
 
     ``merger`` is the optional content step (an ``assets.ManifestMerger``;
@@ -634,10 +627,10 @@ def _merge_manifests(
     digest that differs from the ancestor's and returns the digest to
     keep.
     """
-    conflicts: list[Conflict] = []
+    base = state.base.assets
+    mine, theirs = (diff.version.assets for diff in state.diffs)
     manifest: dict[str, str] = {}
-    dropped: list[DroppedEdit] = []
-    winner = policy.winner
+    winner = state.policy.winner
     for asset_id in sorted(set(base) | set(mine) | set(theirs)):
         a, m, t = base.get(asset_id), mine.get(asset_id), theirs.get(asset_id)
         take = merge_cell(a, m, t)
@@ -645,18 +638,18 @@ def _merge_manifests(
             take = merger.merge(asset_id, a, m, t)
         if take is CONFLICT:
             conflict = AssetConflict(asset_id, m, t, a)
-            conflicts.append(conflict)
+            state.conflicts.append(conflict)
             # without a winner the ancestor digest is held
             take = a if winner is None else _settle(
-                conflict, m, t, winner, dropped, None,
+                state, conflict, m, t, None,
                 lambda lost: f"delete asset {asset_id}"
                 if lost is None else f"asset {asset_id} -> {lost}",
             )
         if merger is not None and take is not None and take != a:
-            take = merger.admit(asset_id, a, m, t, take, winner, dropped)
+            take = merger.admit(asset_id, a, m, t, take, winner, state.dropped)
         if take is not None:
             manifest[asset_id] = take
-    return conflicts, manifest, dropped
+    state.assets = manifest
 
 
 # -- phase 5: resolution --------------------------------------------------------
@@ -675,24 +668,18 @@ def _describe_delta(delta: NodeDelta) -> list[str]:
     return fragments or ["edited"]
 
 
-def _restore_child_state(state: _State, node_id: str, ancestor: LevelGraph) -> None:
+def _restore_child_state(state: _State, node_id: str) -> None:
     """Put a node's properties and incoming edges back to ancestor state."""
-    state.set_node(ancestor.node(node_id))
+    state.set_node(state.base.node(node_id))
     for parent, _ in list(state.in_.get(node_id, ())):
         state.remove_edge(parent, node_id)
-    for parent, kind in ancestor.parents(node_id):
+    for parent, kind in state.base.parents(node_id):
         if parent in state.nodes:
             state.set_edge(parent, node_id, kind)
 
 
-def _settle_delete_modify(
-    state: _State,
-    conflict: DeleteModifyConflict,
-    winner: Branch | None,
-    other: DiffResult,
-    dropped: list[DroppedEdit],
-) -> None:
-    """Settle a delete-modify conflict; ``other`` is the touching branch's diff.
+def _settle_delete_modify(state: _State, conflict: DeleteModifyConflict) -> None:
+    """Settle a delete-modify conflict against ``other``, the touching branch's diff.
 
     ``touched`` splits by ``other``: members of the subtree are its
     modifications, members of ``other.added`` its anchored additions,
@@ -703,9 +690,11 @@ def _settle_delete_modify(
     and cascades.
     """
     deleting = conflict.deleting_branch
+    winner = state.policy.winner
+    other = state.diffs[deleting is Branch.A]
     if winner is deleting.other:
         conflict.resolution = _took(winner)
-        dropped.append(
+        state.dropped.append(
             DroppedEdit(
                 deleting,
                 conflict.deleted_node,
@@ -714,7 +703,6 @@ def _settle_delete_modify(
             )
         )
         return
-    ancestor = other.ancestor
     subtree = set(conflict.subtree)
     mods = [n for n in conflict.touched if n in subtree]
     anchored = [n for n in conflict.touched if n in other.added]
@@ -726,7 +714,7 @@ def _settle_delete_modify(
         current = state.direct_parent(node_id)
         if current in doomed:
             state.remove_edge(current, node_id)
-            anc_parent = ancestor.direct_parent(node_id)
+            anc_parent = state.base.direct_parent(node_id)
             if anc_parent in state.nodes:
                 state.set_edge(anc_parent, node_id, DepKind.DIRECT)
             moved.append((node_id, current))
@@ -737,16 +725,16 @@ def _settle_delete_modify(
     if winner is None:
         for node_id in mods:
             if node_id in state.nodes:
-                _restore_child_state(state, node_id, ancestor)
+                _restore_child_state(state, node_id)
         return
     conflict.resolution = _took(winner)
     loser = deleting.other
     for node_id, left in moved:
-        dropped.append(DroppedEdit(loser, node_id, f"reparent under {left}"))
+        state.dropped.append(DroppedEdit(loser, node_id, f"reparent under {left}"))
     for added_id in anchored:
         added = other.version.node(added_id)
         recorded = other.version.direct_parent(added_id)
-        dropped.append(
+        state.dropped.append(
             DroppedEdit(
                 loser,
                 added_id,
@@ -756,32 +744,24 @@ def _settle_delete_modify(
         )
     for node_id in mods:
         for fragment in _describe_delta(other.deltas[node_id]):
-            dropped.append(DroppedEdit(loser, node_id, fragment))
-    _cascade_delete(state, conflict.deleted_node, subtree, deleting, ancestor)
+            state.dropped.append(DroppedEdit(loser, node_id, fragment))
+    _cascade_delete(state, conflict.deleted_node, subtree, deleting)
 
 
-def _resolve(
-    state: _State,
-    conflicts: list[Conflict],
-    policy: MergePolicy,
-    diff_a: DiffResult,
-    diff_b: DiffResult,
-) -> list[DroppedEdit]:
-    dropped: list[DroppedEdit] = []
-    winner = policy.winner
+def _resolve(state: _State) -> None:
+    winner = state.policy.winner
     # deletions cascade last so other resolutions see their targets alive
-    ordered = [c for c in conflicts if not isinstance(c, DeleteModifyConflict)]
-    ordered += [c for c in conflicts if isinstance(c, DeleteModifyConflict)]
+    ordered = [c for c in state.conflicts if not isinstance(c, DeleteModifyConflict)]
+    ordered += [c for c in state.conflicts if isinstance(c, DeleteModifyConflict)]
 
     for conflict in ordered:
         if isinstance(conflict, DeleteModifyConflict):
-            other = diff_a if conflict.deleting_branch is Branch.B else diff_b
-            _settle_delete_modify(state, conflict, winner, other, dropped)
+            _settle_delete_modify(state, conflict)
         elif winner is None:
             continue
         elif isinstance(conflict, ReparentConflict):
             parent = _settle(
-                conflict, conflict.parent_a, conflict.parent_b, winner, dropped, conflict.node,
+                state, conflict, conflict.parent_a, conflict.parent_b, conflict.node,
                 lambda lost: f"reparent under {lost or 'nothing'}",
             )
             if conflict.node in state.nodes:
@@ -789,7 +769,7 @@ def _resolve(
         else:  # a property or add-add conflict
             key = conflict.key
             value = _settle(
-                conflict, conflict.value_a, conflict.value_b, winner, dropped, conflict.node,
+                state, conflict, conflict.value_a, conflict.value_b, conflict.node,
                 lambda lost: f"remove property {key}"
                 if lost is None else f"set {key} = {format_value(lost)}",
             )
@@ -801,15 +781,12 @@ def _resolve(
                 else:
                     props[key] = value
                 state.set_node(Node(node.id, node.kind, props))
-    return dropped
 
 
 # -- phase 6: structural repair -------------------------------------------------
 
 
-def _repair_refs(
-    state: _State, ancestor: LevelGraph, mine: LevelGraph, theirs: LevelGraph
-) -> None:
+def _repair_refs(state: _State) -> None:
     """Keep every surviving reference resolvable: the reference wins over a deletion.
 
     A branch can win the deletion of a node or an asset while a
@@ -824,6 +801,8 @@ def _repair_refs(
     is the ancestor's, so of those only the ancestor's holders of such
     an id (`graph._holders`) are read.
     """
+    ancestor = state.base
+    mine, theirs = (diff.version for diff in state.diffs)
     removed = [node_id for node_id in state.ids if node_id not in state.nodes]
     lost = {
         asset_id
@@ -882,9 +861,7 @@ def _prune_relinks(state: _State) -> None:
             state.set_edge(parent, child, kind, owner=owner, relink=True)
 
 
-def _repair_cycles_state(state: _State) -> tuple[list[Edge], list[DroppedEdit]]:
-    removed: list[Edge] = []
-    dropped: list[DroppedEdit] = []
+def _repair_cycles_state(state: _State) -> None:
     region = sorted(state.edited_region())
     while True:
         components = strongly_connected_components(
@@ -905,16 +882,15 @@ def _repair_cycles_state(state: _State) -> tuple[list[Edge], list[DroppedEdit]]:
         kind = state.edge_kind(parent, child)
         owner = state.owners.get((parent, child))
         state.remove_edge(parent, child)
-        removed.append(Edge(parent, child, kind))
+        state.removed_edges.append(Edge(parent, child, kind))
         if owner is not None:
-            dropped.append(
+            state.dropped.append(
                 DroppedEdit(
                     owner,
                     child,
                     f"edge {parent} -> {child} ({kind.value}) removed to break a cycle",
                 )
             )
-    return removed, dropped
 
 
 def _reconnect_orphans(state: _State) -> None:
@@ -974,22 +950,15 @@ def merge3(
     # classify checked every other shared id against the ancestor
     check_same_level(mine, theirs, "mine", "theirs", ids=diff_a.added & diff_b.added)
 
-    state = _State(ancestor)
-    conflicts: list[Conflict] = []
-    conflicts += _apply_additions(state, diff_a, diff_b)
-    conflicts += _apply_deletions(state, diff_a, diff_b)
-    conflicts += _apply_modifications(state, diff_a, diff_b, policy)
-    dropped = _resolve(state, conflicts, policy, diff_a, diff_b)
-
-    asset_conflicts, state.assets, asset_drops = _merge_manifests(
-        ancestor.assets, mine.assets, theirs.assets, policy, manifest_merger
-    )
-    conflicts += asset_conflicts
-    dropped += asset_drops
-    _repair_refs(state, ancestor, mine, theirs)
+    state = _State(diff_a, diff_b, policy)
+    _apply_additions(state)
+    _apply_deletions(state)
+    _apply_modifications(state)
+    _resolve(state)
+    _merge_manifests(state, manifest_merger)
+    _repair_refs(state)
     _prune_relinks(state)
-    removed_edges, cycle_drops = _repair_cycles_state(state)
-    dropped += cycle_drops
+    _repair_cycles_state(state)
     _reconnect_orphans(state)
 
     merged = state.to_graph()
@@ -1006,4 +975,4 @@ def merge3(
         merged_edges=merged.edge_count,
         wall_time_s=time.perf_counter() - start,
     )
-    return MergeOutcome(merged, conflicts, dropped, removed_edges, stats)
+    return MergeOutcome(merged, state.conflicts, state.dropped, state.removed_edges, stats)

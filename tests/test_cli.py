@@ -528,6 +528,25 @@ class TestConfig:
         ])
         assert code == 0  # resolved by configured preference
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_averaging_reals_whose_sum_overflows_merges(self, tmp_path, sign):
+        from scenemerge import PropertyValue, write_document
+        from scenemerge.levelfile import LevelDocument
+        from conftest import D, g
+
+        paths = []
+        for role, value in (("base", 1.0), ("mine", sign * 1.7e308), ("theirs", sign * 1.6e308)):
+            lamp = ("lamp", "Light", {"intensity": PropertyValue.real(value)})
+            level = g("r", [("r", "Scene"), lamp], [("r", "lamp", D)])
+            write_document(LevelDocument(1, level), tmp_path / f"{role}.lvl")
+            paths.append(str(tmp_path / f"{role}.lvl"))
+        conf = tmp_path / "scenemerge.conf"
+        conf.write_text("averaging on\naverageable Light\n")
+        merged = tmp_path / "m.lvl"
+        assert main(["merge", *paths, "--output", str(merged), "--config", str(conf)]) == 0
+        intensity = read_document(merged).graph.node("lamp").properties["intensity"]
+        assert intensity == PropertyValue.real(sign * (1.7e308 / 2 + 1.6e308 / 2))
+
 
 def _asset_levels(tmp_path, asset_id, digests):
     """ancestor, mine and theirs level paths differing only in ``asset_id``'s digest."""

@@ -13,11 +13,7 @@ import random
 
 from scenemerge.diff import DiffResult, classify
 from scenemerge.graph import _closure, direct_subtree
-from scenemerge.merge import (
-    _by_new_direct_parent,
-    _deletion_roots,
-    _reparent_ins,
-)
+from scenemerge.merge import _by_new_direct_parent, _reparent_ins
 from scenemerge.sim import SizeParams, apply_script, generate
 
 SIZE = SizeParams(nodes=300, edges=340, ops_per_branch=30)
@@ -53,9 +49,11 @@ def full_scan_reparent_ins(other: DiffResult, target_set: set[str], scope: set[s
 
 
 def _scopes(diff: DiffResult, rng: random.Random):
-    """The merge's own deletion scopes, then Direct subtrees of random ancestor nodes."""
-    for root_id in _deletion_roots(diff):
-        yield direct_subtree(diff.ancestor, root_id) & diff.deleted
+    """The merge's own deletion scopes (one per deleted node whose parent
+    survives), then Direct subtrees of random ancestor nodes."""
+    for root_id in sorted(diff.deleted):
+        if diff.ancestor.direct_parent(root_id) not in diff.deleted:
+            yield direct_subtree(diff.ancestor, root_id) & diff.deleted
     for node_id in rng.sample(diff.ancestor.node_ids(), 20):
         yield direct_subtree(diff.ancestor, node_id)
 
@@ -70,8 +68,8 @@ def test_indexed_scans_match_full_scans_on_random_scenarios():
         diff_b = classify(scenario.base, version_b)
         rng = random.Random(seed)
         for diff, other in ((diff_a, diff_b), (diff_b, diff_a)):
-            added_children = _by_new_direct_parent(other, other.added)
-            reparented_into = _by_new_direct_parent(other, other.intrinsic)
+            added_children = _by_new_direct_parent(other.deltas, other.added)
+            reparented_into = _by_new_direct_parent(other.deltas, other.intrinsic)
             for scope in _scopes(diff, rng):
                 anchored = sorted(_closure(scope, added_children) - scope)
                 assert anchored == full_scan_anchored_adds(other, scope), seed

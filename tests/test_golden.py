@@ -4,8 +4,11 @@ Each case is one (ancestor, mine, theirs) triple merged under all three
 policies; the pins are the sha256 of the canonical merged bytes and of
 the rendered report with its run-dependent ``stat wall_time_s`` line
 masked. The cases are the paper's figure 3 and 4 fixtures, 20 seeded
-random-op simulations, and one hand-built triple with asset conflicts
-and a manifest entry restored for a surviving reference.
+random-op simulations, one hand-built triple with asset conflicts and a
+manifest entry restored for a surviving reference, and one hand-built
+triple that pins the order in which the merge phases report: a conflict
+of every kind, and drops from resolution, the manifest merge and cycle
+repair.
 
 A pin changes only with a change that means to change merge output.
 """
@@ -30,7 +33,7 @@ from scenemerge import (
 from scenemerge.assets import BlobStore, CommandStrategy, ManifestMerger
 from scenemerge.report import render_report
 from scenemerge.sim import SizeParams, apply_script, generate
-from conftest import D, fixture_path, g
+from conftest import D, I, fixture_path, g
 
 SMALL = SizeParams(nodes=16, edges=19, ops_per_branch=4)
 POLICIES = ("manual", "prefer-a", "prefer-b")
@@ -84,11 +87,67 @@ def _asset_triple():
     return base, mine, theirs
 
 
+def _every_phase_triple():
+    """One conflict of each kind and a drop from each settling phase.
+
+    Both branches add ``n`` with different ``w`` (add-add), set ``p.w``
+    differently (property), move ``m`` under different parents
+    (reparent) and change ``tex.png`` (asset); mine deletes ``d`` while
+    theirs edits its child ``e`` (delete-modify); mine adds ``a -> b``
+    and theirs ``b -> a``, so cycle repair drops one of them.
+    """
+    asset = PropertyValue.asset_ref
+    real = PropertyValue.real
+    kept = [("root", "Scene"), ("q", "GameObject"), ("a", "GameObject"), ("b", "GameObject")]
+    kept_edges = [("root", "q", D), ("root", "a", D), ("root", "b", D)]
+    base = g(
+        "root",
+        [
+            *kept,
+            ("p", "GameObject", {"w": real(1.0), "skin": asset("tex.png")}),
+            ("m", "GameObject"),
+            ("d", "GameObject"),
+            ("e", "GameObject"),
+        ],
+        [*kept_edges, ("root", "p", D), ("root", "m", D), ("root", "d", D), ("d", "e", D)],
+        {"tex.png": "d0"},
+    )
+    mine = g(
+        "root",
+        [
+            *kept,
+            ("p", "GameObject", {"w": real(2.0), "skin": asset("tex.png")}),
+            ("m", "GameObject"),
+            ("n", "Light", {"w": real(1.0)}),
+        ],
+        [*kept_edges, ("root", "p", D), ("p", "m", D), ("root", "n", D), ("a", "b", I)],
+        {"tex.png": "d1"},
+    )
+    theirs = g(
+        "root",
+        [
+            *kept,
+            ("p", "GameObject", {"w": real(3.0), "skin": asset("tex.png")}),
+            ("m", "GameObject"),
+            ("d", "GameObject"),
+            ("e", "GameObject", {"x": real(1.0)}),
+            ("n", "Light", {"w": real(3.0)}),
+        ],
+        [
+            *kept_edges, ("root", "p", D), ("q", "m", D), ("root", "d", D), ("d", "e", D),
+            ("root", "n", D), ("b", "a", I),
+        ],
+        {"tex.png": "d2"},
+    )
+    return base, mine, theirs
+
+
 CASES = {
     "fig3": lambda: _fixture_triple("fig3"),
     "fig4": lambda: _fixture_triple("fig4"),
     **{f"sim-{seed}": (lambda seed=seed: _sim_triple(seed)) for seed in range(1, 21)},
     "assets": _asset_triple,
+    "every-phase": _every_phase_triple,
 }
 
 # (case, policy) -> (sha256 of merged bytes, sha256 of the masked report)
@@ -104,6 +163,18 @@ PINS = {
     ("assets", "prefer-b"): (
         "42c848dc119406c1604f072c23411d11d7dc27bd8032fc7a0389ef3c257e845f",
         "a0b336438fa4fc8f4563597bef3c81444b615ba80424d50aa5821f7e904b36ae",
+    ),
+    ("every-phase", "manual"): (
+        "3b47847a2bf85b4a3f4ffa34ebf422fd5276373b86b1f1ec0b2631ab60b037c9",
+        "32099a2df405ebde4a787b474f542499fb01c29afccab8e524f84ee8f0ed62af",
+    ),
+    ("every-phase", "prefer-a"): (
+        "8b4e60b336168d2d11079c1d3c07c97653f5dfdfbce2925f6a40c4bcb1e6c702",
+        "9e1fbbcf40494ad2fcbea9548dab028979196e6a43329cb688d202390cf8da1b",
+    ),
+    ("every-phase", "prefer-b"): (
+        "328beb6503a10657c923e2a35b0b41eca50f8f7e111ed5c144c546f018f6e50b",
+        "340880c046336b6a8a7194fad0f11fa85ce88805b4a67ee3504b2b97b8e69fd9",
     ),
     ("fig3", "manual"): (
         "8d6316dc76b993ecfd1dcc71151a12c06c9ea0c4b5151a2a10bf04e471b48e5c",

@@ -133,9 +133,10 @@ class TestAdditions:
             [("r", "p", D), ("p", "n", D)],
         )
         # a working graph in which the recorded parent vanished
-        state = _State(g("r", [("r", "Scene")]))
-        conflicts = _apply_additions(state, classify(base, mine), classify(base, base))
-        assert not conflicts
+        state = _State(classify(base, mine), classify(base, base), MANUAL)
+        state.remove_node("p")
+        _apply_additions(state)
+        assert not state.conflicts
         assert state.to_graph().edge_kind("r", "n") is DepKind.DIRECT
 
     def test_identical_double_add_dedupes(self):
@@ -312,6 +313,18 @@ class TestModifications:
         )
         assert not out.conflicts
         assert out.merged.node("lamp").properties["intensity"] == real(3.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_averaging_reals_whose_sum_overflows_stays_finite(self, sign):
+        policy = MergePolicy(PolicyKind.MANUAL, numeric_averaging=True,
+                             averageable_kinds=frozenset({"Light"}))
+        mine, theirs = sign * 1.7e308, sign * 1.6e308
+        out = merge3(
+            self.light(intensity=1.0), self.light(intensity=mine), self.light(intensity=theirs),
+            policy,
+        )
+        assert not out.conflicts
+        assert out.merged.node("lamp").properties["intensity"] == real(mine / 2 + theirs / 2)
 
     def test_averaging_requires_averageable_kind(self):
         policy = MergePolicy(PolicyKind.MANUAL, numeric_averaging=True,
@@ -495,11 +508,12 @@ class TestRepairCycles:
     def test_self_loop_removed(self):
         # parse rejects self-loops and inputs are acyclic, so merge3 never
         # meets one; the guard is driven on a hand-built working graph
-        state = _State(g("root", [("root", "Scene"), ("a", "X")], [("root", "a", D)]))
+        level = g("root", [("root", "Scene"), ("a", "X")], [("root", "a", D)])
+        state = _State(classify(level, level), classify(level, level), MANUAL)
         state.set_edge("a", "a", I, owner=Branch.B)
-        removed, dropped = _repair_cycles_state(state)
-        assert [(e.parent, e.child) for e in removed] == [("a", "a")]
-        assert [(d.branch, d.node) for d in dropped] == [(Branch.B, "a")]
+        _repair_cycles_state(state)
+        assert [(e.parent, e.child) for e in state.removed_edges] == [("a", "a")]
+        assert [(d.branch, d.node) for d in state.dropped] == [(Branch.B, "a")]
         assert validate(state.to_graph()).ok
 
     def test_merge_created_cycle_is_repaired(self):

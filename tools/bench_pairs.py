@@ -11,23 +11,21 @@ commit and a copy of the change. Each ``--plan WORKLOAD:SEED:PAIRS:TRACE``
 runs ``python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds 30
 --trace TRACE`` PAIRS times in each checkout. Pair k runs the parent first
 when k is odd and the change first when k is even. Plans run in the order
-given, and every run is kept: its start time (UTC), ``calibration_s``
-(the time a fixed pure-Python loop took right before it, a reading of
-the host's phase), its exit code, ROW line, every FAILED line, final
-JSON line and, for a traced run, its LAYER and TRACE lines. A run
-that exits non-zero or ends in no JSON line also keeps the tails of its
-stdout, where ``perfbench/run.py`` prints merge tracebacks, and stderr. The output file is rewritten
-after every run, so an interrupted session leaves the runs made so far.
+given, and every run is kept: its start time (UTC), its exit code, ROW
+line, every FAILED line, final JSON line and, for a traced run, its
+LAYER and TRACE lines. A run that exits non-zero or ends in no JSON line
+also keeps the tails of its stdout, where ``perfbench/run.py`` prints
+merge tracebacks, and stderr. The output file is rewritten after every
+run, so an interrupted session leaves the runs made so far.
 
 The summary holds, per untraced workload and seed, the median of every
-end-to-end metric and of ``calibration_s`` on each side, the
-interquartile range of ``merge_p50_s``, and in how many pairs the change
-was better on each metric. ``--claim
-WORKLOAD:METRIC:RATIO`` adds, per seed of that workload, the parent median
-over the change median and the pairs in which the change was better; the
-claim holds on a seed when that ratio reaches RATIO, the change is better
-in at least nine of ten pairs, and the medians differ by more than the
-parent's interquartile range.
+end-to-end metric on each side, the interquartile range of
+``merge_p50_s``, and in how many pairs the change was better on each
+metric. ``--claim WORKLOAD:METRIC:RATIO`` adds, per seed of that
+workload, the parent median over the change median and the pairs in
+which the change was better; the claim holds on a seed when that ratio
+reaches RATIO, the change is better in at least nine of ten pairs, and
+the medians differ by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -67,21 +65,10 @@ TRACED = (
 )
 
 
-def calibrate() -> float:
-    """Seconds a fixed pure-Python loop takes now: 33-61 ms on the 2-CPU
-    host of BENCH_23.json, where a slow phase of the host reads longer."""
-    start = time.perf_counter()
-    total = 0
-    for i in range(400_000):
-        total += i * i % 7
-    return time.perf_counter() - start
-
-
 def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", "30", "--trace", str(trace)]
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    calibration = calibrate()
     start = time.perf_counter()
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.splitlines()
@@ -90,7 +77,6 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         "seed": seed,
         "trace": trace,
         "started": started,
-        "calibration_s": round(calibration, 4),
         "exit": done.returncode,
         "row": next((line for line in lines if line.startswith("ROW ")), None),
         "failed": [line for line in lines if line.startswith("FAILED ")],
@@ -130,8 +116,6 @@ def side_summary(runs: list[dict]) -> dict:
     summary["merge_p50_s_iqr"] = quartiles(
         [v for v in (metric(r, "merge_p50_s") for r in runs) if v is not None]
     )
-    calibrations = [r["calibration_s"] for r in runs]
-    summary["calibration_s"] = round(statistics.median(calibrations), 4) if calibrations else None
     summary["all_correct"] = all((r.get("result") or {}).get("correct") for r in runs)
     return summary
 
