@@ -26,22 +26,23 @@ quoted.
 
 A merge parses three versions of one level that share almost every
 line, and reads few of their properties. A canonical read checks every
-line and literal but builds no property: a `Node` builds its properties
-from its own prop lines when they are first read (two threads that
-read them at once build equal dicts), and the graph's index of the
-nodes holding each ref and asset target is filled from those lines.
-``parse(text, base=ancestor)`` reads a version against such a read:
-the two line lists, each in section order, are walked together as a
-merge of sorted lists that skips equal runs a block at a time, only the
-lines that are not in both texts are tokenized and applied to the base
-through `graph._Patch`, and every node whose lines are all shared is
-the base's own `Node`. The result equals ``parse(text)``; a text out of
-that order, or whose patch cannot be shown equal, is parsed whole, so
-errors are the same with or without a base.
+line and literal but builds no property and splits no text into lines:
+it keeps the text, and a `Node` builds its properties from its own prop
+lines in it when they are first read (two threads that read them at
+once build equal dicts); the graph's index of the nodes holding each
+ref and asset target is filled from those lines.
+``parse(text, base=ancestor)`` reads a version against such a read: the
+two texts are compared in blocks of characters, in C, and walked line
+by line, as a merge of lines in section order, only where they differ;
+only the lines that are not in both texts are tokenized and applied to
+the base through `graph._Patch`, and every node whose lines are all
+shared is the base's own `Node`. The result equals ``parse(text)``; a
+text out of that order, or whose patch cannot be shown equal, is parsed
+whole, so errors are the same with or without a base.
 
 The merged level is such a patch, and its record names the ancestor, so
-while that read is alive `serialize` writes the merged level as the
-ancestor's text with only the patched lines rendered.
+while that read is alive `serialize` writes the merged level as runs of
+the ancestor's text with only the patched lines rendered.
 
 Merge reports (``.lvlreport``) use the same tokenizer; see
 `render_report` for the line inventory.
@@ -56,8 +57,8 @@ import stat
 from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import contextmanager, suppress
-from itertools import compress, count, repeat
-from operator import and_, eq, is_, itemgetter, ne
+from itertools import chain, compress, count, repeat
+from operator import and_, is_, itemgetter, le, lt
 from typing import Iterable, Iterator, TextIO
 
 from .graph import (
@@ -366,15 +367,17 @@ def parse(text: str, base: LevelDocument | None = None) -> LevelDocument:
     twice (duplicate ids, duplicate edges, duplicate keys) is an error
     here, with line/column positions.
 
-    A text in canonical form is read in one checked pass (see
-    `_read_canonical`), and any other text line by line (`_read_lines`).
+    A text in canonical form is read in one checked pass, and kept as
+    the one copy of its lines (see `_read_canonical`); any other text is
+    read line by line (`_read_lines`).
 
     ``base`` is an earlier parse of a version of the same level, such as
     a merge's ancestor. The result is the same document, but only the
-    lines that differ from the base's are read, and every node whose
-    lines are all shared is the base's own `Node` object. Where that
-    cannot be shown to give ``parse(text)``, the text is parsed whole,
-    so errors are raised exactly as without a base.
+    lines in which the text differs from the base's text are read (see
+    `_parse_against`), and every node whose lines are all shared is the
+    base's own `Node` object. Where that cannot be shown to give
+    ``parse(text)``, the text is parsed whole, so errors are raised
+    exactly as without a base.
     """
     return (base and _parse_against(text, base)) or _read_canonical(text) or _read_lines(text)
 
@@ -413,17 +416,59 @@ def _read_lines(text: str) -> LevelDocument:
 
 
 _SECTIONS = ("root", "node", "prop", "edge", "asset")  # in the order `serialize` writes them
+_RANKS = {directive: rank for rank, directive in enumerate(_SECTIONS)}
+_HEADER = f"lvl {FORMAT_VERSION}\n"
 # a canonical line of each section: bare tokens between single spaces
 _SECTION_LINES = [re.compile(line.format(t=_BARE_TOKEN.pattern), re.MULTILINE) for line in (
     r"^root ({t})$", r"^node ({t}) ({t})$", r"^prop ({t}) ({t}) ([a-z]+ {t})$",
     r"^edge ({t}) ({t}) (direct|indirect)$", r"^asset ({t}) ({t})$",
 )]
 _first, _second, _third = itemgetter(0), itemgetter(1), itemgetter(2)
+# the start of a node, prop or edge line of a key, after the newline before it
+_LINE_STARTS = ("\nnode {} ".format, "\nprop {} ".format, "\nedge {0[0]} {0[1]} ".format)
+_MARK = 256  # prop lines between two owners whose first prop line a canonical text marks
 
 
-def _section_rank(line: str) -> int:
-    directive = line.partition(" ")[0]
-    return (*_SECTIONS, directive).index(directive)  # 5 for a line of no section
+class _Canonical(_Record):
+    """A canonical read's text and where its lines are.
+
+    ``bounds`` holds where the root, node, prop, edge and asset sections
+    start, then the text's length. ``keys`` holds, for the node, prop and
+    edge sections, each line's key in text order: its node id, owner id
+    or (parent, child) pair. ``marks`` holds every `_MARK`th owner of a
+    prop line and where that owner's first prop line starts, so a node's
+    prop lines are found a short forward search away.
+    """
+
+    __slots__ = ("text", "bounds", "keys", "marks")
+
+    def line_at(self, section: int, index: int, pos: int) -> int:
+        """Where line ``index`` of the node (0), prop (1) or edge (2) section
+        starts, searched forward from ``pos``, a line start at or before it,
+        or from the last marked owner at or before the line's, if later.
+        The line must be the first of its key (a `bisect_left` or
+        `bisect_right` index); an index past the last line gives the
+        section's end."""
+        keys = self.keys[section]
+        if index == len(keys):
+            return self.bounds[section + 2]
+        key = keys[index]
+        if section == 1:
+            marked, starts = self.marks
+            pos = max(pos, starts[bisect_right(marked, key) - 1])
+        return self.text.find(_LINE_STARTS[section](key), pos - 1) + 1
+
+    def changes(self, other: "_Canonical") -> tuple[set[str], set[tuple[str, str]]]:
+        """The node ids and (parent, child) pairs of the lines in one text and not the other."""
+        ids, pairs = set(), set()
+        if self.text != other.text:
+            for line in chain(*_changed_lines(self.text, other.text, len(_HEADER))):
+                directive, *keys = line.split(" ", 3)
+                if directive == "edge":
+                    pairs.add((keys[0], keys[1]))
+                elif directive in ("node", "prop"):
+                    ids.add(keys[0])
+        return ids, pairs
 
 
 def _read_canonical(text: str) -> LevelDocument | None:
@@ -434,30 +479,32 @@ def _read_canonical(text: str) -> LevelDocument | None:
     sorted, its keys distinct), bare tokens between single spaces, a final
     newline, and each literal spelled as `format_value` spells it.
 
-    Every line and literal is checked here, but no property is built: a
-    `Node` builds its properties from its own run of prop lines when they
-    are first read, one `PropertyValue` per distinct literal, and the
+    The text is not split into lines: `str.find` places each section, one
+    pattern per section reads its lines' fields, and every line is checked
+    to match it. No property is built: a `Node` builds its properties from
+    its own run of prop lines in the text (`_Canonical.line_at`) when
+    they are first read, one `PropertyValue` per distinct literal, and the
     graph's ref and asset index (`graph._holders`) is filled from the ref
-    and asset lines alone.
+    and asset lines alone. The graph keeps the text in `LevelGraph._lines`.
     """
-    lines = text.split("\n")
-    end = len(lines) - 1  # the empty string after the final newline
-    if lines[end] or lines[0] != f"lvl {FORMAT_VERSION}":
+    if not text.startswith(_HEADER) or not text.endswith("\n"):
         return None
-    # where each section would start; a line out of place fails its pattern
-    bounds = [1]
-    for rank in range(1, len(_SECTIONS)):
-        bounds.append(bisect_left(lines, rank, bounds[-1], end, key=_section_rank))
-    rows, start = [], len(lines[0]) + 1
-    for pattern, lo, hi in zip(_SECTION_LINES, bounds, [*bounds[1:], end]):
-        section = lines[lo:hi]
-        stop = start + sum(map(len, section)) + len(section)
-        rows.append(pattern.findall(text, start, stop))  # a match per line that matches
-        if len(rows[-1]) != len(section) or sorted(section) != section:
+    # each section starts at the first line of its directive, or where the next one
+    # does; a line out of place fails its section's pattern
+    found, at = [], len(_HEADER)
+    for directive in _SECTIONS[1:]:
+        found.append(text.find(f"\n{directive} ", at - 1) + 1)
+        at = found[-1] or at
+    bounds = [len(text)]
+    for start in reversed(found):
+        bounds.append(start or bounds[-1])
+    bounds = [len(_HEADER), *reversed(bounds)]
+    rows = []
+    for pattern, lo, hi in zip(_SECTION_LINES, bounds, bounds[1:]):
+        rows.append(pattern.findall(text, lo, hi))  # a match per line that matches
+        if len(rows[-1]) != text.count("\n", lo, hi):
             return None
-        start = stop
     root, node_rows, prop_rows, edge_rows, asset_rows = rows
-    prop_lines = lines[bounds[2] : bounds[3]]
 
     # the level holds one string per id and kind
     kinds = dict(node_rows)
@@ -471,24 +518,38 @@ def _read_canonical(text: str) -> LevelDocument | None:
         children = list(map(declared.__getitem__, map(_second, edge_rows)))
     except (KeyError, ValueError):
         return None
-    by_tag = _spelled_as_written(dict.fromkeys(literals))
+    by_tag = _spelled_as_written(set(literals))
     edges = dict(zip(zip(parents, children), map(_DEP_KINDS.get, map(_third, edge_rows))))
     assets = dict(asset_rows)
     if (
         by_tag is None
-        or (len(ids), len(edges), len(assets)) != (len(node_rows), len(edge_rows), len(asset_rows))
+        or (len(ids), len(assets)) != (len(node_rows), len(asset_rows))
         or any(map(is_, parents, children))  # a declared id is one string
-        # sorted lines set a property twice only on adjacent lines
-        or any(map(and_, map(is_, owners[1:], owners), map(eq, keys[1:], keys)))
+        # each section strictly increasing in its key columns
+        or not all(map(lt, ids, ids[1:]))
+        or not all(map(le, owners, owners[1:]))
+        or any(map(and_, map(is_, owners[1:], owners), map(le, keys[1:], keys)))
+        or not all(map(le, parents, parents[1:]))
+        or any(map(and_, map(is_, parents[1:], parents), map(le, children[1:], children)))
+        or sorted(asset_rows) != asset_rows
     ):
         return None
+    del rows, node_rows, prop_rows, edge_rows, keys
 
+    # the text and the keys of its node, prop and edge lines: a later parse walks its
+    # text against this one, and `serialize` copies it into a level patched from it
+    marked, starts = owners[::_MARK], [bounds[2]]
+    for owner in marked:
+        starts.append(text.find(f"\nprop {owner} ", starts[-1] - 1) + 1)
+    canonical = _Canonical(text, bounds, (ids, owners, list(edges)), (marked, starts[1:]))
     values = _Values()
 
     def properties(node_id: str) -> dict[str, PropertyValue]:
         lo = bisect_left(owners, node_id)
+        start = canonical.line_at(1, lo, 0)
+        end = canonical.line_at(1, bisect_right(owners, node_id, lo), start)
         owned = {}
-        for line in prop_lines[lo : bisect_right(owners, node_id, lo)]:
+        for line in text[start:end].splitlines():
             _, _, key, value = line.split(" ", 3)
             owned[key] = values[value]
         return owned
@@ -505,9 +566,7 @@ def _read_canonical(text: str) -> LevelDocument | None:
     for owner, value in compress(zip(owners, literals), map(held.__contains__, literals)):
         tag, _, target = value.partition(" ")
         graph._holders[tag == "asset"].setdefault(target, []).append(owner)
-    # its lines and the keys of its node, prop and edge lines: a later parse walks
-    # its lines against them, and `serialize` copies them into a level patched from it
-    graph._lines = (lines, (ids, owners, list(edges)))
+    graph._lines = canonical
     return LevelDocument(FORMAT_VERSION, graph)
 
 
@@ -542,54 +601,79 @@ class _Values(dict):
 
 def _line_key(line: str) -> tuple[int, str]:
     """The order of a canonical text's lines after its header: by section, then as strings."""
-    return _section_rank(line), line
+    return _RANKS.get(line.partition(" ")[0], len(_SECTIONS)), line
 
 
-_BLOCK = 256  # lines the sorted walk compares in one C-level pass
+_BLOCK = (256, 8192)  # the characters the walk compares in C at first, and at most
 
 
-def _sorted_difference(old: list[str], new: list[str]) -> tuple[list[str], list[str]] | None:
+def _changed_lines(old: str, new: str, at: int) -> tuple[list[str], list[str]] | None:
     """The lines of ``old`` not in ``new``, and those of ``new`` not in ``old``.
 
-    ``old`` is a canonical read's lines, so after the header they are
-    strictly increasing by `_line_key`; None unless ``new``'s are too. The
-    two lists are walked together as a merge of sorted lists: a run of
-    equal lines is skipped a block of `_BLOCK` at a time, and only the
-    lines that differ are compared on their own. Every line of ``new``
-    is matched in order with one of ``old`` or is new, so the two results
-    patch one list into the other in any order; ``new``'s order, checked
-    at each new line and its neighbours, is what keeps them as small as
-    the difference, so a text out of order is parsed whole instead.
+    ``old`` is a canonical text, so its lines after the header (which ends
+    at ``at`` in both texts) are strictly increasing by `_line_key`; None
+    unless ``new``'s are too. The texts are compared a block of `_BLOCK`
+    characters at a time, in C; at the first block that differs, a
+    bisection finds the first differing character, and from the start of
+    its line the two texts are walked line by line, as a merge of sorted
+    lists, until their lines agree again. Every line of ``new`` is so
+    matched in order with one of ``old`` or is new, and ``new``'s order,
+    checked at each new line and its neighbours (the empty line after a
+    final newline included), is what keeps the two results as small as
+    the difference; a text out of order is parsed whole instead. A text
+    without a final newline reads as its lines split at ``"\\n"`` do.
     """
     gone, added = [], []
-    i = j = 1  # after the header
-    while i < len(old) and j < len(new):
-        if old[i] == new[j]:
-            block, other = old[i : i + _BLOCK], new[j : j + _BLOCK]
-            same = next(compress(count(), map(ne, block, other)), min(len(block), len(other)))
-            i, j = i + same, j + same
-        elif _line_key(old[i]) < _line_key(new[j]):
-            gone.append(old[i])
-            i += 1
-        else:
-            added.append(j)
-            j += 1
-    added += range(j, len(new))
-    for j in added:
-        if (j > 1 and _line_key(new[j - 1]) >= _line_key(new[j])) or (
-            j + 1 < len(new) and _line_key(new[j]) >= _line_key(new[j + 1])
-        ):
-            return None
-    return gone + old[i:], [new[j] for j in added]
+    i = j = at
+    while True:
+        start, size = i, _BLOCK[0]
+        while (a := old[i : i + size]) == (b := new[j : j + size]):
+            if len(a) < size:
+                return gone, added
+            i, j, size = i + size, j + size, min(2 * size, _BLOCK[1])
+        lo, hi = 0, min(len(a), len(b))  # a[:lo] == b[:lo], and they differ before hi + 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if a[lo:mid] == b[lo:mid] else (lo, mid - 1)
+        line = max(old.rfind("\n", 0, i + lo) + 1, start)
+        i, j = line, j + line - i
+        x = kx = last = None  # old's line at ``i`` and its key; the key of the new line before ``j``
+        while True:
+            if x is None and i <= len(old):
+                stop = old.find("\n", i)
+                stop = len(old) if stop < 0 else stop
+                x, kx = old[i:stop], None
+            if j > len(new):
+                gone += old[i:].split("\n")
+                return gone, added
+            end = new.find("\n", j)
+            end = len(new) if end < 0 else end
+            line = new[j:end]
+            if line == x:
+                i, j = stop + 1, end + 1
+                break  # a new line before ``line`` is below ``x``, so in order
+            key = _line_key(line)
+            if x is not None and (kx := kx or _line_key(x)) < key:
+                gone.append(x)
+                i, x = stop + 1, None
+                continue
+            if last is None and j > at:
+                last = _line_key(new[new.rfind("\n", 0, j - 1) + 1 : j - 1])
+            if last is not None and last >= key:
+                return None
+            added.append(line)
+            last, j = key, end + 1
 
 
 def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
     """``parse(text)``, by patching ``base`` with the lines not in both texts.
 
     ``base``'s graph must be a canonical read, and ``text`` its header followed by
-    lines in the same order (`_sorted_difference`), as every text
-    `serialize` writes is; the lines one holds and the other lacks are
-    found by walking the two line lists together, and only those are read.
+    lines in the same order, as every text `serialize` writes is; the
+    lines one text holds and the other lacks are found by comparing the
+    two texts, in C where they agree (`_changed_lines`), and only those
+    are split off and read. A text without a final newline reads as a
+    whole parse reads it.
     None where the patch cannot be shown equal to a whole parse: the base
     is not canonical, the text is not so ordered, a changed line does not
     read, or the patched tables set a key twice, reference a node they
@@ -598,10 +682,12 @@ def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
     unnumbered.
     """
     graph = base.graph
-    if graph._lines is None:
-        return None
-    lines, base_lines = text.split("\n"), graph._lines[0]
-    changed = lines[0] == base_lines[0] and _sorted_difference(base_lines, lines)
+    canonical = graph._lines
+    changed = (
+        canonical is not None
+        and text.startswith(_HEADER)
+        and _changed_lines(canonical.text, text, len(_HEADER))
+    )
     if not changed:
         return None
     try:
@@ -685,50 +771,61 @@ def serialize(doc: LevelDocument) -> str:
     """Render the canonical byte form of a document (see module docstring).
 
     If the record of ``doc``'s graph names a live canonical read, that
-    read's lines are kept but for those of the recorded ids and pairs."""
+    read's text is copied, in runs between the lines of the recorded ids
+    and pairs, which alone are rendered; each run's end is found with a
+    forward `str.find`."""
     graph = doc.graph
     nodes, edges = graph._nodes, graph._edges
     # ids, kinds and keys repeat across lines; each is formatted once
     token = _Tokens()
-    lines = [f"lvl {doc.format_version}", f"root {token[graph.root]}"]
+    out = [f"lvl {doc.format_version}\nroot {token[graph.root]}\n"]
 
     def node_line(node_id: str) -> None:
         if node_id in nodes:
-            lines.append(f"node {token[node_id]} {token[nodes[node_id].kind]}")
+            out.append(f"node {token[node_id]} {token[nodes[node_id].kind]}\n")
 
     def prop_lines(node_id: str) -> None:
         properties = nodes[node_id].properties if node_id in nodes else {}
         for key in sorted(properties):
-            lines.append(f"prop {token[node_id]} {token[key]} {format_value(properties[key])}")
+            out.append(f"prop {token[node_id]} {token[key]} {format_value(properties[key])}\n")
 
     def edge_line(pair: tuple[str, str]) -> None:
         if pair in edges:
-            lines.append(f"edge {token[pair[0]]} {token[pair[1]]} {edges[pair].value}")
+            out.append(f"edge {token[pair[0]]} {token[pair[1]]} {edges[pair].value}\n")
 
     renders = (node_line, prop_lines, edge_line)
     patch = graph._patch
     base = patch and patch[0]()
     if base is not None and base._lines is not None:
-        base_lines, sections = base._lines
-        start = 2  # the node lines follow the header and the root line
-        for keys, patched, render in zip(sections, (patch[1], patch[1], patch[2]), renders):
-            at = 0
+        canonical = base._lines
+        text, pos = canonical.text, canonical.bounds[1]
+        for section, keys, patched, render in zip(
+            count(), canonical.keys, (patch[1], patch[1], patch[2]), renders
+        ):
+            at = 0  # ``pos`` is where line ``at`` of the section starts
             for key in sorted(patched):
-                lo = bisect_left(keys, key, at)
-                lines += base_lines[start + at : start + lo]
+                index = bisect_left(keys, key, at)
+                if index > at:
+                    start = canonical.line_at(section, index, pos)
+                    out.append(text[pos:start])
+                    pos = start
                 render(key)
-                at = bisect_right(keys, key, lo)
-            lines += base_lines[start + at : start + len(keys)]
-            start += len(keys)
+                if section == 1:
+                    at = bisect_right(keys, key, index)
+                else:  # a node or edge line per key
+                    at = index + (index < len(keys) and keys[index] == key)
+                for _ in range(at - index):  # the key's own lines
+                    pos = text.find("\n", pos) + 1
+            out.append(text[pos : canonical.bounds[section + 2]])
+            pos = canonical.bounds[section + 2]
     else:  # a graph's tables are unordered, so the whole level is written sorted
         ids = sorted(nodes)
         for keys, render in zip((ids, ids, sorted(edges)), renders):
             for key in keys:
                 render(key)
     for asset_id in sorted(graph.assets):
-        lines.append(f"asset {token[asset_id]} {token[graph.assets[asset_id]]}")
-    lines.append("")  # the final newline
-    return "\n".join(lines)
+        out.append(f"asset {token[asset_id]} {token[graph.assets[asset_id]]}\n")
+    return "".join(out)
 
 
 def _read_text(path) -> str:

@@ -6,9 +6,9 @@ reader (`levelfile._read_lines`); here the two are held to the same
 documents and the same errors, and so is a branch read against such a
 base (`levelfile._parse_against`). A canonical read builds a node's
 properties only when they are first read; a merge builds no more of
-them than its branches changed. A canonical read keeps its lines on its
+them than its branches changed. A canonical read keeps its text on its
 graph, and `serialize` writes a level whose record names such a read,
-while it is alive, as its lines with the patch rendered in; here that
+while it is alive, as that text with the patch rendered in; here that
 text is held to the whole render's.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import gc
 import random
+import re
 from operator import lt
 
 import pytest
@@ -29,6 +30,7 @@ from scenemerge.graph import _Patch
 from scenemerge.levelfile import (
     FORMAT_VERSION,
     LevelDocument,
+    _Canonical,
     _line_key,
     _read_canonical,
     _read_lines,
@@ -72,7 +74,7 @@ def test_a_serialized_level_is_read_canonical_and_equals_a_line_read(seed, which
     assert doc.graph._lines is not None
     assert_same_document(doc, _read_lines(text))
     assert serialize(doc) == text
-    assert doc.graph._lines[0] == text.split("\n")
+    assert doc.graph._lines.text is text  # the one copy of its lines
 
 
 def test_each_distinct_literal_is_one_value():
@@ -264,19 +266,19 @@ def test_a_literal_the_line_reader_rejects_keeps_its_error(name):
 def copied_lines(doc: LevelDocument, base: LevelDocument, write=serialize) -> int:
     """How many of ``base``'s node, prop and edge lines ``write(doc)`` copies.
 
-    ``write`` returns the text it wrote. Each such line of ``base``'s graph
-    is marked for the one call, so a copied line shows the mark and a
-    rendered one does not.
+    ``write`` returns the text it wrote. For the one call, each such line
+    of the text ``base``'s graph keeps ends in a mark in place of its last
+    character, so a copied line shows the mark and a rendered one does not.
     """
-    if base.graph._lines is None:
+    kept = base.graph._lines
+    if kept is None:
         return 0
-    lines = base.graph._lines[0]
-    saved = list(lines)
-    lines[2:-1] = [line + " ~" for line in saved[2:-1]]
+    marked = re.sub(r"^((?:node|prop|edge) .*).$", r"\1~", kept.text, flags=re.MULTILINE)
+    base.graph._lines = _Canonical(marked, kept.bounds, kept.keys, kept.marks)
     try:
-        return write(doc).count(" ~\n")
+        return write(doc).count("~\n")
     finally:
-        lines[:] = saved
+        base.graph._lines = kept
 
 
 def whole_render(doc: LevelDocument) -> str:

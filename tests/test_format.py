@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import tracemalloc
 from bisect import bisect_left
 from operator import lt
 
@@ -21,12 +22,15 @@ from scenemerge import (
 from scenemerge.levelfile import (
     FORMAT_VERSION,
     LevelDocument,
+    _BLOCK,
+    _HEADER,
     _line_key,
     _line_texts,
     _split_line,
     canonical_bytes,
     read_document,
 )
+from scenemerge.graph import _Patch
 from scenemerge.sim import SizeParams, apply_script, generate
 from conftest import D, I, fixture_text, g, tables
 
@@ -320,9 +324,9 @@ def test_fast_tokenizer_matches_split_line(line):
 
 
 @functools.lru_cache(maxsize=None)
-def _sim_texts(seed: int) -> tuple[str, str, str]:
-    """The canonical base, mine and theirs of a small simulator scenario."""
-    sc = generate(seed, SizeParams(nodes=6, edges=7, ops_per_branch=2))
+def _sim_texts(seed: int, size=SizeParams(nodes=6, edges=7, ops_per_branch=2)) -> tuple[str, str, str]:
+    """The canonical base, mine and theirs of a simulator scenario, small by default."""
+    sc = generate(seed, size)
     graphs = (sc.base, apply_script(sc.base, sc.script_a), apply_script(sc.base, sc.script_b))
     return tuple(serialize(LevelDocument(FORMAT_VERSION, graph)) for graph in graphs)
 
@@ -418,6 +422,15 @@ def test_parse_against_a_base_equals_a_whole_parse(texts):
     if isinstance(whole, tuple):
         assert patched == whole  # the same error, at the same line and column
         return
+    assert_read_against(base_text, base, text, patched)
+
+
+def assert_read_against(base_text: str, base: LevelDocument, text: str, patched) -> None:
+    """``patched``, read from ``text`` against ``base``, is ``parse(text)``; and
+    where the walk reads it (its lines in order), each of its nodes is
+    ``base``'s own `Node` exactly when its node and prop lines are all
+    ``base``'s."""
+    whole = parse(text)
     assert isinstance(patched, LevelDocument)
     assert patched == whole
     assert serialize(patched) == serialize(whole)
@@ -425,7 +438,8 @@ def test_parse_against_a_base_equals_a_whole_parse(texts):
     assert tables(patched.graph) == tables(whole.graph)
     lines = text.split("\n")
     keys = list(map(_line_key, lines[1:]))
-    if "\r" in text or lines[0] != base.graph._lines[0][0] or not all(map(lt, keys, keys[1:])):
+    header = base.graph._lines.text.partition("\n")[0]
+    if "\r" in text or lines[0] != header or not all(map(lt, keys, keys[1:])):
         return  # read whole, or with a CR that `_owned_lines` cannot tokenize
     base_owned = _owned_lines(base_text)
     for node_id, owned in _owned_lines(text).items():
@@ -442,6 +456,60 @@ def test_a_branch_parsed_against_its_ancestor_shares_the_unchanged_nodes():
     assert 0 < len(shared) < mine.graph.node_count
     # a document read with a base serves as a base in turn
     assert parse(base_text, base=mine) == base
+
+
+# a level of a few blocks of the walk, and a line of each section changed in place
+_WIDE = _sim_texts(2, SizeParams(nodes=300, edges=340, ops_per_branch=2))[0]
+
+
+def _edited(line: str) -> str:
+    directive, first, *rest = line.split(" ")
+    if directive == "root":
+        return "root n0007"
+    if directive == "edge":
+        return f"edge {first} {rest[0]} {'indirect' if rest[1] == 'direct' else 'direct'}"
+    return " ".join([directive, first, *rest[:-1], "Changed" if directive == "node" else "00"])
+
+
+def _line_spans(text: str) -> list[tuple[int, int]]:
+    """The start and end of each line after the header."""
+    starts = [i + 1 for i, ch in enumerate(text) if ch == "\n"][:-1]
+    return [(start, text.index("\n", start)) for start in starts]
+
+
+def _replaced(text: str, *spans: tuple[int, int], edit=_edited) -> str:
+    for start, end in sorted(spans, reverse=True):
+        text = text[:start] + edit(text[start:end]) + text[end:]
+    return text
+
+
+def _edge_cases() -> dict[str, str]:
+    spans = _line_spans(_WIDE)
+    # the blocks the walk compares before its first change double from the first size
+    start, size = len(_HEADER), _BLOCK[0]
+    while start + 2 * size < len(_WIDE) // 2:
+        start, size = start + size, min(2 * size, _BLOCK[1])
+    straddling = next(span for span in spans if span[0] < start < span[1])
+    inside = [span for span in spans if start < span[0] and span[1] < start + size]
+    last = _replaced(_WIDE, spans[-1])
+    return {
+        "first line": _replaced(_WIDE, spans[0]),
+        "last line": last,
+        "last line tabbed": _replaced(_WIDE, spans[-1], edit=lambda line: line.replace(" ", "\t", 1)),
+        "block boundary": _replaced(_WIDE, straddling),
+        "two in one block": _replaced(_WIDE, inside[1], inside[-2]),
+        "no final newline": last[:-1],
+        "only the final newline dropped": _WIDE[:-1],
+        "only a final newline added": _WIDE + "\n",
+    }
+
+
+@pytest.mark.parametrize("case", list(_edge_cases()))
+def test_the_walk_reads_each_edge_case_as_a_whole_parse(case):
+    text = _edge_cases()[case]
+    assert text != _WIDE and len(_WIDE) > 2 * _BLOCK[1]
+    base = parse(_WIDE)
+    assert_read_against(_WIDE, base, text, parse(text, base=base))
 
 
 _CANONICAL = "lvl 1\nroot r\nnode a X\nnode r S\nedge r a direct\n"
@@ -481,3 +549,26 @@ def test_read_document_names_the_file_and_keeps_the_position(tmp_path):
         read_document(path, base=parse(fixture_text("fig3-base.lvl")))
     assert (err.value.line, err.value.column, err.value.reason) == (4, 14, "invalid int literal '1.5'")
     assert str(err.value) == f"{path}: line 4, column 14: invalid int literal '1.5'"
+
+
+def _peak(call) -> int:
+    """The `tracemalloc` peak of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_branch_read_allocates_less_than_its_text_beyond_the_patch_copy():
+    # at 40k nodes with 400 exact edits: the walk splits no text into lines,
+    # so beyond the copy of the ancestor's tables that every patch makes, a
+    # branch read allocates less than its text's length
+    sc = generate(2, SizeParams(nodes=40_000, edges=45_000, edits_a=400, edits_b=400))
+    ancestor = parse(serialize(LevelDocument(FORMAT_VERSION, sc.base)))
+    text = serialize(LevelDocument(FORMAT_VERSION, apply_script(sc.base, sc.script_a)))
+    copy = _peak(lambda: _Patch(ancestor.graph).to_graph())
+    read = _peak(lambda: parse(text, base=ancestor))
+    assert parse(text, base=ancestor).graph._patch[0]() is ancestor.graph
+    assert read - copy < len(text), (read, copy, len(text))
