@@ -625,6 +625,7 @@ def _changed_lines(old: str, new: str, at: int) -> tuple[list[str], list[str]] |
     """
     gone, added = [], []
     i = j = at
+    old_end, new_end = len(old), len(new)
     while True:
         start, size = i, _BLOCK[0]
         while (a := old[i : i + size]) == (b := new[j : j + size]):
@@ -635,19 +636,19 @@ def _changed_lines(old: str, new: str, at: int) -> tuple[list[str], list[str]] |
         while lo < hi:
             mid = (lo + hi + 1) // 2
             lo, hi = (mid, hi) if a[lo:mid] == b[lo:mid] else (lo, mid - 1)
-        line = max(old.rfind("\n", 0, i + lo) + 1, start)
-        i, j = line, j + line - i
+        back = max(old.rfind("\n", 0, i + lo) + 1, start)  # to the start of the line
+        i, j = back, j + back - i
         x = kx = last = None  # old's line at ``i`` and its key; the key of the new line before ``j``
         while True:
-            if x is None and i <= len(old):
+            if x is None and i <= old_end:
                 stop = old.find("\n", i)
-                stop = len(old) if stop < 0 else stop
+                stop = old_end if stop < 0 else stop
                 x, kx = old[i:stop], None
-            if j > len(new):
+            if j > new_end:
                 gone += old[i:].split("\n")
                 return gone, added
             end = new.find("\n", j)
-            end = len(new) if end < 0 else end
+            end = new_end if end < 0 else end
             line = new[j:end]
             if line == x:
                 i, j = stop + 1, end + 1
