@@ -612,8 +612,9 @@ def _changed_lines(old: str, new: str, at: int) -> tuple[list[str], list[str]] |
 
     ``old`` is a canonical text, so its lines after the header (which ends
     at ``at`` in both texts) are strictly increasing by `_line_key`; None
-    unless ``new``'s are too. The texts are compared a block of `_BLOCK`
-    characters at a time, in C; at the first block that differs, a
+    unless ``new``'s are too. The texts are compared a block of characters
+    at a time, in C, the blocks doubling from `_BLOCK`'s first size to its
+    second after each difference; at the first block that differs, a
     bisection finds the first differing character, and from the start of
     its line the two texts are walked line by line, as a merge of sorted
     lists, until their lines agree again. Every line of ``new`` is so
@@ -652,7 +653,7 @@ def _changed_lines(old: str, new: str, at: int) -> tuple[list[str], list[str]] |
             line = new[j:end]
             if line == x:
                 i, j = stop + 1, end + 1
-                break  # a new line before ``line`` is below ``x``, so in order
+                break  # a line added before it was below ``x``, so it is in order
             key = _line_key(line)
             if x is not None and (kx := kx or _line_key(x)) < key:
                 gone.append(x)
