@@ -426,7 +426,7 @@ _SECTION_LINES = [re.compile(line.format(t=_BARE_TOKEN.pattern), re.MULTILINE) f
 _first, _second, _third = itemgetter(0), itemgetter(1), itemgetter(2)
 # the start of a node, prop or edge line of a key, after the newline before it
 _LINE_STARTS = ("\nnode {} ".format, "\nprop {} ".format, "\nedge {0[0]} {0[1]} ".format)
-_MARK = 256  # prop lines between two owners whose first prop line a canonical text marks
+_MARK = 32  # prop lines between two owners whose first prop line a canonical text marks
 
 
 class _Canonical(_Record):
