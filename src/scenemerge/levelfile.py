@@ -534,13 +534,13 @@ def _read_canonical(text: str) -> LevelDocument | None:
         or sorted(asset_rows) != asset_rows
     ):
         return None
-    del rows, node_rows, prop_rows, edge_rows, keys
+    del rows, node_rows, prop_rows, edge_rows, keys  # the read's largest allocation
 
     # the text and the keys of its node, prop and edge lines: a later parse walks its
     # text against this one, and `serialize` copies it into a level patched from it
     marked, starts = owners[::_MARK], [bounds[2]]
     for owner in marked:
-        starts.append(text.find(f"\nprop {owner} ", starts[-1] - 1) + 1)
+        starts.append(text.find(_LINE_STARTS[1](owner), starts[-1] - 1) + 1)
     canonical = _Canonical(text, bounds, (ids, owners, list(edges)), (marked, starts[1:]))
     values = _Values()
 
