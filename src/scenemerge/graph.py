@@ -28,8 +28,7 @@ import math
 import weakref
 from contextlib import ContextDecorator
 from enum import Enum
-from itertools import compress, repeat
-from operator import attrgetter, is_, itemgetter, lt
+from operator import attrgetter
 from typing import Callable, Collection, Container, Iterable, Iterator, Mapping
 
 
@@ -82,7 +81,6 @@ class _gc_paused(ContextDecorator):
 
 
 _set = object.__setattr__  # sets a field of a frozen record
-_kind = itemgetter(1)  # of an (other end, kind) adjacency pair
 
 
 class _Record:
@@ -537,20 +535,24 @@ def _is_valid(graph: LevelGraph) -> bool:
 
     Kahn's walk from the root takes a node only once all its parents are
     taken, so it takes every node exactly when the graph is acyclic and
-    the root reaches every node. The counts it starts from, and the
-    Direct parents of the nodes with two or more parents, are taken over
-    the tables in C.
+    the root reaches every node.
     """
     nodes, in_edges, out_edges = graph._nodes, graph._in, graph._out
     if graph.root not in nodes or graph.root in in_edges:
         return False
-    if not (out_edges.keys() <= nodes.keys() and in_edges.keys() <= nodes.keys()):
+    if not all(parent in nodes for parent in out_edges):
         return False
-    pending = dict(zip(in_edges, map(len, in_edges.values())))
-    # only a node with two parents can have two Direct parents
-    for parents in compress(in_edges.values(), map(lt, repeat(1), pending.values())):
-        if sum(map(is_, map(_kind, parents), repeat(DepKind.DIRECT))) > 1:
+    pending: dict[str, int] = {}
+    for child, parents in in_edges.items():
+        if child not in nodes:
             return False
+        direct = 0
+        for _, kind in parents:
+            if kind is DepKind.DIRECT:
+                direct += 1
+        if direct > 1:
+            return False
+        pending[child] = len(parents)
     if _kahn_taken([graph.root], pending, out_edges) != len(nodes):
         return False
     refs, assets = _holders(graph)
@@ -580,32 +582,22 @@ def _holders(graph: LevelGraph) -> tuple[dict[str, list[str]], dict[str, list[st
 def _differences(graph: LevelGraph, base: LevelGraph) -> tuple[Collection[str], Collection]:
     """The node ids and (parent, child) pairs in which ``graph`` may differ from ``base``.
 
-    Every id whose presence or `Node` differs (equal nodes do not) is
-    among the ids, and every pair whose presence or kind differs among
-    the pairs; either may hold more. A graph whose record names ``base``
-    answers from it: the patch builder records the base it patched. A
-    record that names another live canonical read (`levelfile.parse`),
-    where ``base`` is one too, is carried over: the ids and pairs of the
-    lines in which the two texts differ are added, and equal texts add
-    none. Any other graph is compared with ``base`` whole, by `Node`
-    identity. The result replaces the graph's record, as every record
-    covers the differences from the base it names.
+    Every id whose presence or `Node` object differs is among the ids, and
+    every pair whose presence or kind differs among the pairs; either may
+    hold more. A graph whose record names ``base`` answers from it: the
+    patch builder records the base it patched. Any other graph is compared
+    with ``base`` whole, and the result replaces its record, as every
+    record covers the differences from the base it names.
     """
     patch = graph._patch
-    named = patch and patch[0]()
-    if named is base:
+    if patch is not None and patch[0]() is base:
         return patch[1], patch[2]
-    if named is not None and named._lines is not None and base._lines is not None:
-        ids, pairs = named._lines.changes(base._lines)
-        ids.update(patch[1])
-        pairs.update(patch[2])
-    else:
-        nodes, base_nodes = graph._nodes, base._nodes
-        ids = {node_id for node_id, node in nodes.items() if base_nodes.get(node_id) is not node}
-        ids.update(base_nodes.keys() - nodes.keys())
-        edges, base_edges = graph._edges, base._edges
-        pairs = {pair for pair, kind in edges.items() if base_edges.get(pair) is not kind}
-        pairs.update(base_edges.keys() - edges.keys())
+    nodes, base_nodes = graph._nodes, base._nodes
+    ids = {node_id for node_id, node in nodes.items() if base_nodes.get(node_id) is not node}
+    ids.update(base_nodes.keys() - nodes.keys())
+    edges, base_edges = graph._edges, base._edges
+    pairs = {pair for pair, kind in edges.items() if base_edges.get(pair) is not kind}
+    pairs.update(base_edges.keys() - edges.keys())
     graph._patch = (weakref.ref(base), frozenset(ids), frozenset(pairs))
     return ids, pairs
 

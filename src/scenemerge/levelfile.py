@@ -57,7 +57,7 @@ import stat
 from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import contextmanager, suppress
-from itertools import chain, compress, count, repeat
+from itertools import compress, count, repeat
 from operator import and_, is_, itemgetter, le, lt
 from typing import Iterable, Iterator, TextIO
 
@@ -458,18 +458,6 @@ class _Canonical(_Record):
             pos = max(pos, starts[bisect_right(marked, key) - 1])
         return self.text.find(_LINE_STARTS[section](key), pos - 1) + 1
 
-    def changes(self, other: "_Canonical") -> tuple[set[str], set[tuple[str, str]]]:
-        """The node ids and (parent, child) pairs of the lines in one text and not the other."""
-        ids, pairs = set(), set()
-        if self.text != other.text:
-            for line in chain(*_changed_lines(self.text, other.text, len(_HEADER))):
-                directive, *keys = line.split(" ", 3)
-                if directive == "edge":
-                    pairs.add((keys[0], keys[1]))
-                elif directive in ("node", "prop"):
-                    ids.add(keys[0])
-        return ids, pairs
-
 
 def _read_canonical(text: str) -> LevelDocument | None:
     """The document of ``text`` when `serialize` writes exactly that text; else None.
@@ -518,7 +506,7 @@ def _read_canonical(text: str) -> LevelDocument | None:
         children = list(map(declared.__getitem__, map(_second, edge_rows)))
     except (KeyError, ValueError):
         return None
-    by_tag = _spelled_as_written(set(literals))
+    by_tag = _spelled_as_written(dict.fromkeys(literals))
     edges = dict(zip(zip(parents, children), map(_DEP_KINDS.get, map(_third, edge_rows))))
     assets = dict(asset_rows)
     if (
@@ -775,25 +763,25 @@ def serialize(doc: LevelDocument) -> str:
     If the record of ``doc``'s graph names a live canonical read, that
     read's text is copied, in runs between the lines of the recorded ids
     and pairs, which alone are rendered; each run's end is found with a
-    forward `str.find`."""
+    forward `str.find`, and each section's runs are joined as it ends."""
     graph = doc.graph
     nodes, edges = graph._nodes, graph._edges
     # ids, kinds and keys repeat across lines; each is formatted once
     token = _Tokens()
-    out = [f"lvl {doc.format_version}\nroot {token[graph.root]}\n"]
+    lines = [f"lvl {doc.format_version}", f"root {token[graph.root]}"]
 
     def node_line(node_id: str) -> None:
         if node_id in nodes:
-            out.append(f"node {token[node_id]} {token[nodes[node_id].kind]}\n")
+            lines.append(f"node {token[node_id]} {token[nodes[node_id].kind]}")
 
     def prop_lines(node_id: str) -> None:
         properties = nodes[node_id].properties if node_id in nodes else {}
         for key in sorted(properties):
-            out.append(f"prop {token[node_id]} {token[key]} {format_value(properties[key])}\n")
+            lines.append(f"prop {token[node_id]} {token[key]} {format_value(properties[key])}")
 
     def edge_line(pair: tuple[str, str]) -> None:
         if pair in edges:
-            out.append(f"edge {token[pair[0]]} {token[pair[1]]} {edges[pair].value}\n")
+            lines.append(f"edge {token[pair[0]]} {token[pair[1]]} {edges[pair].value}")
 
     renders = (node_line, prop_lines, edge_line)
     patch = graph._patch
@@ -804,12 +792,14 @@ def serialize(doc: LevelDocument) -> str:
         for section, keys, patched, render in zip(
             count(), canonical.keys, (patch[1], patch[1], patch[2]), renders
         ):
-            at = 0  # ``pos`` is where line ``at`` of the section starts
+            # ``pos`` is where line ``at`` of the section starts; a run of copied
+            # lines is one entry of ``lines``, without its final newline
+            at, first, end = 0, len(lines), canonical.bounds[section + 2]
             for key in sorted(patched):
                 index = bisect_left(keys, key, at)
                 if index > at:
                     start = canonical.line_at(section, index, pos)
-                    out.append(text[pos:start])
+                    lines.append(text[pos : start - 1])
                     pos = start
                 render(key)
                 if section == 1:
@@ -818,16 +808,22 @@ def serialize(doc: LevelDocument) -> str:
                     at = index + (index < len(keys) and keys[index] == key)
                 for _ in range(at - index):  # the key's own lines
                     pos = text.find("\n", pos) + 1
-            out.append(text[pos : canonical.bounds[section + 2]])
-            pos = canonical.bounds[section + 2]
+            if pos < end:
+                lines.append(text[pos : end - 1])
+            pos = end
+            # joined per section, so its many short runs are freed before the next
+            # section copies its own, and the heap they took can be given back
+            if len(lines) > first:
+                lines[first:] = ["\n".join(lines[first:])]
     else:  # a graph's tables are unordered, so the whole level is written sorted
         ids = sorted(nodes)
         for keys, render in zip((ids, ids, sorted(edges)), renders):
             for key in keys:
                 render(key)
     for asset_id in sorted(graph.assets):
-        out.append(f"asset {token[asset_id]} {token[graph.assets[asset_id]]}\n")
-    return "".join(out)
+        lines.append(f"asset {token[asset_id]} {token[graph.assets[asset_id]]}")
+    lines.append("")  # the final newline
+    return "\n".join(lines)
 
 
 def _read_text(path) -> str:

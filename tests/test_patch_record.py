@@ -9,15 +9,10 @@ must be in the record, and the patched tables must hold what a whole
 build of the same graph holds, in any order. Both build through `graph._Patch`, which
 is also driven here by random edits of a small level. A graph whose
 record names no base or another base is compared with its base whole
-once, or, where its record names a canonical read and the base is one
-too, keeps its record plus the ids and pairs of the lines in which the
-two texts differ: the result replaces its record.
+once: the result replaces its record.
 """
 
 from __future__ import annotations
-
-import re
-from operator import is_not, ne
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +23,6 @@ from scenemerge import diff as diff_module
 from scenemerge import graph as graph_module
 from scenemerge import merge as merge_module
 from scenemerge.levelfile import FORMAT_VERSION, LevelDocument, serialize
-from scenemerge.report import render_report
 from scenemerge.sim import SizeParams, apply_script, generate
 from conftest import D, I, repairing_merges, tables
 
@@ -39,8 +33,7 @@ def _text(graph: LevelGraph) -> str:
     return serialize(LevelDocument(FORMAT_VERSION, graph))
 
 
-def assert_record_covers(graph: LevelGraph, base: LevelGraph, differs=is_not) -> None:
-    """``graph``'s record names ``base`` and holds every key whose entry ``differs``."""
+def assert_record_covers(graph: LevelGraph, base: LevelGraph) -> None:
     base_ref, ids, pairs = graph._patch
     assert base_ref() is base
     for table, base_table, recorded in (
@@ -48,7 +41,7 @@ def assert_record_covers(graph: LevelGraph, base: LevelGraph, differs=is_not) ->
         (graph._edges, base._edges, pairs),
     ):
         keys = table.keys() | base_table.keys()
-        assert {key for key in keys if differs(table.get(key), base_table.get(key))} <= recorded
+        assert {key for key in keys if table.get(key) is not base_table.get(key)} <= recorded
     assert tables(graph) == tables(LevelGraph(graph.root, graph.nodes(), graph.edges(), graph.assets))
 
 
@@ -178,7 +171,7 @@ def test_a_merge_compares_each_branch_with_no_record_whole_once(seed, monkeypatc
 
 
 @pytest.mark.parametrize("seed", [3, 17])
-def test_a_merge_against_a_reparsed_ancestor_carries_each_branch_record_over_once(seed, monkeypatch):
+def test_a_merge_against_a_reparsed_ancestor_compares_each_branch_whole_once(seed, monkeypatch):
     compared = _whole_comparisons(monkeypatch)
     sc = generate(seed, SIZE)
     read = parse(_text(sc.base))
@@ -187,46 +180,9 @@ def test_a_merge_against_a_reparsed_ancestor_carries_each_branch_record_over_onc
         for script in (sc.script_a, sc.script_b)
     )
     assert mine._patch[0]() is theirs._patch[0]() is read.graph
-    recorded = [(mine._patch[1], mine._patch[2]), (theirs._patch[1], theirs._patch[2])]
     ancestor = parse(_text(sc.base)).graph  # equal to the read, but not the graph recorded
     merge3(ancestor, mine, theirs)
-    # the first comparison of each branch replaces its record, which answers the rest;
-    # the two texts are equal, so the record names the re-parse and holds what it held
+    # the first comparison of each branch replaces its record, which answers the rest
     assert sorted(map(id, compared)) == sorted([id(mine), id(theirs)])
-    assert [(mine._patch[1], mine._patch[2]), (theirs._patch[1], theirs._patch[2])] == recorded
     for branch in (mine, theirs):
-        assert_record_covers(branch, ancestor, differs=ne)
-
-
-def test_a_merge_against_an_equal_reparse_costs_what_it_costs_against_the_read(monkeypatch):
-    # at 10k nodes: the ids and pairs every reader of a branch's differences
-    # gets, and so the nodes `classify` compares, are those it gets against
-    # the read the branches were read against, and the bytes are the same
-    sc = generate(5, SizeParams(nodes=10_000, edges=11_250, edits_a=400, edits_b=400))
-    texts = [_text(graph) for graph in (sc.base, *(apply_script(sc.base, s) for s in (sc.script_a, sc.script_b)))]
-    differences, calls = graph_module._differences, []
-
-    def recording(graph, base):
-        ids, pairs = differences(graph, base)
-        calls.append((frozenset(ids), frozenset(pairs)))
-        return ids, pairs
-
-    for module in (graph_module, diff_module, merge_module):
-        monkeypatch.setattr(module, "_differences", recording)
-    runs = []
-    for reparse in (False, True):
-        read = parse(texts[0])
-        mine, theirs = (parse(text, base=read).graph for text in texts[1:])
-        ancestor = parse(texts[0]).graph if reparse else read.graph
-        del calls[:]
-        outcome = merge3(ancestor, mine, theirs)
-        report = render_report(outcome, MergePolicy(), {})
-        runs.append((
-            list(calls), [(len(b._patch[1]), len(b._patch[2])) for b in (mine, theirs)],
-            serialize(LevelDocument(FORMAT_VERSION, outcome.merged)),
-            re.sub(r"^stat wall_time_s .*$", "", report, flags=re.MULTILINE),
-        ))
-    assert runs[0] == runs[1]
-    # validate, classify and the indirect cells read each branch's differences,
-    # and the final check the merged level's
-    assert len(runs[0][0]) == 7 and max(len(ids) for ids, _ in runs[0][0]) < 1_000
+        assert_record_covers(branch, ancestor)
