@@ -69,6 +69,41 @@ class TestDiffCommand:
         assert "delete drawers" in out
         assert "add dollhouse" in out
 
+    def test_listing_is_pinned_line_for_line(self, tmp_path, capsys):
+        # one pair with every line form: a gets a set, a removal and a kind
+        # flip that leaves it no Direct parent, b moves under p, e gains only
+        # an Indirect in-edge, and ac and bc follow their parents
+        base, version = tmp_path / "base.lvl", tmp_path / "version.lvl"
+        base.write_text(
+            "lvl 1\nroot r\n"
+            "node a A\nnode ac A\nnode b A\nnode bc A\nnode d A\nnode e A\nnode p A\n"
+            "node r Scene\n"
+            "prop a j int 1\nprop a k int 1\n"
+            "edge a ac direct\nedge b bc direct\nedge r a direct\nedge r b direct\n"
+            "edge r d direct\nedge r e direct\nedge r p direct\n"
+        )
+        version.write_text(
+            "lvl 1\nroot r\n"
+            "node a A\nnode ac A\nnode b A\nnode bc A\nnode e A\nnode n A\nnode p A\n"
+            "node r Scene\n"
+            "prop a k int 2\n"
+            "edge a ac direct\nedge b bc direct\nedge p b direct\nedge p e indirect\n"
+            "edge r a indirect\nedge r e direct\nedge r n direct\nedge r p direct\n"
+        )
+        assert main(["diff", str(base), str(version)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "1 added, 1 deleted, 5 modified (3 intrinsic, 2 propagated)",
+            "total edited nodes: 7",
+            "add n",
+            "delete d",
+            "reparent a under nothing",
+            "modify a: set k = int 2; remove property j; dependency on r becomes indirect",
+            "modify ac (propagated)",
+            "reparent b under p",
+            "modify bc (propagated)",
+            "modify e",
+        ]
+
     def test_manifest_changes_alone_exit_one(self, tmp_path, capsys):
         base, version = tmp_path / "base.lvl", tmp_path / "version.lvl"
         base.write_text("lvl 1\nroot r\nnode r Scene\nasset a.png 111\nasset c.png 333\n")

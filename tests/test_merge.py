@@ -454,6 +454,33 @@ class TestResolveConflicts:
         assert out.conflicts[0].resolution is Resolution.UNRESOLVED
         assert not out.dropped
 
+    def test_a_winning_deletion_names_every_dropped_edit(self):
+        # A deletes c with its subtree; B edits each member a different way:
+        # t's properties, u's Direct edge flipped to Indirect, v moved under s
+        # by two flips, and w given only an Indirect in-edge
+        nodes = [("r", "Scene"), ("c", "X"), ("s", "X"), ("u", "X"), ("v", "X"), ("w", "X")]
+        edges = [("r", "c", D), ("r", "s", D), ("c", "t", D), ("c", "w", D), ("s", "v", I)]
+        base = g("r", [*nodes, ("t", "X", {"x": real(1.0), "y": real(2.0)})],
+                 [*edges, ("c", "u", D), ("c", "v", D)])
+        mine = g("r", [("r", "Scene"), ("s", "X")], [("r", "s", D)])
+        theirs = g(
+            "r", [*nodes, ("t", "X", {"x": real(9.0)})],
+            [*edges[:4], ("c", "u", I), ("c", "v", I), ("s", "v", D), ("s", "w", I)],
+        )
+        out = merge3(base, mine, theirs, PREFER_A)
+        assert [type(c) for c in out.conflicts] == [DeleteModifyConflict]
+        assert [(d.branch, d.node, d.description) for d in out.dropped] == [
+            (Branch.B, "t", "set x = real 9.0"),
+            (Branch.B, "t", "remove property y"),
+            (Branch.B, "u", "reparent under nothing"),
+            (Branch.B, "u", "dependency on c becomes indirect"),
+            (Branch.B, "v", "reparent under s"),
+            (Branch.B, "v", "dependency on c becomes indirect"),
+            (Branch.B, "v", "dependency on s becomes direct"),
+            (Branch.B, "w", "edited"),
+        ]
+        assert out.merged.node_ids() == ["r", "s"]
+
 
 class TestRepairCycles:
     """Every input is acyclic, so each cycle here is one the merge closes.

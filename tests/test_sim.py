@@ -119,6 +119,38 @@ class TestCheckScenario:
         assert verdict.passed, verdict.violations
         assert verdict.outcome.conflicts == []
 
+    def test_a_lost_disjoint_edit_is_a_violation(self, monkeypatch):
+        from scenemerge import LevelGraph, merge3
+        from scenemerge.sim import Scenario
+
+        base = g(
+            "r",
+            [("r", "Scene"), ("a", "X"), ("b", "X")],
+            [("r", "a", D), ("r", "b", D)],
+        )
+
+        def merge3_losing_as_edit(ancestor, mine, theirs, policy):
+            # a loses its edit in every merge of two distinct edits, so the
+            # rerun and the swapped merge agree; one-sided merges keep it
+            outcome = merge3(ancestor, mine, theirs, policy)
+            if ancestor != mine != theirs != ancestor:
+                merged = outcome.merged
+                nodes = [ancestor.node("a") if n.id == "a" else n for n in merged.nodes()]
+                outcome.merged = LevelGraph(merged.root, nodes, merged.edges(), merged.assets)
+            return outcome
+
+        monkeypatch.setattr("scenemerge.sim.merge3", merge3_losing_as_edit)
+        scenario = Scenario(
+            seed=1,
+            size=SizeParams(nodes=3, edges=2),
+            base=base,
+            script_a=(SetProperty("a", "k", real(1.0)),),
+            script_b=(SetProperty("b", "k", real(2.0)),),
+            policy=MergePolicy(PolicyKind.MANUAL),
+        )
+        verdict = check_scenario(scenario)
+        assert verdict.violations == ["disjoint preservation: delta of 'a' not observable"]
+
     def test_same_key_disagreement_is_exactly_one_property_conflict(self):
         from oracle import expected_conflicts
         from scenemerge.sim import Scenario
