@@ -16,7 +16,6 @@ from .diff import (
     DiffStats,
     GraphMismatchError,
     InvalidGraphError,
-    NodeDelta,
     classify,
     diff_stats,
 )

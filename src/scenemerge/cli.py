@@ -52,7 +52,7 @@ def _cmd_validate(args) -> int:
 
 def _describe_changes(diff) -> list[str]:
     """A line for each edited node, then one for each changed manifest entry."""
-    from .merge import _describe_delta  # single authoritative delta renderer
+    from .merge import _describe_edit  # single authoritative edit renderer
 
     lines = []
     for node_id in diff.nodes_in_class(ChangeClass.ADDED):
@@ -60,16 +60,16 @@ def _describe_changes(diff) -> list[str]:
     for node_id in diff.nodes_in_class(ChangeClass.DELETED):
         lines.append(f"delete {node_id}")
     for node_id in diff.nodes_in_class(ChangeClass.MODIFIED):
-        delta = diff.deltas[node_id]
-        if not delta.intrinsic:
+        if node_id not in diff.intrinsic:
             lines.append(f"modify {node_id} (propagated)")
             continue
-        if delta.reparented:
-            lines.append(f"reparent {node_id} under {delta.new_direct_parent or 'nothing'}")
-        fragments = [f for f in _describe_delta(delta) if not f.startswith("reparent")]
-        if delta.property_sets or delta.property_removals or delta.dep_kind_changes:
-            lines.append(f"modify {node_id}: " + "; ".join(fragments))
-        elif not delta.reparented:
+        fragments = _describe_edit(diff, node_id)
+        moves = [f for f in fragments if f.startswith("reparent ")]
+        edits = [f for f in fragments if f not in moves and f != "edited"]
+        lines.extend(f"reparent {node_id} {move.removeprefix('reparent ')}" for move in moves)
+        if edits:
+            lines.append(f"modify {node_id}: " + "; ".join(edits))
+        elif not moves:
             lines.append(f"modify {node_id}")
     base_assets, assets = diff.ancestor.assets, diff.version.assets
     for asset_id in sorted(base_assets.keys() | assets.keys()):

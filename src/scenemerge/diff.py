@@ -5,24 +5,23 @@ Unchanged, Added, Deleted, or Modified. A node is Modified intrinsically
 when its own properties or incoming edges changed, and by propagation
 when some Direct ancestor (in the edited graph, transitively) was
 intrinsically modified; direct dependencies mirror parent changes onto
-children, so the mirrored subtree counts as edited.
+children, so the mirrored subtree counts as edited. A `DiffResult`
+records these classes only; what changed on a node is derived from the
+two graphs where it is shown (`merge._describe_edit`).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Collection, Mapping
+from typing import Collection
 
 from .graph import (
     DepKind,
-    Edge,
     LevelGraph,
-    PropertyValue,
     SceneMergeError,
     _closure,
     _differences,
     _Record,
-    _set,
     validate,
 )
 
@@ -47,59 +46,25 @@ class ChangeClass(Enum):
     MODIFIED = "modified"
 
 
-class NodeDelta(_Record):
-    """What changed on one node, anchored at that node.
-
-    Incoming-edge changes are always recorded on the child: a new Direct
-    parent as ``reparented``/``new_direct_parent`` (None means the node
-    lost its Direct parent), kind flips of surviving in-edges as
-    ``dep_kind_changes``, and Indirect in-edge additions or removals via
-    the diff-level edge sets. A delta with no recorded change and
-    ``intrinsic=False`` marks a propagated-only modification.
-    """
-
-    __slots__ = (
-        "property_sets", "property_removals", "reparented",
-        "new_direct_parent", "dep_kind_changes", "intrinsic",
-    )
-
-    def __init__(
-        self,
-        property_sets: Mapping[str, PropertyValue] | None = None,
-        property_removals: frozenset[str] = frozenset(),
-        reparented: bool = False,
-        new_direct_parent: str | None = None,
-        dep_kind_changes: frozenset[tuple[str, DepKind]] = frozenset(),
-        intrinsic: bool = False,
-    ):
-        _set(self, "property_sets", {} if property_sets is None else property_sets)
-        _set(self, "property_removals", property_removals)
-        _set(self, "reparented", reparented)
-        _set(self, "new_direct_parent", new_direct_parent)
-        _set(self, "dep_kind_changes", dep_kind_changes)
-        _set(self, "intrinsic", intrinsic)
-
-
 class DiffResult(_Record):
-    """The edited nodes of one version plus the deltas needed to replay the edit.
+    """The class of every node of one version against its ancestor.
 
-    Every Added and every Modified node carries a delta; ``intrinsic``
-    names the intrinsically Modified ones. A node of the ancestor that is
-    neither deleted nor in ``deltas`` is Unchanged.
+    ``added`` and ``deleted`` name the nodes only one side holds,
+    ``intrinsic`` the survivors whose own properties or in-edges changed,
+    and ``modified`` those plus their direct subtrees in the version,
+    added nodes left out. A node of the ancestor in neither ``deleted``
+    nor ``modified`` is Unchanged. How a node changed is not recorded:
+    the few readers of the details (`merge._describe_edit`) derive them
+    from ``ancestor`` and ``version``.
     """
 
     ancestor: LevelGraph
     version: LevelGraph
-    deltas: Mapping[str, NodeDelta]
-    added_edges: frozenset[Edge]
-    removed_edges: frozenset[Edge]
     added: frozenset[str]
     deleted: frozenset[str]
     intrinsic: frozenset[str]
-    __slots__ = (
-        "ancestor", "version", "deltas",
-        "added_edges", "removed_edges", "added", "deleted", "intrinsic",
-    )
+    modified: frozenset[str]
+    __slots__ = ("ancestor", "version", "added", "deleted", "intrinsic", "modified")
 
     def nodes_in_class(self, cls: ChangeClass) -> list[str]:
         if cls is ChangeClass.ADDED:
@@ -107,8 +72,8 @@ class DiffResult(_Record):
         if cls is ChangeClass.DELETED:
             return sorted(self.deleted)
         if cls is ChangeClass.MODIFIED:
-            return sorted(self.deltas.keys() - self.added)
-        edited = self.deltas.keys() | self.deleted
+            return sorted(self.modified)
+        edited = self.modified | self.deleted
         return [node_id for node_id in self.ancestor.node_ids() if node_id not in edited]
 
 
@@ -161,7 +126,9 @@ def classify(
 ) -> DiffResult:
     """Classify every node of ancestor-union-version against the ancestor.
 
-    Both graphs are validated first, the version against the ancestor,
+    A survivor is intrinsically modified when its properties or its
+    Direct parent differ, or its in-edges do once the edges from deleted
+    parents are left out; nothing more about the change is kept. Both graphs are validated first, the version against the ancestor,
     unless ``validated`` says the caller has already done so; a merge
     validates each of its inputs once. Only the ids and pairs that
     `_differences` names are compared, so a version patched from
@@ -171,7 +138,6 @@ def classify(
         _require_valid(ancestor, "ancestor")
         _require_valid(version, "version", base=ancestor)
     a_nodes, v_nodes = ancestor._nodes, version._nodes
-    a_edges, v_edges = ancestor._edges, version._edges
     a_in, v_in = ancestor._in, version._in
     ids, pairs = _differences(version, ancestor)
     added = {node_id for node_id in ids if node_id in v_nodes and node_id not in a_nodes}
@@ -179,84 +145,40 @@ def classify(
     # a kind can differ only where the node object does
     replaced = {node_id for node_id in ids if node_id in a_nodes and node_id in v_nodes}
     check_same_level(ancestor, version, "ancestor", "version", ids=replaced)
-    added_edges = {Edge(*p, v_edges[p]) for p in pairs if p in v_edges and p not in a_edges}
-    removed_edges = {Edge(*p, a_edges[p]) for p in pairs if p in a_edges and p not in v_edges}
 
-    deltas: dict[str, NodeDelta] = {}
-    intrinsic_set: set[str] = set()
-    for node_id in sorted(added):
-        deltas[node_id] = NodeDelta(
-            property_sets=dict(v_nodes[node_id].properties),
-            reparented=True,
-            new_direct_parent=version.direct_parent(node_id),
-            intrinsic=True,
-        )
+    intrinsic: set[str] = set()
     # a survivor can change only where its node object or an in-edge pair did
-    candidates = replaced.union(c for _, c in pairs if c in a_nodes and c in v_nodes)
-    for node_id in sorted(candidates):
+    for node_id in replaced.union(c for _, c in pairs if c in a_nodes and c in v_nodes):
         old, new = a_nodes[node_id], v_nodes[node_id]
-        # equal in-edge lists mean no reparent, no kind flip and no in-edge
-        # change; lists that differ, if only in order, are compared as dicts
-        if (old is new or old == new) and a_in.get(node_id) == v_in.get(node_id):
+        same_properties = old is new or old == new
+        old_in, new_in = a_in.get(node_id), v_in.get(node_id)
+        if same_properties and old_in == new_in:
             continue
-        sets = {
-            key: value
-            for key, value in new.properties.items()
-            if old.properties.get(key) != value
-        }
-        removals = frozenset(key for key in old.properties if key not in new.properties)
-
-        old_parent = ancestor.direct_parent(node_id)
-        new_parent = version.direct_parent(node_id)
-        reparented = old_parent != new_parent
-
-        kind_changes = set()
-        in_edge_change = False
-        old_in = dict(a_in.get(node_id, ()))
-        new_in = dict(v_in.get(node_id, ()))
-        for parent, kind in new_in.items():
-            if parent not in old_in:
-                in_edge_change = True
-            elif old_in[parent] is not kind:
-                kind_changes.add((parent, kind))
-        for parent in old_in:
-            # an in-edge that died with its deleted parent is cascade
-            # fallout, not an edit of this node
-            if parent not in new_in and parent in v_nodes:
-                in_edge_change = True
-
-        if sets or removals or reparented or kind_changes or in_edge_change:
-            intrinsic_set.add(node_id)
-            deltas[node_id] = NodeDelta(
-                property_sets=sets,
-                property_removals=removals,
-                reparented=reparented,
-                new_direct_parent=new_parent if reparented else None,
-                dep_kind_changes=frozenset(kind_changes),
-                intrinsic=True,
-            )
+        # in-edge lists that differ, if only in order, are compared as dicts;
+        # an in-edge that died with its deleted parent is cascade fallout,
+        # not an edit of this node, unless it was the Direct one
+        kept_in = {parent: kind for parent, kind in old_in or () if parent in v_nodes}
+        if (
+            not same_properties
+            or ancestor.direct_parent(node_id) != version.direct_parent(node_id)
+            or dict(new_in or ()) != kept_in
+        ):
+            intrinsic.add(node_id)
 
     # Propagate along Direct edges of the edited graph: a direct parent's
-    # change is mirrored onto its whole direct subtree. A node of the
-    # edited graph with no delta yet is an unchanged ancestor node.
-    for node_id in _closure(intrinsic_set, version._out, DepKind.DIRECT):
-        if node_id not in deltas:
-            deltas[node_id] = NodeDelta(intrinsic=False)
-
+    # change is mirrored onto its whole direct subtree.
+    modified = _closure(intrinsic, version._out, DepKind.DIRECT)
+    modified -= added
     return DiffResult(
         ancestor=ancestor,
         version=version,
-        deltas=deltas,
-        added_edges=frozenset(added_edges),
-        removed_edges=frozenset(removed_edges),
         added=frozenset(added),
         deleted=frozenset(deleted),
-        intrinsic=frozenset(intrinsic_set),
+        intrinsic=frozenset(intrinsic),
+        modified=frozenset(modified),
     )
 
 
 def diff_stats(diff: DiffResult) -> DiffStats:
-    # every added, intrinsic and propagated node carries a delta; a
-    # deleted node does not
-    added, intrinsic = len(diff.added), len(diff.intrinsic)
-    return DiffStats(added, len(diff.deleted), intrinsic, len(diff.deltas) - added - intrinsic)
+    intrinsic = len(diff.intrinsic)
+    return DiffStats(len(diff.added), len(diff.deleted), intrinsic, len(diff.modified) - intrinsic)

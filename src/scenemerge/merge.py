@@ -34,7 +34,6 @@ from typing import Container, Mapping, Union
 
 from .diff import (
     DiffResult,
-    NodeDelta,
     _require_valid,
     check_same_level,
     classify,
@@ -383,21 +382,21 @@ def _apply_additions(state: _State) -> None:
 # -- phase 3: deletions -------------------------------------------------------
 
 
-def _by_new_direct_parent(
-    deltas: Mapping[str, NodeDelta], node_ids
-) -> dict[str, list[tuple[str, DepKind]]]:
+def _by_new_direct_parent(diff: DiffResult, node_ids) -> dict[str, list[tuple[str, DepKind]]]:
     """New Direct parent -> a (node, Direct) pair for each of ``node_ids`` the
     branch put under it: out-edges that `_closure` can walk.
 
-    `classify` records a new Direct parent only on added and reparented
-    nodes, so over a diff's ``added`` this indexes additions by parent
-    and over its ``intrinsic`` it indexes reparented survivors by their
-    new parent, at the cost of the diff, not the level.
+    A node is indexed under its Direct parent in ``diff``'s version when
+    it has one the ancestor did not give it, so over a diff's ``added``
+    this indexes additions by parent and over its ``intrinsic`` it
+    indexes reparented survivors by their new parent, at the cost of the
+    diff, not the level.
     """
+    ancestor, version = diff.ancestor, diff.version
     index: dict[str, list[tuple[str, DepKind]]] = {}
     for node_id in node_ids:
-        parent = deltas[node_id].new_direct_parent
-        if parent is not None:
+        parent = version.direct_parent(node_id)
+        if parent is not None and parent != ancestor.direct_parent(node_id):
             index.setdefault(parent, []).append((node_id, DepKind.DIRECT))
     return index
 
@@ -463,8 +462,8 @@ def _apply_deletions(state: _State) -> None:
     clean: dict[str, tuple[set[str], Branch]] = {}
 
     for branch, diff, other in ((Branch.A, diff_a, diff_b), (Branch.B, diff_b, diff_a)):
-        added_children = _by_new_direct_parent(other.deltas, other.added)
-        reparented_into = _by_new_direct_parent(other.deltas, other.intrinsic)
+        added_children = _by_new_direct_parent(other, other.added)
+        reparented_into = _by_new_direct_parent(other, other.intrinsic)
         for root_id in sorted(diff.deleted):
             if state.base.direct_parent(root_id) in diff.deleted:
                 continue  # its deleted parent's subtree holds it
@@ -655,16 +654,27 @@ def _merge_manifests(state: _State, merger) -> None:
 # -- phase 5: resolution --------------------------------------------------------
 
 
-def _describe_delta(delta: NodeDelta) -> list[str]:
-    fragments = []
-    for key in sorted(delta.property_sets):
-        fragments.append(f"set {key} = {format_value(delta.property_sets[key])}")
-    for key in sorted(delta.property_removals):
+def _describe_edit(diff: DiffResult, node_id: str) -> list[str]:
+    """What ``diff``'s version changed on ``node_id``, a node both graphs hold:
+    its property sets and removals, its new Direct parent and the kind
+    flips of its in-edges, or ``edited`` when only Indirect in-edges came
+    or went."""
+    old, new = diff.ancestor, diff.version
+    old_properties, properties = old.node(node_id).properties, new.node(node_id).properties
+    fragments = [
+        f"set {key} = {format_value(properties[key])}"
+        for key in sorted(properties)
+        if old_properties.get(key) != properties[key]
+    ]
+    for key in sorted(old_properties.keys() - properties.keys()):
         fragments.append(f"remove property {key}")
-    if delta.reparented:
-        fragments.append(f"reparent under {delta.new_direct_parent or 'nothing'}")
-    for parent, kind in sorted(delta.dep_kind_changes):
-        fragments.append(f"dependency on {parent} becomes {kind.value}")
+    parent = new.direct_parent(node_id)
+    if parent != old.direct_parent(node_id):
+        fragments.append(f"reparent under {parent or 'nothing'}")
+    old_in = dict(old.parents(node_id))
+    for parent, kind in new.parents(node_id):
+        if parent in old_in and old_in[parent] is not kind:
+            fragments.append(f"dependency on {parent} becomes {kind.value}")
     return fragments or ["edited"]
 
 
@@ -743,7 +753,7 @@ def _settle_delete_modify(state: _State, conflict: DeleteModifyConflict) -> None
             )
         )
     for node_id in mods:
-        for fragment in _describe_delta(other.deltas[node_id]):
+        for fragment in _describe_edit(other, node_id):
             state.dropped.append(DroppedEdit(loser, node_id, fragment))
     _cascade_delete(state, conflict.deleted_node, subtree, deleting)
 

@@ -30,7 +30,7 @@ from .graph import (
     validate,
 )
 from .levelfile import canonical_bytes
-from .merge import MergeOutcome, MergePolicy, merge3
+from .merge import MergeOutcome, MergePolicy, _describe_edit, merge3
 
 
 class ScriptError(SceneMergeError):
@@ -611,14 +611,11 @@ class Verdict:
 def _edit_footprint(diff: DiffResult) -> set[str]:
     """Every node an edit script plausibly touched, endpoints included."""
     footprint = set(diff.intrinsic) | diff.added | diff.deleted
-    for edge in diff.added_edges | diff.removed_edges:
+    # the edges only one side holds: the added, removed and flipped ones,
+    # a new Direct parent's among them
+    for edge in set(diff.ancestor.edges()) ^ set(diff.version.edges()):
         footprint.add(edge.parent)
         footprint.add(edge.child)
-    for node_id, delta in diff.deltas.items():
-        if delta.reparented and delta.new_direct_parent is not None:
-            footprint.add(delta.new_direct_parent)
-        for parent, _ in delta.dep_kind_changes:
-            footprint.add(parent)
     return footprint
 
 
@@ -696,7 +693,9 @@ def check_scenario(
         repaired |= {e.parent for e in outcome.removed_cycle_edges}
         for diff in (diff_a, diff_b):
             for node_id in diff.intrinsic - repaired:
-                if rediff.deltas.get(node_id) != diff.deltas.get(node_id):
+                if node_id not in rediff.intrinsic or (
+                    _describe_edit(rediff, node_id) != _describe_edit(diff, node_id)
+                ):
                     violations.append(
                         f"disjoint preservation: delta of {node_id!r} not observable"
                     )
@@ -704,7 +703,8 @@ def check_scenario(
             branch_pairs = {
                 (e.parent, e.child)
                 for diff in (diff_a, diff_b)
-                for e in diff.added_edges
+                for e in diff.version.edges()
+                if diff.ancestor.edge_kind(e.parent, e.child) is None
             }
             recorded = {d.description for d in outcome.dropped}
             for edge in outcome.removed_cycle_edges:

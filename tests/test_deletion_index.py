@@ -68,8 +68,8 @@ def test_indexed_scans_match_full_scans_on_random_scenarios():
         diff_b = classify(scenario.base, version_b)
         rng = random.Random(seed)
         for diff, other in ((diff_a, diff_b), (diff_b, diff_a)):
-            added_children = _by_new_direct_parent(other.deltas, other.added)
-            reparented_into = _by_new_direct_parent(other.deltas, other.intrinsic)
+            added_children = _by_new_direct_parent(other, other.added)
+            reparented_into = _by_new_direct_parent(other, other.intrinsic)
             for scope in _scopes(diff, rng):
                 anchored = sorted(_closure(scope, added_children) - scope)
                 assert anchored == full_scan_anchored_adds(other, scope), seed

@@ -21,7 +21,8 @@ from scenemerge import (
     read_document,
     serialize,
 )
-from scenemerge.diff import NodeDelta
+from scenemerge.levelfile import format_value
+from scenemerge.merge import _describe_edit
 from scenemerge.sim import PRESETS, SizeParams, apply_script, generate
 from conftest import D, I, fixture_path, g, real
 
@@ -51,35 +52,34 @@ def _classes(diff) -> dict[str, ChangeClass]:
     return classes
 
 
-def _detailed_intrinsics(ancestor, version) -> dict[str, NodeDelta]:
-    """The intrinsic delta of every surviving node, each compared in full
-    through the public graph API with no unchanged-node shortcut."""
-    deltas = {}
+def _detailed_intrinsics(ancestor, version) -> dict[str, list[str]]:
+    """What `merge._describe_edit` should read for every intrinsically
+    modified survivor, each node compared in full through the public graph
+    API with no unchanged-node shortcut."""
+    edits = {}
     for node_id in ancestor.node_ids():
         if not version.has_node(node_id):
             continue
-        old, new = ancestor.node(node_id), version.node(node_id)
-        sets = {k: v for k, v in new.properties.items() if old.properties.get(k) != v}
-        removals = frozenset(k for k in old.properties if k not in new.properties)
+        old, new = ancestor.node(node_id).properties, version.node(node_id).properties
+        fragments = [
+            f"set {k} = {format_value(v)}" for k, v in sorted(new.items()) if old.get(k) != v
+        ]
+        fragments += [f"remove property {k}" for k in sorted(old) if k not in new]
         old_parent, new_parent = ancestor.direct_parent(node_id), version.direct_parent(node_id)
+        if old_parent != new_parent:
+            fragments.append(f"reparent under {new_parent or 'nothing'}")
         old_in, new_in = dict(ancestor.parents(node_id)), dict(version.parents(node_id))
-        kind_changes = frozenset(
-            (p, k) for p, k in new_in.items() if p in old_in and old_in[p] is not k
-        )
+        fragments += [
+            f"dependency on {p} becomes {k.value}"
+            for p, k in sorted(new_in.items())
+            if p in old_in and old_in[p] is not k
+        ]
         in_edge_change = any(p not in old_in for p in new_in) or any(
             p not in new_in and version.has_node(p) for p in old_in
         )
-        reparented = old_parent != new_parent
-        if sets or removals or reparented or kind_changes or in_edge_change:
-            deltas[node_id] = NodeDelta(
-                property_sets=sets,
-                property_removals=removals,
-                reparented=reparented,
-                new_direct_parent=new_parent if reparented else None,
-                dep_kind_changes=kind_changes,
-                intrinsic=True,
-            )
-    return deltas
+        if fragments or in_edge_change:
+            edits[node_id] = fragments or ["edited"]
+    return edits
 
 
 class TestClassify:
@@ -87,8 +87,7 @@ class TestClassify:
         diff = classify(chain3, chain3)
         assert set(_classes(diff).values()) == {U}
         assert diff.nodes_in_class(U) == chain3.node_ids()
-        assert not diff.deltas
-        assert not diff.added_edges and not diff.removed_edges
+        assert not diff.intrinsic and not diff.modified
 
     def test_property_edit_propagates_down_direct_chain(self, chain3):
         edited = g(
@@ -99,8 +98,8 @@ class TestClassify:
         diff = classify(chain3, edited)
         classes = _classes(diff)
         assert classes["root"] is U
-        assert classes["a"] is M and diff.deltas["a"].intrinsic
-        assert classes["b"] is M and not diff.deltas["b"].intrinsic
+        assert classes["a"] is M and "a" in diff.intrinsic
+        assert classes["b"] is M and "b" not in diff.intrinsic
 
     def test_propagation_matches_brute_force_closure(self):
         rng = random.Random(23)
@@ -137,14 +136,13 @@ class TestClassify:
         diff = classify(base, theirs)
         classes = _classes(diff)
         assert classes["bunny"] is M
-        assert diff.deltas["bunny"].intrinsic
-        assert diff.deltas["bunny"].reparented
-        assert diff.deltas["bunny"].new_direct_parent == "dollhouse"
+        assert "bunny" in diff.intrinsic
+        assert _describe_edit(diff, "bunny") == ["reparent under dollhouse"]
         assert classes["drawers"] is DEL
         assert classes["dollhouse"] is A
         # the move mirrors onto bunny's components
         assert classes["bunny-transform"] is M
-        assert not diff.deltas["bunny-transform"].intrinsic
+        assert "bunny-transform" not in diff.intrinsic
 
     def test_cascade_fallout_is_not_a_modification(self):
         # deleting drawers severs its reference to the lamp; the lamp was
@@ -209,21 +207,12 @@ class TestClassify:
                     diff = classify(ancestor, edited)
                     expected = _detailed_intrinsics(ancestor, edited)
                     assert diff.intrinsic - diff.added == set(expected), seed
-                    assert {n: diff.deltas[n] for n in expected} == expected, seed
+                    assert {n: _describe_edit(diff, n) for n in expected} == expected, seed
                     a_ids, v_ids = set(ancestor.node_ids()), set(edited.node_ids())
                     classes = _classes(diff)
                     assert diff.nodes_in_class(A) == sorted(v_ids - a_ids)
                     assert diff.nodes_in_class(DEL) == sorted(a_ids - v_ids)
                     assert {n for n, c in classes.items() if c is M} >= set(expected)
-                    a_edges, v_edges = set(ancestor.edges()), set(edited.edges())
-                    a_pairs = {(e.parent, e.child) for e in a_edges}
-                    v_pairs = {(e.parent, e.child) for e in v_edges}
-                    assert diff.added_edges == {
-                        e for e in v_edges if (e.parent, e.child) not in a_pairs
-                    }
-                    assert diff.removed_edges == {
-                        e for e in a_edges if (e.parent, e.child) not in v_pairs
-                    }
                     equal_node_edits += sum(
                         ancestor.node(n) == edited.node(n) for n in expected
                     )
@@ -243,11 +232,13 @@ class TestClassify:
         dropped = LevelGraph("root", nodes, [*tree, Edge("a", "c", D)])
         diff = classify(base, flipped)
         assert diff.intrinsic == {"c"}
-        assert diff.deltas["c"].dep_kind_changes == {("a", I), ("b", D)}
-        assert diff.deltas["c"].new_direct_parent == "b"
+        assert _describe_edit(diff, "c") == [
+            "reparent under b",
+            "dependency on a becomes indirect",
+            "dependency on b becomes direct",
+        ]
         diff = classify(base, dropped)
-        assert diff.intrinsic == {"c"} and not diff.deltas["c"].reparented
-        assert diff.removed_edges == {Edge("b", "c", I)}
+        assert diff.intrinsic == {"c"} and _describe_edit(diff, "c") == ["edited"]
 
     def test_round_trip_reports_exactly_touched_intrinsics(self):
         # scripts built to avoid cancellation and cascade fallout
@@ -325,13 +316,11 @@ class TestDiffStats:
             version = apply_script(scenario.base, scenario.script_b)
             diff = classify(scenario.base, version)
             classes = list(_classes(diff).items())
-            propagated = sum(
-                c is M and not diff.deltas[n].intrinsic for n, c in classes
-            )
+            propagated = sum(c is M and n not in diff.intrinsic for n, c in classes)
             expected = (
                 sum(c is A for _, c in classes),
                 sum(c is DEL for _, c in classes),
-                sum(c is M and diff.deltas[n].intrinsic for n, c in classes),
+                sum(c is M and n in diff.intrinsic for n, c in classes),
                 propagated,
             )
             stats = diff_stats(diff)

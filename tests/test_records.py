@@ -16,7 +16,7 @@ import pytest
 
 from scenemerge.assets import AssetBlob, ValidationResult
 from scenemerge.config import CliConfig
-from scenemerge.diff import DiffResult, DiffStats, NodeDelta
+from scenemerge.diff import DiffResult, DiffStats
 from scenemerge.graph import (
     DepKind,
     Edge,
@@ -51,8 +51,8 @@ _UNRESOLVED = "resolution=<Resolution.UNRESOLVED: 'unresolved'>"
 _EMPTY = frozenset()
 _STATS = dict(ancestor_nodes=1, ancestor_edges=0, diff_a_edited=2, diff_b_edited=3,
               merged_nodes=4, merged_edges=5, wall_time_s=0.5)
-_DIFF = dict(ancestor=_G, version=_G, deltas={}, added_edges=_EMPTY,
-             removed_edges=_EMPTY, added=_EMPTY, deleted=_EMPTY, intrinsic=_EMPTY)
+_DIFF = dict(ancestor=_G, version=_G, added=_EMPTY, deleted=_EMPTY, intrinsic=_EMPTY,
+             modified=_EMPTY)
 
 
 def _case(cls, required, defaults, other, shown, frozen, hashable):
@@ -74,16 +74,9 @@ CASES = [
     _case(ValidationReport, dict(violations=()), {},
           dict(violations=(Violation("cycle", "m"),)),
           "ValidationReport(violations=())", True, True),
-    _case(NodeDelta, {},
-          dict(property_sets={}, property_removals=_EMPTY, reparented=False,
-               new_direct_parent=None, dep_kind_changes=_EMPTY, intrinsic=False),
-          dict(intrinsic=True),
-          "NodeDelta(property_sets={}, property_removals=frozenset(), reparented=False, "
-          "new_direct_parent=None, dep_kind_changes=frozenset(), intrinsic=False)", True, False),
     _case(DiffResult, _DIFF, {}, {**_DIFF, "added": frozenset({"n"})},
-          f"DiffResult(ancestor={_G_REPR}, version={_G_REPR}, deltas={{}}, "
-          "added_edges=frozenset(), removed_edges=frozenset(), added=frozenset(), "
-          "deleted=frozenset(), intrinsic=frozenset())", True, False),
+          f"DiffResult(ancestor={_G_REPR}, version={_G_REPR}, added=frozenset(), "
+          "deleted=frozenset(), intrinsic=frozenset(), modified=frozenset())", True, False),
     _case(DiffStats, dict(added=1, deleted=2, modified_intrinsic=3, modified_propagated=4), {},
           dict(added=1, deleted=2, modified_intrinsic=3, modified_propagated=5),
           "DiffStats(added=1, deleted=2, modified_intrinsic=3, modified_propagated=4)",

@@ -20,12 +20,17 @@ run, so an interrupted session leaves the runs made so far.
 
 The summary holds, per untraced workload and seed, the median of every
 end-to-end metric on each side, the interquartile range of
-``merge_p50_s``, and in how many pairs the change was better on each
-metric. ``--claim WORKLOAD:METRIC:RATIO`` adds, per seed of that
-workload, the parent median over the change median and the pairs in
-which the change was better; the claim holds on a seed when that ratio
-reaches RATIO, the change is better in at least nine of ten pairs, and
-the medians differ by more than the parent's interquartile range.
+``merge_p50_s``, in how many pairs the change was better on each
+metric, and the no-regression verdict: per metric, the relative change
+of the medians, (change - parent) / parent, and ``within_bound``, true
+when the change is worse than the parent by no more than the metric's
+``bound`` in the change checkout's ``BENCHMARK.json``.
+
+``--claim WORKLOAD:METRIC:RATIO`` adds, per seed of that workload, the
+parent median over the change median and the pairs in which the change
+was better; the claim holds on a seed when that ratio reaches RATIO, the
+change is better in at least nine of ten pairs, and the medians differ
+by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -126,7 +131,28 @@ def better(parent: float | None, change: float | None, lower: bool) -> bool:
     return change < parent if lower else change > parent
 
 
-def summarize(runs: list[dict]) -> list[dict]:
+def bounds(checkout: Path) -> dict[str, float]:
+    """Each end-to-end metric's bound, from the checkout's ``BENCHMARK.json``."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {entry["name"]: entry["bound"] for entry in spec["end_to_end"]}
+
+
+def verdict(parent: dict, change: dict, limits: dict[str, float]) -> dict:
+    """Per metric, the relative change of the medians and whether the change
+    is worse than the parent by no more than the metric's bound."""
+    out = {}
+    for name, lower in E2E.items():
+        before, after = parent[name], change[name]
+        if not before or after is None:
+            out[name] = {"relative_change": None, "within_bound": None}
+            continue
+        relative = (after - before) / before
+        worse = relative if lower else -relative
+        out[name] = {"relative_change": round(relative, 4), "within_bound": worse <= limits[name]}
+    return out
+
+
+def summarize(runs: list[dict], limits: dict[str, float]) -> list[dict]:
     summaries = []
     keys = sorted({(r["workload"], r["seed"]) for r in runs if not r["trace"]})
     for workload, seed in keys:
@@ -155,6 +181,7 @@ def summarize(runs: list[dict]) -> list[dict]:
             "change": change,
             "pairs_change_better": counts,
             "p50_parent_over_change": ratio,
+            "no_regression": verdict(parent, change, limits),
         })
     return summaries
 
@@ -222,6 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     for side, path in checkouts.items():
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"{side} checkout {path} has no perfbench/run.py")
+    limits = bounds(checkouts["change"])
     doc = {
         "what": args.what,
         "parent_commit": args.parent_commit,
@@ -243,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
                 doc["runs"].append(run)
                 print(f"{workload} seed={seed} trace={trace} pair={pair} {side}: "
                       f"exit={run['exit']} {run['row']}", flush=True)
-                doc["summary_medians"] = summarize(doc["runs"])
+                doc["summary_medians"] = summarize(doc["runs"], limits)
                 doc["traced"] = traced(doc["runs"])
                 if args.claim:
                     doc["claim"] = claim(doc["summary_medians"], doc["runs"], args.claim)
