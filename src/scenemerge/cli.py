@@ -155,9 +155,7 @@ def _cmd_merge(args) -> int:
 
 @_gc_paused()
 def _cmd_merge_driver(args) -> int:
-    args.mine = args.current
-    args.theirs = args.other
-    return _run_merge(args, args.current, args.report)
+    return _run_merge(args, args.mine, args.report)
 
 
 @_gc_paused()
@@ -230,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="version-control merge driver: merges in place over the current file",
     )
     p.add_argument("ancestor")
-    p.add_argument("current")
-    p.add_argument("other")
+    p.add_argument("mine", metavar="current")
+    p.add_argument("theirs", metavar="other")
     add_merge_options(p, with_output=False)
     p.set_defaults(func=_cmd_merge_driver)
 

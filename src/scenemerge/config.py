@@ -26,7 +26,7 @@ import os
 from pathlib import Path
 
 from .graph import SceneMergeError, _Record
-from .levelfile import ParseError, _read_text, _split_line
+from .levelfile import ParseError, _line_texts, _read_text
 from .merge import MergePolicy, PolicyKind
 
 ENV_VAR = "SCENEMERGE_CONFIG"
@@ -90,11 +90,10 @@ def parse_config(text: str, base_dir: Path) -> CliConfig:
     config = CliConfig()
     averageable: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _split_line(line, lineno)
+        tokens = _line_texts(line, lineno)
         if not tokens:
             continue
-        key = tokens[0].text
-        values = [t.text for t in tokens[1:]]
+        key, *values = tokens
         try:
             if key == "policy":
                 (value,) = values
@@ -150,7 +149,7 @@ def find_config(start_dir: Path) -> Path | None:
         current = current.parent
 
 
-def load_config(explicit: str | None = None, start_dir: str | Path = ".") -> CliConfig:
+def load_config(explicit: str | None = None) -> CliConfig:
     path: Path | None
     if explicit is not None:
         path = Path(explicit)
@@ -161,7 +160,7 @@ def load_config(explicit: str | None = None, start_dir: str | Path = ".") -> Cli
         if not path.is_file():
             raise ConfigError(f"{ENV_VAR} points to a missing file: {path}")
     else:
-        path = find_config(Path(start_dir))
+        path = find_config(Path("."))
     if path is None:
         return CliConfig()
     try:

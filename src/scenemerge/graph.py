@@ -454,10 +454,6 @@ class _Patch:
         self.nodes[node.id] = node
         self.ids.add(node.id)
 
-    def add_nodes(self, nodes: Mapping[str, Node]) -> None:
-        self.nodes.update(nodes)
-        self.ids.update(nodes)
-
     def set_edge(self, parent: str, child: str, kind: DepKind) -> None:
         self.edges[parent, child] = kind
         self._own(0, parent)[child] = kind

@@ -127,16 +127,9 @@ def _format_token(value: str) -> str:
     return "".join(out)
 
 
-class _Token(_Record):
-    __slots__ = ("text", "column")
-
-    def __init__(self, text: str, column: int):
-        _set(self, "text", text)
-        _set(self, "column", column)
-
-
-def _split_line(line: str, lineno: int) -> list[_Token]:
-    tokens: list[_Token] = []
+def _split_line(line: str, lineno: int) -> list[tuple[int, str]]:
+    """The (column, text) pair of each token of ``line``."""
+    tokens: list[tuple[int, str]] = []
     i = 0
     n = len(line)
     while i < n:
@@ -176,13 +169,13 @@ def _split_line(line: str, lineno: int) -> list[_Token]:
                 else:
                     parts.append(ch)
                     i += 1
-            tokens.append(_Token("".join(parts), start + 1))
+            tokens.append((start + 1, "".join(parts)))
         else:
             match = _BARE_TOKEN.match(line, i)
             if not match:
                 raise ParseError(f"unexpected character {ch!r}", lineno, i + 1)
             i = match.end()
-            tokens.append(_Token(match.group(), start + 1))
+            tokens.append((start + 1, match.group()))
     return tokens
 
 
@@ -190,12 +183,12 @@ def _line_texts(line: str, lineno: int) -> list[str]:
     """The token texts `_split_line` gives, by `str.split` where it is the same."""
     if _PLAIN_LINE.fullmatch(line):
         return line.split()
-    return [token.text for token in _split_line(line, lineno)]
+    return [text for _, text in _split_line(line, lineno)]
 
 
 def _column(line: str, lineno: int, index: int) -> int:
-    """Column of token ``index`` of a line that is known to tokenize."""
-    return _split_line(line, lineno)[index].column
+    """Column of token ``index`` of a line that is known to tokenize, for an error."""
+    return _split_line(line, lineno)[index][0]
 
 
 # -- values ------------------------------------------------------------------

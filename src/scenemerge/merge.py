@@ -337,8 +337,8 @@ def _apply_additions(state: _State) -> None:
     added_a = diff_a.added
     added_b = diff_b.added
 
-    merged_nodes: dict[str, Node] = {}
-    for node_id in sorted(added_a | added_b):
+    added = sorted(added_a | added_b)
+    for node_id in added:
         if node_id in added_a and node_id in added_b:
             node_a = diff_a.version.node(node_id)
             node_b = diff_b.version.node(node_id)
@@ -351,14 +351,12 @@ def _apply_additions(state: _State) -> None:
                     state.conflicts.append(AddAddConflict(node_id, key, va, vb))
                 else:
                     props[key] = value
-            merged_nodes[node_id] = Node(node_id, node_a.kind, props)
+            state.set_node(Node(node_id, node_a.kind, props))
         else:
             source = diff_a.version if node_id in added_a else diff_b.version
-            merged_nodes[node_id] = source.node(node_id)
+            state.set_node(source.node(node_id))
 
-    state.add_nodes(merged_nodes)
-
-    for node_id in merged_nodes:
+    for node_id in added:
         in_a = node_id in added_a
         in_b = node_id in added_b
         parent_a = diff_a.version.direct_parent(node_id) if in_a else None
@@ -468,18 +466,17 @@ def _apply_deletions(state: _State) -> None:
             if state.base.direct_parent(root_id) in diff.deleted:
                 continue  # its deleted parent's subtree holds it
             scope = direct_subtree(state.base, root_id) & diff.deleted
-            touched_mods = sorted(scope & other.intrinsic)
             # the scope and the other branch's additions whose Direct-parent chain lands in it
             reach = _closure(scope, added_children)
-            anchored = sorted(reach - scope)
-            reparent_ins = _reparent_ins(reparented_into, reach, scope)
-            if touched_mods or anchored or reparent_ins:
+            touched = (scope & other.intrinsic) | (reach - scope)
+            touched.update(_reparent_ins(reparented_into, reach, scope))
+            if touched:
                 state.conflicts.append(
                     DeleteModifyConflict(
                         deleting_branch=branch,
                         deleted_node=root_id,
                         subtree=tuple(sorted(scope)),
-                        touched=tuple(sorted({*touched_mods, *anchored, *reparent_ins})),
+                        touched=tuple(sorted(touched)),
                     )
                 )
             elif root_id in clean:
@@ -678,14 +675,19 @@ def _describe_edit(diff: DiffResult, node_id: str) -> list[str]:
     return fragments or ["edited"]
 
 
-def _restore_child_state(state: _State, node_id: str) -> None:
-    """Put a node's properties and incoming edges back to ancestor state."""
-    state.set_node(state.base.node(node_id))
-    for parent, _ in list(state.in_.get(node_id, ())):
-        state.remove_edge(parent, node_id)
-    for parent, kind in state.base.parents(node_id):
-        if parent in state.nodes:
-            state.set_edge(parent, node_id, kind)
+def _restore(state: _State, sources: Mapping[str, LevelGraph]) -> None:
+    """Put each node of ``sources`` back as the graph it maps to holds it: every
+    node is set without in-edges, then each, in sorted id order, gets its
+    source's in-edges from the parents the merge holds, restored ones included."""
+    ordered = sorted(sources)
+    for node_id in ordered:
+        state.set_node(sources[node_id].node(node_id))
+        for parent, _ in list(state.in_.get(node_id, ())):
+            state.remove_edge(parent, node_id)
+    for node_id in ordered:
+        for parent, kind in sources[node_id].parents(node_id):
+            if parent in state.nodes:
+                state.set_edge(parent, node_id, kind)
 
 
 def _settle_delete_modify(state: _State, conflict: DeleteModifyConflict) -> None:
@@ -733,9 +735,7 @@ def _settle_delete_modify(state: _State, conflict: DeleteModifyConflict) -> None
             state.remove_node(added_id)
 
     if winner is None:
-        for node_id in mods:
-            if node_id in state.nodes:
-                _restore_child_state(state, node_id)
+        _restore(state, {node_id: state.base for node_id in mods if node_id in state.nodes})
         return
     conflict.resolution = _took(winner)
     loser = deleting.other
@@ -801,15 +801,14 @@ def _repair_refs(state: _State) -> None:
 
     A branch can win the deletion of a node or an asset while a
     reference to it survives. A node that a surviving ref names is
-    restored, as the ancestor's `Node` or else as that of the branch
-    that added it, under those of its parents in that graph that are in
-    the merge; its own refs are repaired in turn. A manifest entry that
-    an asset property names is restored from whichever side still has
-    the digest. Every merged value comes from a valid input, so only an
-    id that the merge removed, or an asset id of an input manifest that
-    the merged manifest lacks, can dangle. A node the merge did not set
-    is the ancestor's, so of those only the ancestor's holders of such
-    an id (`graph._holders`) are read.
+    restored (`_restore`) from the ancestor, or else from the branch that
+    added it, and its own refs are repaired in turn. A manifest entry
+    that an asset property names is restored from whichever side still
+    has the digest. Every merged value comes from a valid input, so only
+    an id that the merge removed, or an asset id of an input manifest
+    that the merged manifest lacks, can dangle. A node the merge did not
+    set is the ancestor's, so of those only the ancestor's holders of
+    such an id (`graph._holders`) are read.
     """
     ancestor = state.base
     mine, theirs = (diff.version for diff in state.diffs)
@@ -844,14 +843,8 @@ def _repair_refs(state: _State) -> None:
                 )
                 if digest is not None:
                     state.assets[target] = digest
-    # the set restored is the closure of the dangling refs, whatever the
-    # order of the walk; sorted, the edges are set in a fixed order too
-    for node_id in sorted(sources):
-        state.set_node(sources[node_id].node(node_id))
-    for node_id in sorted(sources):
-        for parent, kind in sources[node_id].parents(node_id):
-            if parent in state.nodes:
-                state.set_edge(parent, node_id, kind)
+    # the set restored is the closure of the dangling refs, whatever the order of the walk
+    _restore(state, sources)
 
 
 def _prune_relinks(state: _State) -> None:

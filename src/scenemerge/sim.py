@@ -15,8 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import Sequence, Union
 
 from .diff import DiffResult, classify
 from .graph import (
@@ -628,10 +628,7 @@ def _deletion_scopes(diff: DiffResult) -> set[str]:
     return scopes
 
 
-def check_scenario(
-    scenario: Scenario,
-    oracle: Callable[[LevelGraph, EditOp, EditOp, MergePolicy], set] | None = None,
-) -> Verdict:
+def check_scenario(scenario: Scenario) -> Verdict:
     violations: list[str] = []
     base = scenario.base
     policy = scenario.policy
@@ -715,37 +712,7 @@ def check_scenario(
                         "cycle repair dropped a branch edge without recording it"
                     )
 
-    if oracle is not None and len(scenario.script_a) == 1 and len(scenario.script_b) == 1:
-        expected = oracle(base, scenario.script_a[0], scenario.script_b[0], policy)
-        actual = {_conflict_key(c) for c in outcome.conflicts}
-        if expected != actual:
-            violations.append(
-                f"oracle disagreement: expected {sorted(expected)}, got {sorted(actual)}"
-            )
-
     return Verdict(not violations, violations, outcome)
-
-
-def _conflict_key(conflict) -> tuple:
-    from .merge import (
-        AddAddConflict,
-        AssetConflict,
-        DeleteModifyConflict,
-        PropertyConflict,
-        ReparentConflict,
-    )
-
-    if isinstance(conflict, PropertyConflict):
-        return ("property", conflict.node, conflict.key)
-    if isinstance(conflict, AddAddConflict):
-        return ("add-add", conflict.node, conflict.key)
-    if isinstance(conflict, ReparentConflict):
-        return ("reparent", conflict.node)
-    if isinstance(conflict, DeleteModifyConflict):
-        return ("delete-modify", conflict.deleting_branch.value, conflict.deleted_node)
-    if isinstance(conflict, AssetConflict):
-        return ("asset", conflict.asset_id)
-    return ("unknown",)
 
 
 # -- batch runs ------------------------------------------------------------------
@@ -782,13 +749,7 @@ def run_simulation(
         "seed": seed,
         "count": count,
         "policy": policy.resolution.value,
-        "size": {
-            "nodes": size.nodes,
-            "edges": size.edges,
-            "ops_per_branch": size.ops_per_branch,
-            "edits_a": size.edits_a,
-            "edits_b": size.edits_b,
-        },
+        "size": asdict(size),
         "failures": failures,
         "scenarios": results,
     }

@@ -13,7 +13,14 @@ and the edit-op vocabulary are common ground.
 from __future__ import annotations
 
 from scenemerge.graph import DepKind, LevelGraph
-from scenemerge.merge import MergePolicy
+from scenemerge.merge import (
+    AddAddConflict,
+    AssetConflict,
+    DeleteModifyConflict,
+    MergePolicy,
+    PropertyConflict,
+    ReparentConflict,
+)
 from scenemerge.sim import (
     AddIndirectEdge,
     AddNode,
@@ -133,6 +140,21 @@ def expected_conflicts(
             conflicts.add(("delete-modify", branch, deleter.id))
 
     return conflicts
+
+
+def conflict_key(conflict) -> tuple:
+    """A merge conflict in the form `expected_conflicts` gives."""
+    if isinstance(conflict, PropertyConflict):
+        return ("property", conflict.node, conflict.key)
+    if isinstance(conflict, AddAddConflict):
+        return ("add-add", conflict.node, conflict.key)
+    if isinstance(conflict, ReparentConflict):
+        return ("reparent", conflict.node)
+    if isinstance(conflict, DeleteModifyConflict):
+        return ("delete-modify", conflict.deleting_branch.value, conflict.deleted_node)
+    if isinstance(conflict, AssetConflict):
+        return ("asset", conflict.asset_id)
+    return ("unknown",)
 
 
 # -- exhaustive op enumeration over a fixed base --------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from scenemerge.levelfile import ParseError, _parse_value, _split_line
+from scenemerge.levelfile import ParseError, _line_texts, _parse_value
 from scenemerge.merge import Resolution
 from scenemerge.report import REPORT_VERSION
 
@@ -51,11 +51,11 @@ def _read_value(tokens, pos: int, line: str, lineno: int, tagged: bool):
     """
     if pos >= len(tokens):
         raise ParseError("missing value", lineno)
-    text = tokens[pos].text
+    text = tokens[pos]
     if text == "-":
         return None, pos + 1
     if tagged:
-        value = _parse_value([t.text for t in tokens[: pos + 2]], pos, line, lineno)
+        value = _parse_value(tokens[: pos + 2], pos, line, lineno)
         return value, pos + 2
     return text, pos + 1
 
@@ -72,42 +72,42 @@ def parse_report(text: str) -> MergeReport:
 
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
-        tokens = _split_line(line, lineno)
+        tokens = _line_texts(line, lineno)
         if not tokens:
             continue
-        directive = tokens[0].text
+        directive = tokens[0]
         if not header_seen:
             if directive != "lvlreport" or len(tokens) != 2:
                 raise ParseError("expected 'lvlreport <version>' header", lineno)
-            if tokens[1].text != str(REPORT_VERSION):
-                raise ParseError(f"unsupported report version {tokens[1].text}", lineno)
+            if tokens[1] != str(REPORT_VERSION):
+                raise ParseError(f"unsupported report version {tokens[1]}", lineno)
             header_seen = True
             continue
         if directive == "policy" and len(tokens) == 2:
-            policy = tokens[1].text
+            policy = tokens[1]
         elif directive == "meta" and len(tokens) == 3:
-            meta[tokens[1].text] = tokens[2].text
+            meta[tokens[1]] = tokens[2]
         elif directive == "stat" and len(tokens) == 3:
             try:
-                stats[tokens[1].text] = float(tokens[2].text)
+                stats[tokens[1]] = float(tokens[2])
             except ValueError:
-                raise ParseError(f"bad stat value {tokens[2].text!r}", lineno) from None
+                raise ParseError(f"bad stat value {tokens[2]!r}", lineno) from None
         elif directive == "conflict":
             if len(tokens) < 3:
                 raise ParseError("malformed conflict line", lineno)
-            kind = tokens[1].text
-            entry = ReportConflict(kind=kind, node=tokens[2].text)
+            kind = tokens[1]
+            entry = ReportConflict(kind=kind, node=tokens[2])
             pos = 3
             if kind in ("property", "add-add"):
-                entry.key = tokens[pos].text
+                entry.key = tokens[pos]
                 pos += 1
-            if pos >= len(tokens) or tokens[pos].text not in _RESOLUTIONS:
+            if pos >= len(tokens) or tokens[pos] not in _RESOLUTIONS:
                 raise ParseError("missing conflict resolution", lineno)
-            entry.resolution = tokens[pos].text
+            entry.resolution = tokens[pos]
             pos += 1
             tagged = kind in ("property", "add-add")
             while pos < len(tokens):
-                marker = tokens[pos].text
+                marker = tokens[pos]
                 if marker == "a":
                     entry.value_a, pos = _read_value(tokens, pos + 1, line, lineno, tagged)
                 elif marker == "b":
@@ -115,7 +115,7 @@ def parse_report(text: str) -> MergeReport:
                 elif marker == "ancestor":
                     entry.ancestor_value, pos = _read_value(tokens, pos + 1, line, lineno, tagged)
                 elif marker == "branch":
-                    entry.branch = tokens[pos + 1].text
+                    entry.branch = tokens[pos + 1]
                     pos += 2
                 else:
                     raise ParseError(f"unknown conflict field {marker!r}", lineno)
@@ -123,16 +123,16 @@ def parse_report(text: str) -> MergeReport:
             if kind == "delete-modify":
                 by_node[entry.node] = entry
         elif directive == "conflict-subtree" and len(tokens) == 3:
-            if tokens[1].text in by_node:
-                by_node[tokens[1].text].subtree.append(tokens[2].text)
+            if tokens[1] in by_node:
+                by_node[tokens[1]].subtree.append(tokens[2])
         elif directive == "conflict-touched" and len(tokens) == 3:
-            if tokens[1].text in by_node:
-                by_node[tokens[1].text].touched.append(tokens[2].text)
+            if tokens[1] in by_node:
+                by_node[tokens[1]].touched.append(tokens[2])
         elif directive == "dropped" and len(tokens) == 4:
-            node = tokens[2].text if tokens[2].text != "-" else None
-            dropped.append((tokens[1].text, node, tokens[3].text))
+            node = tokens[2] if tokens[2] != "-" else None
+            dropped.append((tokens[1], node, tokens[3]))
         elif directive == "cycle-edge" and len(tokens) == 4:
-            cycle_edges.append((tokens[1].text, tokens[2].text, tokens[3].text))
+            cycle_edges.append((tokens[1], tokens[2], tokens[3]))
         else:
             raise ParseError(f"unknown report directive {directive!r}", lineno)
 

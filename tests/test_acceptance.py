@@ -49,7 +49,7 @@ from scenemerge.sim import (
     generate,
 )
 from conftest import fixture_path, fixture_text, merge3_manifests
-from oracle import _descendants, expected_conflicts, sweep_ops
+from oracle import _descendants, conflict_key, expected_conflicts, sweep_ops
 from test_format import documents
 
 MANUAL = MergePolicy(PolicyKind.MANUAL)
@@ -138,7 +138,6 @@ def test_criterion_3_safety_suite_10k_scenarios():
 
 def test_criterion_4_oracle_equivalence_exhaustive_sweep():
     from scenemerge.graph import PropertyValue
-    from scenemerge.sim import _conflict_key
 
     D, I = DepKind.DIRECT, DepKind.INDIRECT
     base = LevelGraph(
@@ -166,7 +165,7 @@ def test_criterion_4_oracle_equivalence_exhaustive_sweep():
         for j, op_b in enumerate(ops):
             combos += 1
             outcome = merge3(base, versions[i], versions[j], MANUAL)
-            actual = {_conflict_key(c) for c in outcome.conflicts}
+            actual = {conflict_key(c) for c in outcome.conflicts}
             expected = expected_conflicts(base, op_a, op_b, MANUAL)
             if actual != expected:
                 mismatches.append((op_a, op_b, expected, actual))

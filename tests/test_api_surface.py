@@ -9,6 +9,14 @@ outside its own definition: a call, an annotation, an import or an
 export from ``__init__`` all count. A member is matched by its name
 alone, so any attribute read of that name counts.
 
+A parameter with a default that only tests pass is an option kept alive
+for the tests. Each defaulted parameter of a public function, of a
+public method of a public class and of such a class's constructor must
+be passed, by position or by keyword, by some call in ``src/`` or in
+``perfbench/`` to a callable of that name (the class name for a
+constructor). A ``*`` argument passes every position and ``**`` every
+keyword.
+
 ``perfbench/spans.py`` replaces module attributes with recording
 wrappers; a renamed or removed attribute, or a call routed around one,
 makes a traced benchmark run fail its coverage check. The tracer is
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -78,6 +87,71 @@ def test_every_public_name_is_used_inside_the_package():
             ):
                 unused.append(f"{module}: {label}")
     assert not unused, f"public names no code in src/ uses: {unused}"
+
+
+def _defaulted(label: str, name: str, args: ast.arguments, bound: int):
+    """(label, called name, parameter, position) of each defaulted parameter;
+    the position leaves out ``bound`` leading parameters and is None for a
+    keyword-only one."""
+    positional = [*args.posonlyargs, *args.args]
+    for index in range(len(positional) - len(args.defaults), len(positional)):
+        yield label, name, positional[index].arg, index - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield label, name, arg.arg, None
+
+
+def _parameters(tree: ast.Module):
+    """The defaulted parameters of each public function, of each public
+    method of a public class and of such a class's ``__init__``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from _defaulted(node.name, node.name, node.args, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in member.decorator_list
+                )
+                if member.name == "__init__":
+                    yield from _defaulted(node.name, node.name, member.args, 1)
+                elif not member.name.startswith("_"):
+                    label = f"{node.name}.{member.name}"
+                    yield from _defaulted(label, member.name, member.args, 0 if static else 1)
+
+
+def _calls(tree: ast.Module):
+    """(called name, positions passed, keywords passed) of each call; the
+    keywords hold None for a ``**`` argument."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            yield name, math.inf if starred else len(node.args), {k.arg for k in node.keywords}
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package_or_the_benchmark():
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    calls = [
+        call
+        for path in (*SRC.glob("*.py"), *perfbench.glob("*.py"))
+        for call in _calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    unpassed = [
+        f"{path.name}: {label}({parameter}=)"
+        for path in sorted(SRC.glob("*.py"))
+        for label, name, parameter, position in _parameters(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+        if not any(
+            called == name
+            and ((position is not None and positions > position) or {parameter, None} & keywords)
+            for called, positions, keywords in calls
+        )
+    ]
+    assert not unpassed, f"defaulted parameters only tests pass: {unpassed}"
 
 
 def _spans():

@@ -266,6 +266,28 @@ class TestMergeCommand:
 
 
 class TestMergeDriverCommand:
+    def test_help_names_the_version_control_roles(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["merge-driver", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == (
+            "usage: scenemerge merge-driver [-h] [--policy {manual,prefer-a,prefer-b}]\n"
+            "                               [--config CONFIG] [--report REPORT]\n"
+            "                               ancestor current other\n"
+            "\n"
+            "positional arguments:\n"
+            "  ancestor\n"
+            "  current\n"
+            "  other\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --policy {manual,prefer-a,prefer-b}\n"
+            "  --config CONFIG       explicit configuration file path\n"
+            "  --report REPORT       write the merge report to this path\n"
+        )
+
     def test_clean_merge_overwrites_current(self, tmp_path):
         ancestor = copy_fixture("fig3-base.lvl", tmp_path)
         current = copy_fixture("fig3-mine.lvl", tmp_path)
@@ -538,7 +560,8 @@ class TestConfig:
         conf = tmp_path / "alt.conf"
         conf.write_text("policy prefer-a\n")
         monkeypatch.setenv("SCENEMERGE_CONFIG", str(conf))
-        config = load_config(start_dir=tmp_path)
+        monkeypatch.chdir(tmp_path)
+        config = load_config()
         assert config.policy.value == "prefer-a"
 
     def test_search_upward_stops_at_repo_root(self, tmp_path, monkeypatch):
@@ -547,7 +570,8 @@ class TestConfig:
         (tmp_path / "scenemerge.conf").write_text("policy prefer-b\n")
         nested = tmp_path / "levels" / "zone1"
         nested.mkdir(parents=True)
-        config = load_config(start_dir=nested)
+        monkeypatch.chdir(nested)
+        config = load_config()
         assert config.policy.value == "prefer-b"
 
     def test_config_drives_merge_policy(self, tmp_path, monkeypatch):
@@ -791,6 +815,13 @@ class TestSimulateCommand:
         assert "5/5 scenarios passed" in capsys.readouterr().out
         import json
 
-        summary = json.loads(out.read_text())
+        text = out.read_text()
+        assert text.startswith(
+            '{\n  "seed": 3,\n  "count": 5,\n  "policy": "manual",\n  "size": {\n'
+            '    "nodes": 12,\n    "edges": 14,\n    "ops_per_branch": 3,\n'
+            '    "edits_a": null,\n    "edits_b": null\n  },\n  "failures": 0,\n'
+            '  "scenarios": [\n'
+        )
+        summary = json.loads(text)
         assert summary["failures"] == 0
         assert len(summary["scenarios"]) == 5

@@ -316,7 +316,7 @@ def _tokenized(split, line):
 @example("node\u3000a X")
 @example('text "a b"  c\t')
 def test_fast_tokenizer_matches_split_line(line):
-    expected = _tokenized(lambda text: [t.text for t in _split_line(text, 7)], line)
+    expected = _tokenized(lambda text: [token for _, token in _split_line(text, 7)], line)
     assert _tokenized(lambda text: _line_texts(text, 7), line) == expected
 
 

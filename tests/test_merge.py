@@ -224,6 +224,25 @@ class TestDeletions:
         assert conflict.touched == ("t",)
         assert out.merged.has_node("c")  # held
 
+    def test_a_manual_hold_restores_an_edited_node_and_its_edited_direct_child(self):
+        # A deletes c; B edits t and u, t's Direct child, giving each a
+        # property and a new Indirect in-edge from r
+        nodes = [("r", "Scene"), ("c", "GameObject"), ("t", "Transform"), ("u", "Mesh")]
+        edges = [("r", "c", D), ("c", "t", D), ("t", "u", D)]
+        base = g("r", nodes, edges)
+        mine = g("r", [("r", "Scene")])
+        theirs = g(
+            "r",
+            [*nodes[:2], ("t", "Transform", {"x": real(9.0)}), ("u", "Mesh", {"y": real(1.0)})],
+            [*edges, ("r", "t", I), ("r", "u", I)],
+        )
+        out = merge3(base, mine, theirs, MANUAL)
+        [conflict] = out.conflicts
+        assert conflict.touched == ("t", "u")
+        # both held at the ancestor's state: no new in-edge, u still under t
+        assert set(out.merged.edges()) == set(base.edges())
+        assert canonical_bytes(out.merged) == canonical_bytes(base)
+
     def test_agreed_deletion_is_silent(self):
         base = g("r", [("r", "Scene"), ("x", "Prop")], [("r", "x", D)])
         version = g("r", [("r", "Scene")])
@@ -889,6 +908,23 @@ class TestReferenceRepair:
         assert canonical_bytes(out.merged) == canonical_bytes(
             merge3(base, theirs, mine, policy.mirrored()).merged
         )
+
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_a_restored_node_keeps_its_edge_from_the_restored_parent_it_names(self, kind):
+        # A deletes w with its Direct child v, which names w; B makes h name
+        # v, so v and then w come back, and v goes back under w
+        base = g("r", [("r", "Scene"), ("h", "P"), ("v", "P", {"up": PropertyValue.node_ref("w")}),
+                       ("w", "P")],
+                 [("r", "h", D), ("r", "w", D), ("w", "v", D)])
+        mine = g("r", [("r", "Scene"), ("h", "P")], [("r", "h", D)])
+        theirs = g("r", [("r", "Scene"), ("h", "P", {"link": PropertyValue.node_ref("v")}),
+                         ("v", "P", {"up": PropertyValue.node_ref("w")}), ("w", "P")],
+                   [("r", "h", D), ("r", "w", D), ("w", "v", D)])
+        out = merge3(base, mine, theirs, MergePolicy(kind))
+        assert not out.conflicts
+        assert set(out.merged.edges()) == set(theirs.edges())
+        assert canonical_bytes(out.merged) == canonical_bytes(theirs)
 
 
 class TestEveryEditAccountedFor:

@@ -26,7 +26,7 @@ from scenemerge.graph import (
     ValidationReport,
     Violation,
 )
-from scenemerge.levelfile import LevelDocument, _Token, parse
+from scenemerge.levelfile import LevelDocument, parse
 from scenemerge.merge import (
     AddAddConflict,
     AssetConflict,
@@ -84,8 +84,6 @@ CASES = [
     _case(LevelDocument, dict(format_version=1, graph=_G), {},
           dict(format_version=2, graph=_G),
           f"LevelDocument(format_version=1, graph={_G_REPR})", True, False),
-    _case(_Token, dict(text="abc", column=3), {}, dict(text="abc", column=4),
-          "_Token(text='abc', column=3)", True, True),
     _case(MergePolicy, {},
           dict(resolution=PolicyKind.MANUAL, numeric_averaging=False, averageable_kinds=_EMPTY),
           dict(resolution=PolicyKind.PREFER_A),

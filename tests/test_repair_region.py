@@ -182,7 +182,8 @@ def _random_state(rng: random.Random, ancestor: LevelGraph, doomed: str) -> _Sta
     """
     state = _state_of(ancestor)
     added = [f"x{j}" for j in range(rng.randint(0, 4))]
-    state.add_nodes({x: Node(x, "X") for x in added})
+    for x in added:
+        state.set_node(Node(x, "X"))
     for x in added:
         if rng.random() < 0.6:
             state.set_edge(rng.choice(sorted(state.nodes)), x, rng.choice((D, I)))

@@ -152,7 +152,7 @@ class TestCheckScenario:
         assert verdict.violations == ["disjoint preservation: delta of 'a' not observable"]
 
     def test_same_key_disagreement_is_exactly_one_property_conflict(self):
-        from oracle import expected_conflicts
+        from oracle import conflict_key, expected_conflicts
         from scenemerge.sim import Scenario
 
         base = g("r", [("r", "Scene"), ("a", "X")], [("r", "a", D)])
@@ -164,8 +164,11 @@ class TestCheckScenario:
             script_b=(SetProperty("a", "k", real(2.0)),),
             policy=MergePolicy(PolicyKind.MANUAL),
         )
-        verdict = check_scenario(scenario, oracle=expected_conflicts)
+        verdict = check_scenario(scenario)
         assert verdict.passed, verdict.violations
+        (op_a,), (op_b,) = scenario.script_a, scenario.script_b
+        expected = expected_conflicts(base, op_a, op_b, scenario.policy)
+        assert {conflict_key(c) for c in verdict.outcome.conflicts} == expected
         assert len(verdict.outcome.conflicts) == 1
 
     def test_random_scenarios_uphold_all_laws(self):
