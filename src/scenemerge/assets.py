@@ -31,7 +31,8 @@ import tempfile
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .graph import SceneMergeError, _Record, _set
+from .graph import SceneMergeError
+from .levelfile import atomic_open
 from .merge import CONFLICT, Branch, DroppedEdit
 
 
@@ -49,21 +50,6 @@ class ValidatorConfigError(SceneMergeError):
 
 def digest_of(content: bytes) -> str:
     return hashlib.sha256(content).hexdigest()
-
-
-class AssetBlob(_Record):
-    """An opaque asset: id, type tag, raw content, and its content digest."""
-
-    __slots__ = ("id", "type_tag", "content", "digest")
-
-    def __init__(self, id: str, type_tag: str, content: bytes, digest: str = ""):
-        computed = digest_of(content)
-        if digest and digest != computed:
-            raise ValueError(f"digest mismatch for asset {id!r}")
-        _set(self, "id", id)
-        _set(self, "type_tag", type_tag)
-        _set(self, "content", content)
-        _set(self, "digest", computed)
 
 
 def type_tag_for(asset_id: str, type_map: Mapping[str, str] | None = None) -> str:
@@ -99,8 +85,43 @@ class BlobStore:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(digest)
         if not path.exists():
-            path.write_bytes(content)
+            # a put cut short leaves no file under the digest
+            with atomic_open(path) as handle:
+                handle.buffer.write(content)
         return digest
+
+
+def _run(role: str, argv: Sequence[str], asset_id: str, contents: dict[str, bytes | None]):
+    """Run the ``role`` command, "strategy" or "validator", on ``contents``.
+
+    Each content is written into one temp directory, named by its key and
+    ``asset_id``'s extension, and passed as a path in order; an absent one
+    is passed as ``-``. A strategy also gets the path of its output file.
+    Returns the finished process and, for a strategy, the bytes it wrote
+    there (None if it wrote none). A command that cannot be started at
+    all raises the role's error.
+    """
+    suffix = os.path.splitext(asset_id)[1] or ".blob"
+    with tempfile.TemporaryDirectory(prefix=f"scenemerge-{role}-") as tmp:
+        paths = []
+        for name, content in contents.items():
+            if content is None:
+                paths.append("-")
+                continue
+            path = Path(tmp, name + suffix)
+            path.write_bytes(content)
+            paths.append(str(path))
+        out = Path(tmp, "out" + suffix)
+        if role == "strategy":
+            paths.append(str(out))
+        try:
+            proc = subprocess.run(
+                [*argv, *paths], capture_output=True, text=True, errors="replace"
+            )
+        except OSError as exc:
+            error = StrategyError if role == "strategy" else ValidatorConfigError
+            raise error(f"cannot run {role} {list(argv)}: {exc}") from exc
+        return proc, out.read_bytes() if out.is_file() else None
 
 
 class CommandStrategy:
@@ -111,81 +132,36 @@ class CommandStrategy:
             raise ValueError("strategy command must not be empty")
         self.argv = list(argv)
 
-    def merge3(self, ancestor, mine, theirs):
-        """The merged content, or None for a conflict; ``ancestor`` may be None."""
-        suffix = os.path.splitext(mine.id)[1] or ".blob"
-        with tempfile.TemporaryDirectory(prefix="scenemerge-strategy-") as tmp:
-            tmp_path = Path(tmp)
-            paths = []
-            for name, blob in (("ancestor", ancestor), ("mine", mine), ("theirs", theirs)):
-                if blob is None:
-                    paths.append("-")
-                    continue
-                path = tmp_path / f"{name}{suffix}"
-                path.write_bytes(blob.content)
-                paths.append(str(path))
-            out_path = tmp_path / f"out{suffix}"
-            try:
-                proc = subprocess.run(
-                    [*self.argv, *paths, str(out_path)],
-                    capture_output=True,
-                    text=True,
-                    errors="replace",
-                )
-            except OSError as exc:
-                raise StrategyError(f"cannot run strategy {self.argv}: {exc}") from exc
-            if proc.returncode == 0:
-                if not out_path.is_file():
-                    raise StrategyError(
-                        f"strategy {self.argv} exited 0 without writing {out_path}"
-                    )
-                return out_path.read_bytes()
-            if proc.returncode == 1:
-                return None
+    def merge3(self, asset_id: str, ancestor: bytes | None, mine: bytes, theirs: bytes):
+        """The merged content of ``asset_id``, or None for a conflict; ``ancestor`` may be None."""
+        contents = {"ancestor": ancestor, "mine": mine, "theirs": theirs}
+        proc, merged = _run("strategy", self.argv, asset_id, contents)
+        if proc.returncode == 1:
+            return None
+        if proc.returncode != 0:
             raise StrategyError(
                 f"strategy {self.argv} failed with exit code {proc.returncode}: "
                 f"{proc.stderr.strip() or proc.stdout.strip()}"
             )
+        if merged is None:
+            raise StrategyError(f"strategy {self.argv} exited 0 without writing its output")
+        return merged
 
 
-class ValidationResult(_Record):
-    passed: bool
-    message: str
-    __slots__ = ("passed", "message")
-    _defaults = {"message": ""}
+def validate_code_asset(asset_id: str, content: bytes, validator: Sequence[str]) -> str | None:
+    """Run the configured external check on an asset's content: None if it
+    exits 0, else its captured output, or ``exit <code>`` when it printed
+    nothing.
 
-
-def validate_code_asset(blob: AssetBlob, validator: Sequence[str]) -> ValidationResult:
-    """Run the configured external check on a blob; exit 0 passes.
-
-    A nonzero exit is a Fail carrying the captured output. A validator
-    that cannot be executed at all is a configuration error, distinct
-    from a failing check.
+    A validator that cannot be executed at all is a configuration error,
+    distinct from a failing check.
     """
     if not validator:
         raise ValidatorConfigError("validator command must not be empty")
-    suffix = os.path.splitext(blob.id)[1] or ".blob"
-    with tempfile.NamedTemporaryFile(
-        prefix="scenemerge-validate-", suffix=suffix, delete=False
-    ) as handle:
-        handle.write(blob.content)
-        path = handle.name
-    try:
-        try:
-            proc = subprocess.run(
-                [*validator, path], capture_output=True, text=True, errors="replace"
-            )
-        except OSError as exc:
-            raise ValidatorConfigError(
-                f"cannot run validator {list(validator)}: {exc}"
-            ) from exc
-        if proc.returncode == 0:
-            return ValidationResult(True)
-        return ValidationResult(
-            False, (proc.stderr.strip() or proc.stdout.strip() or f"exit {proc.returncode}")
-        )
-    finally:
-        os.unlink(path)
+    proc, _ = _run("validator", validator, asset_id, {"blob": content})
+    if proc.returncode == 0:
+        return None
+    return proc.stderr.strip() or proc.stdout.strip() or f"exit {proc.returncode}"
 
 
 class ManifestMerger:
@@ -213,15 +189,13 @@ class ManifestMerger:
         Presence changes stay atomic: only a cell both branches hold,
         under a tag with a strategy, reads its blobs and runs it.
         """
-        tag = type_tag_for(asset_id, self.type_map)
-        strategy = self.strategies.get(tag)
+        strategy = self.strategies.get(type_tag_for(asset_id, self.type_map))
         if strategy is None or dm is None or dt is None:
             return CONFLICT
         ancestor, mine, theirs = (
-            None if digest is None else AssetBlob(asset_id, tag, self.store.get(digest), digest)
-            for digest in (da, dm, dt)
+            None if digest is None else self.store.get(digest) for digest in (da, dm, dt)
         )
-        merged = strategy.merge3(ancestor, mine, theirs)
+        merged = strategy.merge3(asset_id, ancestor, mine, theirs)
         return CONFLICT if merged is None else self.store.put(merged)
 
     def admit(self, asset_id, da, dm, dt, chosen, winner, dropped):
@@ -233,8 +207,7 @@ class ManifestMerger:
         ``chosen`` is blamed on theirs when only theirs holds it, and
         on mine otherwise.
         """
-        tag = type_tag_for(asset_id, self.type_map)
-        validator = self.validators.get(tag)
+        validator = self.validators.get(type_tag_for(asset_id, self.type_map))
         if validator is None:
             return chosen
         candidates = [(chosen, Branch.B if dt == chosen and dm != chosen else Branch.A)]
@@ -243,12 +216,11 @@ class ManifestMerger:
             if preferred is not None and preferred != chosen and preferred != da:
                 candidates.append((preferred, winner))
         for digest, blame in candidates:
-            blob = AssetBlob(asset_id, tag, self.store.get(digest), digest)
-            outcome = validate_code_asset(blob, validator)
-            if outcome.passed:
+            message = validate_code_asset(asset_id, self.store.get(digest), validator)
+            if message is None:
                 return digest
             dropped.append(
-                DroppedEdit(blame, None, f"asset {asset_id} rejected by validator: {outcome.message}")
+                DroppedEdit(blame, None, f"asset {asset_id} rejected by validator: {message}")
             )
         return da
 

@@ -29,7 +29,7 @@ from .levelfile import (
     serialize,
     write_document,
 )
-from .merge import MergeInternalError, merge3
+from .merge import MergeInternalError, _describe_edit, merge3
 from .report import render_report
 
 EXIT_CLEAN = 0
@@ -52,8 +52,6 @@ def _cmd_validate(args) -> int:
 
 def _describe_changes(diff) -> list[str]:
     """A line for each edited node, then one for each changed manifest entry."""
-    from .merge import _describe_edit  # single authoritative edit renderer
-
     lines = []
     for node_id in diff.nodes_in_class(ChangeClass.ADDED):
         lines.append(f"add {node_id}")
@@ -129,33 +127,26 @@ def _merge_files(args):
     return config, policy, ancestor, outcome
 
 
-def _run_merge(args, out_path, report_path) -> int:
-    # the merged level's record holds the ancestor weakly, so the ancestor is
-    # held here until the write, which splices the merge into its lines
-    config, policy, ancestor, outcome = _merge_files(args)
-
-    merged_doc = LevelDocument(FORMAT_VERSION, outcome.merged)
-    if out_path == "-":
-        sys.stdout.write(serialize(merged_doc))
-    else:
-        write_document(merged_doc, out_path)
-    if report_path:
-        with atomic_open(report_path) as handle:
-            handle.write(render_report(outcome, policy, config.report_meta()))
-    return EXIT_DIFFERENCES if outcome.unresolved else EXIT_CLEAN
-
-
 # The merge commands build and free hundreds of thousands of acyclic
 # objects. Each runs under one collector pause that ends only after its
 # documents and outcome are freed, so no collection sweeps them.
 @_gc_paused()
 def _cmd_merge(args) -> int:
-    return _run_merge(args, args.output, args.report)
+    """``merge`` writes to ``--output``, ``merge-driver`` over the current file."""
+    # the merged level's record holds the ancestor weakly, so the ancestor is
+    # held here until the write, which splices the merge into its lines
+    config, policy, ancestor, outcome = _merge_files(args)
 
-
-@_gc_paused()
-def _cmd_merge_driver(args) -> int:
-    return _run_merge(args, args.mine, args.report)
+    out_path = args.mine if args.command == "merge-driver" else args.output
+    merged_doc = LevelDocument(FORMAT_VERSION, outcome.merged)
+    if out_path == "-":
+        sys.stdout.write(serialize(merged_doc))
+    else:
+        write_document(merged_doc, out_path)
+    if args.report:
+        with atomic_open(args.report) as handle:
+            handle.write(render_report(outcome, policy, config.report_meta()))
+    return EXIT_DIFFERENCES if outcome.unresolved else EXIT_CLEAN
 
 
 @_gc_paused()
@@ -231,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mine", metavar="current")
     p.add_argument("theirs", metavar="other")
     add_merge_options(p, with_output=False)
-    p.set_defaults(func=_cmd_merge_driver)
+    p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("stats", help="one-line merge statistics row")
     p.add_argument("ancestor")

@@ -59,7 +59,7 @@ from collections import deque
 from contextlib import contextmanager, suppress
 from itertools import compress, count, repeat
 from operator import and_, is_, itemgetter, le, lt
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .graph import (
     DepKind,
@@ -523,7 +523,8 @@ def _read_canonical(text: str) -> LevelDocument | None:
     for owner in marked:
         starts.append(text.find(_LINE_STARTS[1](owner), starts[-1] - 1) + 1)
     canonical = _Canonical(text, bounds, (ids, owners, list(edges)), (marked, starts[1:]))
-    values = _Values()
+    # the `PropertyValue` of each checked ``<tag> <literal>``
+    values = _Memo(lambda value: _parse_value(value.split(" "), 0, value, 0))
 
     def properties(node_id: str) -> dict[str, PropertyValue]:
         lo = bisect_left(owners, node_id)
@@ -570,14 +571,6 @@ def _spelled_as_written(values: Iterable[str]) -> dict[str, list[str]] | None:
         return None
     finite = all(map(math.isfinite, floats)) and "-0.0" not in reals
     return by_tag if spelled and finite and {*by_tag["bool"]} <= {"true", "false"} else None
-
-
-class _Values(dict):
-    """The `PropertyValue` of each checked ``<tag> <literal>`` looked up, made on its first lookup."""
-
-    def __missing__(self, text: str) -> PropertyValue:
-        value = self[text] = _parse_value(text.split(" "), 0, text, 0)
-        return value
 
 
 def _line_key(line: str) -> tuple[int, str]:
@@ -742,12 +735,15 @@ def _parse_against(text: str, base: LevelDocument) -> LevelDocument | None:
     return LevelDocument(base.format_version, patch.to_graph())
 
 
-class _Tokens(dict):
-    """`_format_token` of each string looked up, computed on its first lookup."""
+class _Memo(dict):
+    """``function`` of each key looked up, computed on its first lookup."""
 
-    def __missing__(self, value: str) -> str:
-        text = self[value] = _format_token(value)
-        return text
+    def __init__(self, function: Callable[[str], object]):
+        self.function = function
+
+    def __missing__(self, key: str):
+        value = self[key] = self.function(key)
+        return value
 
 
 def serialize(doc: LevelDocument) -> str:
@@ -760,7 +756,7 @@ def serialize(doc: LevelDocument) -> str:
     graph = doc.graph
     nodes, edges = graph._nodes, graph._edges
     # ids, kinds and keys repeat across lines; each is formatted once
-    token = _Tokens()
+    token = _Memo(_format_token)
     lines = [f"lvl {doc.format_version}", f"root {token[graph.root]}"]
 
     def node_line(node_id: str) -> None:

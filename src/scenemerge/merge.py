@@ -399,18 +399,6 @@ def _by_new_direct_parent(diff: DiffResult, node_ids) -> dict[str, list[tuple[st
     return index
 
 
-def _reparent_ins(
-    reparented_into: Mapping[str, list[tuple[str, DepKind]]], target_set: set[str], scope: set[str]
-) -> list[str]:
-    """Surviving nodes the other branch reparented into the doomed subtree."""
-    return sorted(
-        node_id
-        for target in target_set
-        for node_id, _ in reparented_into.get(target, ())
-        if node_id not in scope
-    )
-
-
 def _alive_chain(state: _State, root_id: str) -> list[str]:
     """Ancestor Direct-parent chain of a deleted node, filtered to the living."""
     chain = []
@@ -469,7 +457,12 @@ def _apply_deletions(state: _State) -> None:
             # the scope and the other branch's additions whose Direct-parent chain lands in it
             reach = _closure(scope, added_children)
             touched = (scope & other.intrinsic) | (reach - scope)
-            touched.update(_reparent_ins(reparented_into, reach, scope))
+            touched.update(  # and the survivors the other branch moved into the reach
+                node_id
+                for target in reach
+                for node_id, _ in reparented_into.get(target, ())
+                if node_id not in scope
+            )
             if touched:
                 state.conflicts.append(
                     DeleteModifyConflict(
@@ -725,10 +718,8 @@ def _settle_delete_modify(state: _State, conflict: DeleteModifyConflict) -> None
             continue
         current = state.direct_parent(node_id)
         if current in doomed:
-            state.remove_edge(current, node_id)
-            anc_parent = state.base.direct_parent(node_id)
-            if anc_parent in state.nodes:
-                state.set_edge(anc_parent, node_id, DepKind.DIRECT)
+            parent = state.base.direct_parent(node_id)
+            _set_direct_parent(state, node_id, parent if parent in state.nodes else None, None)
             moved.append((node_id, current))
     for added_id in anchored:
         if added_id in state.nodes:

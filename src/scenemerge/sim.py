@@ -145,9 +145,6 @@ class _Editor:
     def children(self, node_id: str) -> list[tuple[str, DepKind]]:
         return list(self._out.get(node_id, {}).items())
 
-    def parents(self, node_id: str) -> list[tuple[str, DepKind]]:
-        return list(self._in.get(node_id, {}).items())
-
     def direct_parent(self, node_id: str) -> str | None:
         for parent, kind in self._in.get(node_id, {}).items():
             if kind is DepKind.DIRECT:

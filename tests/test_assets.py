@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import stat
 import sys
@@ -7,7 +8,6 @@ import sys
 import pytest
 
 from scenemerge.assets import (
-    AssetBlob,
     BlobStore,
     BlobStoreError,
     CommandStrategy,
@@ -26,19 +26,7 @@ PREFER_B = MergePolicy(PolicyKind.PREFER_B)
 PY = sys.executable
 
 
-def blob(name: str, content: bytes, tag: str = "bin") -> AssetBlob:
-    return AssetBlob(name, tag, content)
-
-
 class TestBlob:
-    def test_digest_computed(self):
-        b = blob("a.bin", b"hello")
-        assert b.digest == digest_of(b"hello")
-
-    def test_digest_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="digest mismatch"):
-            AssetBlob("a.bin", "bin", b"hello", "0" * 64)
-
     def test_type_tag_from_extension(self):
         assert type_tag_for("models/tree.OBJ") == "obj"
         assert type_tag_for("noext") == ""
@@ -83,6 +71,24 @@ class TestBlobStore:
         with pytest.raises(BlobStoreError):
             store.get("0" * 64)
 
+    def test_interrupted_put_leaves_no_blob_and_a_later_put_stores_it_whole(
+        self, tmp_path, monkeypatch
+    ):
+        store = BlobStore(tmp_path)
+        content = b"payload" * 1000
+        digest = digest_of(content)
+
+        def fail(fd):
+            raise OSError("disk gone")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", fail)
+            with pytest.raises(OSError, match="disk gone"):
+                store.put(content)
+        assert os.listdir(tmp_path) == []
+        assert store.put(content) == digest
+        assert store.get(digest) == content
+
 
 def write_script(path, body: str) -> str:
     path.write_text(f"#!{PY}\n{body}")
@@ -100,17 +106,11 @@ class TestCommandStrategy:
             "open(paths[3], 'wb').write(data)\n",
         )
         strategy = CommandStrategy([PY, script])
-        result = strategy.merge3(
-            blob("x.bin", b"A"), blob("x.bin", b"B"), blob("x.bin", b"C")
-        )
-        assert result == b"ABC"
+        assert strategy.merge3("x.bin", b"A", b"B", b"C") == b"ABC"
 
     def test_conflict_exit_code(self, tmp_path):
         script = write_script(tmp_path / "refuse.py", "raise SystemExit(1)\n")
-        result = CommandStrategy([PY, script]).merge3(
-            blob("x.bin", b"A"), blob("x.bin", b"B"), blob("x.bin", b"C")
-        )
-        assert result is None
+        assert CommandStrategy([PY, script]).merge3("x.bin", b"A", b"B", b"C") is None
 
     @pytest.mark.parametrize(
         "body",
@@ -124,35 +124,79 @@ class TestCommandStrategy:
     def test_other_exit_codes_are_failures(self, tmp_path, body):
         script = write_script(tmp_path / "crash.py", body)
         with pytest.raises(StrategyError, match="exit code 3"):
-            CommandStrategy([PY, script]).merge3(
-                blob("x.bin", b"A"), blob("x.bin", b"B"), blob("x.bin", b"C")
-            )
+            CommandStrategy([PY, script]).merge3("x.bin", b"A", b"B", b"C")
 
 
 class TestValidator:
+    # None is a pass; a failure is the check's message
     def test_always_passing_command(self):
-        result = validate_code_asset(blob("ok.py", b"x = 1\n"), [PY, "-c", "exit(0)"])
-        assert result.passed
+        assert validate_code_asset("ok.py", b"x = 1\n", [PY, "-c", "exit(0)"]) is None
 
     def test_always_failing_command(self):
-        result = validate_code_asset(blob("no.py", b"x = 1\n"), [PY, "-c", "exit(1)"])
-        assert not result.passed
+        assert validate_code_asset("no.py", b"x = 1\n", [PY, "-c", "exit(1)"]) == "exit 1"
 
     def test_output_that_is_not_utf8_is_decoded_with_replacement(self):
         check = [PY, "-c", "import sys; sys.stderr.buffer.write(b'bad \\xff'); exit(1)"]
-        result = validate_code_asset(blob("no.py", b"x = 1\n"), check)
-        assert not result.passed
-        assert result.message == "bad \ufffd"
+        assert validate_code_asset("no.py", b"x = 1\n", check) == "bad \ufffd"
 
     def test_real_syntax_checker_reports_message(self):
-        broken = blob("broken.py", b"def f(:\n", tag="code")
-        result = validate_code_asset(broken, [PY, "-m", "py_compile"])
-        assert not result.passed
-        assert "SyntaxError" in result.message or "invalid syntax" in result.message
+        message = validate_code_asset("broken.py", b"def f(:\n", [PY, "-m", "py_compile"])
+        assert "SyntaxError" in message or "invalid syntax" in message
 
     def test_missing_command_is_config_error(self):
         with pytest.raises(ValidatorConfigError):
-            validate_code_asset(blob("x.py", b""), ["/nonexistent/checker-cmd"])
+            validate_code_asset("x.py", b"", ["/nonexistent/checker-cmd"])
+
+
+def recording_script(path, log, then: str) -> list[str]:
+    """A command that writes its arguments to ``log`` as JSON, then runs ``then``."""
+    script = write_script(
+        path, f"import json, sys\njson.dump(sys.argv[1:], open({str(log)!r}, 'w'))\n{then}"
+    )
+    return [PY, script]
+
+
+class TestCommandProtocols:
+    """The argument shapes the strategy and validator commands are called with."""
+
+    def test_strategy_on_a_cell_both_branches_added(self, tmp_path):
+        store = BlobStore(tmp_path / "store")
+        log = tmp_path / "argv.json"
+        argv = recording_script(
+            tmp_path / "strategy.py", log, "open(sys.argv[-1], 'wb').write(b'merged')\n"
+        )
+        mine, theirs = store.put(b"mine"), store.put(b"theirs")
+        merged, conflicts, _ = merge3_manifests(
+            {}, {"m.obj": mine}, {"m.obj": theirs}, store, MANUAL,
+            strategies={"obj": CommandStrategy(argv)},
+        )
+        assert merged == {"m.obj": digest_of(b"merged")} and not conflicts
+        paths = json.loads(log.read_text())
+        assert len(paths) == 4 and paths[0] == "-"
+        assert all(path.endswith(".obj") for path in paths[1:])
+
+    def test_validator_gets_one_path_with_the_extension(self, tmp_path):
+        store = BlobStore(tmp_path / "store")
+        log = tmp_path / "argv.json"
+        argv = recording_script(tmp_path / "check.py", log, "")
+        good, better = store.put(b"x = 1\n"), store.put(b"x = 2\n")
+        merged, _, dropped = merge3_manifests(
+            {"ai.py": good}, {"ai.py": better}, {"ai.py": good}, store, MANUAL,
+            validators={"py": argv},
+        )
+        assert merged == {"ai.py": better} and not dropped
+        paths = json.loads(log.read_text())
+        assert len(paths) == 1 and paths[0].endswith(".py")
+
+    def test_strategy_that_exits_0_without_output_fails(self, tmp_path):
+        store = BlobStore(tmp_path / "store")
+        argv = recording_script(tmp_path / "strategy.py", tmp_path / "argv.json", "")
+        d1, d2, d3 = store.put(b"1"), store.put(b"2"), store.put(b"3")
+        with pytest.raises(StrategyError, match="without writing"):
+            merge3_manifests(
+                {"m.obj": d1}, {"m.obj": d2}, {"m.obj": d3}, store, MANUAL,
+                strategies={"obj": CommandStrategy(argv)},
+            )
 
 
 class TestMergeManifests:

@@ -1,10 +1,10 @@
 """The deletion phase's indexed scans against the full scans they replaced.
 
 The deletion phase walks the other branch's additions below a scope with
-`graph._closure`, over an index built from the diff, and `_reparent_ins`
-reads another such index. The functions below are the full-level scans
-they replaced, kept here as the oracle: on seeded random-op scenarios
-both must give exactly the same lists.
+`graph._closure`, over an index built from the diff, and finds the
+survivors moved into that reach in another such index. The functions
+below are the full-level scans they replaced, kept here as the oracle:
+on seeded random-op scenarios both must give exactly the same lists.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 
 from scenemerge.diff import DiffResult, classify
 from scenemerge.graph import _closure, direct_subtree
-from scenemerge.merge import _by_new_direct_parent, _reparent_ins
+from scenemerge.merge import _by_new_direct_parent
 from scenemerge.sim import SizeParams, apply_script, generate
 
 SIZE = SizeParams(nodes=300, edges=340, ops_per_branch=30)
@@ -74,7 +74,13 @@ def test_indexed_scans_match_full_scans_on_random_scenarios():
                 anchored = sorted(_closure(scope, added_children) - scope)
                 assert anchored == full_scan_anchored_adds(other, scope), seed
                 targets = scope | set(anchored)
-                reparent_ins = _reparent_ins(reparented_into, targets, scope)
+                # the lookup `_apply_deletions` makes for its `touched` set
+                reparent_ins = sorted(
+                    node_id
+                    for target in targets
+                    for node_id, _ in reparented_into.get(target, ())
+                    if node_id not in scope
+                )
                 assert reparent_ins == full_scan_reparent_ins(other, targets, scope), seed
                 anchored_hits += bool(anchored)
                 reparent_hits += bool(reparent_ins)

@@ -8,13 +8,11 @@ whether the class is frozen and hashable.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from types import SimpleNamespace
 
 import pytest
 
-from scenemerge.assets import AssetBlob, ValidationResult
 from scenemerge.config import CliConfig
 from scenemerge.diff import DiffResult, DiffStats
 from scenemerge.graph import (
@@ -46,7 +44,6 @@ _G = LevelGraph("r", [Node("r", "Scene")])
 _G_REPR = "LevelGraph(root='r', nodes=1, edges=0)"
 _PV = PropertyValue("int", 3)
 _PV_REPR = "PropertyValue(kind='int', value=3)"
-_DIGEST = hashlib.sha256(b"x").hexdigest()
 _UNRESOLVED = "resolution=<Resolution.UNRESOLVED: 'unresolved'>"
 _EMPTY = frozenset()
 _STATS = dict(ancestor_nodes=1, ancestor_edges=0, diff_a_edited=2, diff_b_edited=3,
@@ -137,11 +134,6 @@ CASES = [
           "CliConfig(policy=<PolicyKind.MANUAL: 'manual'>, averaging=False, "
           "averageable_kinds=frozenset(), strategies={}, validators={}, asset_types={}, "
           "assets_dir=None, user=None, color=None)", False, False),
-    _case(AssetBlob, dict(id="a.py", type_tag="py", content=b"x"), dict(digest=_DIGEST),
-          dict(id="b.py", type_tag="py", content=b"x"),
-          f"AssetBlob(id='a.py', type_tag='py', content=b'x', digest={_DIGEST!r})", True, True),
-    _case(ValidationResult, dict(passed=True), dict(message=""), dict(passed=False),
-          "ValidationResult(passed=True, message='')", True, True),
 ]
 
 
