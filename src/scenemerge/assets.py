@@ -84,8 +84,9 @@ class BlobStore:
         digest = digest_of(content)
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(digest)
-        if not path.exists():
-            # a put cut short leaves no file under the digest
+        if not (path.is_file() and path.read_bytes() == content):
+            # a put cut short leaves no file under the digest, and a file that
+            # holds other bytes (written by another tool) is replaced whole
             with atomic_open(path) as handle:
                 handle.buffer.write(content)
         return digest

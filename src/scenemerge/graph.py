@@ -517,9 +517,10 @@ def validate(graph: LevelGraph, base: LevelGraph | None = None) -> ValidationRep
     ``base``, when given, must be a graph already known to be valid, such
     as the ancestor a branch was edited from; validity is then decided
     from the differences against it. Otherwise a valid graph is confirmed
-    in one linear pass. Only a graph that fails is run through the full
-    checker, which names every violation, so the report is the same with
-    or without a base.
+    in one linear pass, which a canonical read (`levelfile.parse`) has
+    already made as it read the level. Only a graph that fails is run
+    through the full checker, which names every violation, so the report
+    is the same with or without a base, and whichever way it was read.
     """
     if (base is not None and _is_valid_against(graph, base)) or _is_valid(graph):
         return ValidationReport(())
@@ -531,8 +532,12 @@ def _is_valid(graph: LevelGraph) -> bool:
 
     Kahn's walk from the root takes a node only once all its parents are
     taken, so it takes every node exactly when the graph is acyclic and
-    the root reaches every node.
+    the root reaches every node. A canonical read decided this on its
+    columns as it read the level (`levelfile._is_valid_columns`), and its
+    verdict is returned.
     """
+    if graph._lines is not None:
+        return graph._lines.valid
     nodes, in_edges, out_edges = graph._nodes, graph._in, graph._out
     if graph.root not in nodes or graph.root in in_edges:
         return False

@@ -30,7 +30,8 @@ line and literal but builds no property and splits no text into lines:
 it keeps the text, and a `Node` builds its properties from its own prop
 lines in it when they are first read (two threads that read them at
 once build equal dicts); the graph's index of the nodes holding each
-ref and asset target is filled from those lines.
+ref and asset target is filled from those lines, and the whole graph
+check `graph.validate` makes is decided on the read's sorted columns.
 ``parse(text, base=ancestor)`` reads a version against such a read: the
 two texts are compared in blocks of characters, in C, and walked line
 by line, as a merge of lines in section order, only where they differ;
@@ -57,9 +58,9 @@ import stat
 from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import contextmanager, suppress
-from itertools import compress, count, repeat
-from operator import and_, is_, itemgetter, le, lt
-from typing import Callable, Iterable, Iterator, TextIO
+from itertools import accumulate, compress, count, repeat
+from operator import eq, itemgetter, le, lt
+from typing import Callable, Container, Iterator, TextIO
 
 from .graph import (
     DepKind,
@@ -411,11 +412,22 @@ def _read_lines(text: str) -> LevelDocument:
 _SECTIONS = ("root", "node", "prop", "edge", "asset")  # in the order `serialize` writes them
 _RANKS = {directive: rank for rank, directive in enumerate(_SECTIONS)}
 _HEADER = f"lvl {FORMAT_VERSION}\n"
+# a literal as `format_value` spells it, of the short kinds a level mostly holds: a real
+# of at most 6 integer and 8 fraction digits, at least 1e-4 in size, with no zero after
+# its last digit but in ``.0`` and not ``-0.0``; an int of at most 18 digits, with no
+# leading zero and not ``-0``; a bool; a text; and, the third group, a ref or an asset
+# (ASCII digits only: `float` reads other digits too)
+_SHORT_VALUE = (
+    r"(?:real -?(?:[1-9][0-9]{{0,5}}\.(?:0|[0-9]{{0,7}}[1-9])|0\.(?!0000)[0-9]{{0,7}}[1-9])|real 0\.0"
+    r"|int (?:0|-?[1-9][0-9]{{0,17}})|bool (?:true|false)|text {t}|((?:ref|asset) {t}))"
+)
 # a canonical line of each section: bare tokens between single spaces
 _SECTION_LINES = [re.compile(line.format(t=_BARE_TOKEN.pattern), re.MULTILINE) for line in (
-    r"^root ({t})$", r"^node ({t}) ({t})$", r"^prop ({t}) ({t}) ([a-z]+ {t})$",
+    r"^root ({t})$", r"^node ({t}) ({t})$", r"^prop ({t}) ({t}) " + _SHORT_VALUE + "$",
     r"^edge ({t}) ({t}) (direct|indirect)$", r"^asset ({t}) ({t})$",
+    r"^prop ({t}) ({t}) ([a-z]+ {t})$",  # a prop line of any tag and literal
 )]
+_ANY_PROP_LINE = _SECTION_LINES.pop()
 _first, _second, _third = itemgetter(0), itemgetter(1), itemgetter(2)
 # the start of a node, prop or edge line of a key, after the newline before it
 _LINE_STARTS = ("\nnode {} ".format, "\nprop {} ".format, "\nedge {0[0]} {0[1]} ".format)
@@ -423,17 +435,19 @@ _MARK = 32  # prop lines between two owners whose first prop line a canonical te
 
 
 class _Canonical(_Record):
-    """A canonical read's text and where its lines are.
+    """A canonical read's text, where its lines are, and whether its level is valid.
 
     ``bounds`` holds where the root, node, prop, edge and asset sections
     start, then the text's length. ``keys`` holds, for the node, prop and
     edge sections, each line's key in text order: its node id, owner id
     or (parent, child) pair. ``marks`` holds every `_MARK`th owner of a
     prop line and where that owner's first prop line starts, so a node's
-    prop lines are found a short forward search away.
+    prop lines are found a short forward search away. ``valid`` is what
+    `graph._is_valid` says of the level, decided by the read on its
+    columns (`_is_valid_columns`).
     """
 
-    __slots__ = ("text", "bounds", "keys", "marks")
+    __slots__ = ("text", "bounds", "keys", "marks", "valid")
 
     def line_at(self, section: int, index: int, pos: int) -> int:
         """Where line ``index`` of the node (0), prop (1) or edge (2) section
@@ -462,11 +476,21 @@ def _read_canonical(text: str) -> LevelDocument | None:
 
     The text is not split into lines: `str.find` places each section, one
     pattern per section reads its lines' fields, and every line is checked
-    to match it. No property is built: a `Node` builds its properties from
-    its own run of prop lines in the text (`_Canonical.line_at`) when
-    they are first read, one `PropertyValue` per distinct literal, and the
-    graph's ref and asset index (`graph._holders`) is filled from the ref
-    and asset lines alone. The graph keeps the text in `LevelGraph._lines`.
+    to match it. The prop pattern takes the literals it can tell are so
+    spelled (`_SHORT_VALUE`) and captures only a ref or asset value; a
+    section with any other literal is read again (`_spelled_rows`), each
+    distinct literal checked in bulk. No property is built: a `Node`
+    builds its properties from its own run of prop lines in the text
+    (`_Canonical.line_at`) when they are first read, one `PropertyValue`
+    per distinct literal, and the graph's ref and asset index
+    (`graph._holders`) is filled from the captured values.
+
+    Each id in a line is read as its position among the sorted node ids,
+    and the edges as a parent and a child column of positions, sorted by
+    parent. On those columns the read decides the whole check
+    `graph._is_valid` would make (`_is_valid_columns`) and keeps the
+    verdict in `_Canonical.valid`. The graph keeps the text, with the
+    verdict, in `LevelGraph._lines`.
     """
     if not text.startswith(_HEADER) or not text.endswith("\n"):
         return None
@@ -482,47 +506,60 @@ def _read_canonical(text: str) -> LevelDocument | None:
     bounds = [len(_HEADER), *reversed(bounds)]
     rows = []
     for pattern, lo, hi in zip(_SECTION_LINES, bounds, bounds[1:]):
+        lines = text.count("\n", lo, hi)
         rows.append(pattern.findall(text, lo, hi))  # a match per line that matches
-        if len(rows[-1]) != text.count("\n", lo, hi):
+        if len(rows[-1]) != lines and pattern is _SECTION_LINES[2]:
+            rows[-1] = _spelled_rows(text, lo, hi)
+        if len(rows[-1]) != lines:
             return None
     root, node_rows, prop_rows, edge_rows, asset_rows = rows
 
-    # the level holds one string per id and kind
+    # each id is read as its position among the node ids, which the check below
+    # requires to be sorted, so positions sort as their ids do
     kinds = dict(node_rows)
     ids = list(kinds)
-    declared, words = dict(zip(ids, ids)), {}
-    keys, literals = list(map(_second, prop_rows)), list(map(_third, prop_rows))
+    position = dict(zip(ids, count()))
     try:
-        [root] = map(declared.__getitem__, root)  # the one root line names a node
-        owners = list(map(declared.__getitem__, map(_first, prop_rows)))
-        parents = list(map(declared.__getitem__, map(_first, edge_rows)))
-        children = list(map(declared.__getitem__, map(_second, edge_rows)))
+        [root] = map(position.__getitem__, root)  # the one root line names a node
+        owners = list(map(position.__getitem__, map(_first, prop_rows)))
+        parents = list(map(position.__getitem__, map(_first, edge_rows)))
+        children = list(map(position.__getitem__, map(_second, edge_rows)))
     except (KeyError, ValueError):
         return None
-    by_tag = _spelled_as_written(dict.fromkeys(literals))
-    edges = dict(zip(zip(parents, children), map(_DEP_KINDS.get, map(_third, edge_rows))))
+    keys, held = list(map(_second, prop_rows)), list(map(_third, prop_rows))
     assets = dict(asset_rows)
     if (
-        by_tag is None
-        or (len(ids), len(assets)) != (len(node_rows), len(asset_rows))
-        or any(map(is_, parents, children))  # a declared id is one string
+        (len(ids), len(assets)) != (len(node_rows), len(asset_rows))
+        or any(map(eq, parents, children))  # a self-loop
         # each section strictly increasing in its key columns
         or not all(map(lt, ids, ids[1:]))
         or not all(map(le, owners, owners[1:]))
-        or any(map(and_, map(is_, owners[1:], owners), map(le, keys[1:], keys)))
+        or any(compress(map(le, keys[1:], keys), map(eq, owners[1:], owners)))
         or not all(map(le, parents, parents[1:]))
-        or any(map(and_, map(is_, parents[1:], parents), map(le, children[1:], children)))
+        or any(compress(map(le, children[1:], children), map(eq, parents[1:], parents)))
         or sorted(asset_rows) != asset_rows
     ):
         return None
+    dependencies = list(map(_third, edge_rows))
     del rows, node_rows, prop_rows, edge_rows, keys  # the read's largest allocation
+
+    # the level's strings for the owner and edge columns: one string per id
+    owners = list(map(ids.__getitem__, owners))
+    pairs = list(zip(map(ids.__getitem__, parents), map(ids.__getitem__, children)))
+    edges = dict(zip(pairs, map(_DEP_KINDS.get, dependencies)))
+    # the index `graph._holders` would build, from the captured ref and asset values
+    holders: tuple[dict[str, list[str]], dict[str, list[str]]] = ({}, {})
+    for owner, value in compress(zip(owners, held), held):
+        tag, _, target = value.partition(" ")
+        holders[tag == "asset"].setdefault(target, []).append(owner)
+    valid = _is_valid_columns(root, parents, children, dependencies, holders, position, assets)
 
     # the text and the keys of its node, prop and edge lines: a later parse walks its
     # text against this one, and `serialize` copies it into a level patched from it
     marked, starts = owners[::_MARK], [bounds[2]]
     for owner in marked:
         starts.append(text.find(_LINE_STARTS[1](owner), starts[-1] - 1) + 1)
-    canonical = _Canonical(text, bounds, (ids, owners, list(edges)), (marked, starts[1:]))
+    canonical = _Canonical(text, bounds, (ids, owners, pairs), (marked, starts[1:]), valid)
     # the `PropertyValue` of each checked ``<tag> <literal>``
     values = _Memo(lambda value: _parse_value(value.split(" "), 0, value, 0))
 
@@ -537,40 +574,80 @@ def _read_canonical(text: str) -> LevelDocument | None:
         return owned
 
     # each node is built field by field, in C, with no properties but their reader
+    words = {}
     nodes = list(map(Node.__new__, repeat(Node, len(ids))))
     kinds = map(words.setdefault, kinds.values(), kinds.values())
     for field, column in (("id", ids), ("kind", kinds), ("_read", repeat(properties))):
         deque(map(_set, nodes, repeat(field), column), 0)
-    graph = LevelGraph._of(root, dict(zip(ids, nodes)), edges, assets)
-    # the index `graph._holders` would build, from the ref and asset lines
-    held = {f"{tag} {literal}" for tag in ("ref", "asset") for literal in by_tag[tag]}
-    graph._holders = ({}, {})
-    for owner, value in compress(zip(owners, literals), map(held.__contains__, literals)):
-        tag, _, target = value.partition(" ")
-        graph._holders[tag == "asset"].setdefault(target, []).append(owner)
+    graph = LevelGraph._of(ids[root], dict(zip(ids, nodes)), edges, assets)
+    graph._holders = holders
     graph._lines = canonical
     return LevelDocument(FORMAT_VERSION, graph)
 
 
-def _spelled_as_written(values: Iterable[str]) -> dict[str, list[str]] | None:
-    """The literals of the distinct ``<tag> <literal>`` ``values``, each a bare
-    token, by tag; None unless `format_value` spells each value so (it does
-    not spell ``real 1.50``, ``real -0.0``, ``int 007`` or ``color red``).
-    Checked in bulk, tag by tag."""
+def _spelled_rows(text: str, lo: int, hi: int) -> list[tuple[str, str, str]]:
+    """The rows of the prop lines between ``lo`` and ``hi`` read with any tag
+    and literal, the third column cut to a ref or asset value as the short
+    pattern captures it; no rows unless `format_value` spells each distinct
+    ``<tag> <literal>`` as written (not ``real 1.50``, ``real -0.0``, ``int
+    007`` or ``color red``), which is checked in bulk, tag by tag."""
+    rows = _ANY_PROP_LINE.findall(text, lo, hi)
     by_tag: dict[str, list[str]] = {tag: [] for tag in _VALUE_KINDS}
-    for value in values:
+    for value in dict.fromkeys(map(_third, rows)):
         tag, _, literal = value.partition(" ")
         if tag not in by_tag:
-            return None
+            return []
         by_tag[tag].append(literal)
     reals, ints = by_tag["real"], by_tag["int"]
     try:
         floats = list(map(float, reals))
         spelled = list(map(repr, floats)) == reals and list(map(str, map(int, ints))) == ints
     except ValueError:
-        return None
+        return []
     finite = all(map(math.isfinite, floats)) and "-0.0" not in reals
-    return by_tag if spelled and finite and {*by_tag["bool"]} <= {"true", "false"} else None
+    if not (spelled and finite and {*by_tag["bool"]} <= {"true", "false"}):
+        return []
+    held = ("ref ", "asset ")
+    return [(owner, key, value if value.startswith(held) else "") for owner, key, value in rows]
+
+
+def _is_valid_columns(
+    root: int, parents: list[int], children: list[int], dependencies: list[str],
+    holders: tuple[dict, dict], declared: dict[str, int], assets: Container[str],
+) -> bool:
+    """`graph._is_valid` of a canonical read's level, decided on its columns.
+
+    ``parents`` and ``children`` hold each edge's ends as positions among
+    the sorted node ids, in the edge section's order, so by parent, and
+    ``dependencies`` each edge's kind as written. So every edge ends on a
+    node, and a node's out-edges are one slice of the child column, at an
+    offset counted from the parent column. The level is valid when the
+    root has no in-edge, no child is named by two Direct edges, Kahn's
+    walk from the root takes every node, and the ``holders`` of
+    `graph._holders` name only ``declared`` nodes and manifest ``assets``.
+    """
+    direct = list(compress(children, map("direct".__eq__, dependencies)))
+    if len(set(direct)) != len(direct):
+        return False  # a node with two Direct parents
+    pending, out = [0] * len(declared), [0] * len(declared)  # in- and out-degrees
+    for child in children:
+        pending[child] += 1
+    if pending[root]:
+        return False  # an edge into the root
+    for parent in parents:
+        out[parent] += 1
+    offsets = [0, *accumulate(out)]
+    taken = [root]  # a node is taken once, when its last parent is
+    for node in taken:
+        for child in children[offsets[node] : offsets[node + 1]]:
+            left = pending[child] - 1
+            pending[child] = left
+            if not left:
+                taken.append(child)
+    refs, uses = holders
+    return len(taken) == len(declared) and all(map(declared.__contains__, refs)) and all(
+        map(assets.__contains__, uses)
+    )
 
 
 def _line_key(line: str) -> tuple[int, str]:

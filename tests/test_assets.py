@@ -89,6 +89,17 @@ class TestBlobStore:
         assert store.put(content) == digest
         assert store.get(digest) == content
 
+    def test_a_put_rewrites_a_blob_file_that_holds_other_bytes(self, tmp_path):
+        store = BlobStore(tmp_path)
+        content = bytes(range(256)) * 2 + b"tail" * 47  # 700 bytes
+        digest = digest_of(content)
+        store.path_for(digest).write_bytes(content[:10])  # a truncated blob
+        with pytest.raises(BlobStoreError, match="does not match"):
+            store.get(digest)
+        assert store.put(content) == digest
+        assert store.get(digest) == content
+        assert os.listdir(tmp_path) == [digest]  # no temp file left beside it
+
 
 def write_script(path, body: str) -> str:
     path.write_text(f"#!{PY}\n{body}")

@@ -18,26 +18,31 @@ import functools
 import gc
 import random
 import re
+from collections import Counter
 from operator import lt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scenemerge import LevelGraph, MergePolicy, Node, ParseError, PolicyKind, merge3, parse
-from scenemerge import cli, levelfile, read_document, write_document
+from scenemerge import LevelGraph, MergePolicy, Node, ParseError, PolicyKind, PropertyValue
+from scenemerge import cli, graph as graph_module, levelfile, merge3, parse, read_document
+from scenemerge import validate, write_document
 from scenemerge.graph import _Patch
 from scenemerge.levelfile import (
     FORMAT_VERSION,
     LevelDocument,
     _Canonical,
+    _SECTION_LINES,
     _line_key,
+    _parse_value,
     _read_canonical,
     _read_lines,
+    format_value,
     serialize,
 )
 from scenemerge.sim import SizeParams, apply_script, generate
-from conftest import D, I, g, repairing_merges, tables
+from conftest import FIXTURES, D, I, g, repairing_merges, tables
 
 SIZE = SizeParams(nodes=30, edges=36, ops_per_branch=6)
 
@@ -48,6 +53,22 @@ def _texts(seed: int) -> tuple[str, str, str]:
     sc = generate(seed, SIZE)
     graphs = (sc.base, apply_script(sc.base, sc.script_a), apply_script(sc.base, sc.script_b))
     return tuple(serialize(LevelDocument(FORMAT_VERSION, graph)) for graph in graphs)
+
+
+@functools.lru_cache(maxsize=None)
+def _texts_10k() -> tuple[str, str, str]:
+    """The canonical base, mine and theirs of a 10k-node scenario, 100 edits a branch."""
+    sc = generate(2, SizeParams(nodes=10_000, edges=11_000, edits_a=100, edits_b=100))
+    graphs = (sc.base, apply_script(sc.base, sc.script_a), apply_script(sc.base, sc.script_b))
+    return tuple(serialize(LevelDocument(FORMAT_VERSION, graph)) for graph in graphs)
+
+
+def _files_10k(directory) -> list:
+    """`_texts_10k` written as base, mine and theirs files in ``directory``."""
+    paths = [directory / f"{role}.lvl" for role in ("base", "mine", "theirs")]
+    for path, text in zip(paths, _texts_10k()):
+        path.write_text(text, encoding="utf-8", newline="\n")
+    return paths
 
 
 def _outcome(read, text):
@@ -93,11 +114,8 @@ def _built(node: Node) -> bool:
 
 
 def test_a_clean_file_merge_builds_the_properties_of_the_changed_nodes_only(tmp_path, monkeypatch):
-    sc = generate(2, SizeParams(nodes=10_000, edges=11_000, edits_a=100, edits_b=100))
-    graphs = (sc.base, apply_script(sc.base, sc.script_a), apply_script(sc.base, sc.script_b))
-    paths = [tmp_path / f"{role}.lvl" for role in ("base", "mine", "theirs")]
-    for path, graph in zip(paths, graphs):
-        path.write_text(serialize(LevelDocument(FORMAT_VERSION, graph)), encoding="utf-8")
+    paths = _files_10k(tmp_path)
+    graphs = [parse(text).graph for text in _texts_10k()]
     docs = []
     read = cli.read_document
 
@@ -112,6 +130,154 @@ def test_a_clean_file_merge_builds_the_properties_of_the_changed_nodes_only(tmp_
     assert parse(out.read_text(encoding="utf-8")).graph == merge3(*graphs).merged
     built = [node.id for node in ancestor.nodes() if _built(node)]
     assert len(built) <= len(mine._patch[1] | theirs._patch[1]) < ancestor.node_count // 10
+
+
+def test_a_clean_file_merge_walks_the_ancestor_once_inside_its_read(tmp_path, monkeypatch):
+    paths = _files_10k(tmp_path)
+    walks = []
+    kahn_taken = graph_module._kahn_taken
+
+    def counting(*args):
+        walks.append(args)
+        return kahn_taken(*args)
+
+    monkeypatch.setattr(graph_module, "_kahn_taken", counting)
+    assert cli.main(["merge", *map(str, paths), "--output", str(tmp_path / "merged.lvl")]) == 0
+    # each branch's and the merged level's check against the ancestor; the
+    # ancestor's whole check was decided by its read
+    assert len(walks) == 3
+
+
+# -- the read's whole check ---------------------------------------------------------
+
+ref, asset = PropertyValue.node_ref, PropertyValue.asset_ref
+NODES = [("r", "S"), ("a", "X"), ("b", "X")]
+BROKEN_LEVELS = {
+    "cycle": g("r", NODES, [("r", "a", D), ("a", "b", D), ("b", "a", I)]),
+    "unreachable node": g("r", NODES, [("r", "a", D)]),
+    "two Direct parents": g("r", NODES, [("r", "a", D), ("r", "b", D), ("a", "b", D)]),
+    "root in-edge": g("r", NODES, [("r", "a", D), ("b", "r", I)]),
+    # a walk that takes the root twice takes as many nodes as the level has
+    "root on a cycle, a node cut off": g("r", NODES, [("r", "a", D), ("a", "r", I)]),
+    "dangling ref": g("r", [("r", "S"), ("a", "X", {"to": ref("gone")})], [("r", "a", D)]),
+    "missing asset": g(
+        "r", [("r", "S"), ("a", "X", {"mesh": asset("m.obj")})], [("r", "a", D)], {"t.png": "0"}
+    ),
+    "all at once": g(
+        "r",
+        [("r", "S"), ("a", "X", {"to": ref("gone"), "mesh": asset("m.obj")}), ("b", "X"), ("c", "X")],
+        [("r", "a", D), ("a", "b", D), ("b", "a", D), ("r", "b", D), ("c", "r", D)],
+    ),
+}
+
+
+def assert_same_verdict(text: str, canonical: bool = True) -> None:
+    """The read's verdict on ``text`` is the line reader's, violations included."""
+    doc = parse(text)
+    assert (doc.graph._lines is not None) == canonical
+    report = validate(doc.graph)
+    assert report == validate(_read_lines(text).graph)
+    if canonical:
+        assert doc.graph._lines.valid == report.ok
+
+
+@pytest.mark.parametrize("name", BROKEN_LEVELS)
+def test_the_reads_verdict_on_a_broken_level_is_the_line_readers(name):
+    text = serialize(LevelDocument(FORMAT_VERSION, BROKEN_LEVELS[name]))
+    assert_same_verdict(text)
+    assert not parse(text).graph._lines.valid
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.lvl")), ids=lambda path: path.name)
+def test_the_reads_verdict_on_a_fixture_is_the_line_readers(path):
+    text = path.read_text(encoding="utf-8")
+    assert_same_verdict(text, canonical='"' not in text)
+
+
+def test_the_reads_verdict_at_10k_is_the_line_readers():
+    for text in _texts_10k():
+        assert_same_verdict(text)
+    base = _texts_10k()[0]
+    edge_lines = [line for line in base.split("\n") if line.startswith("edge ")]
+    in_degree = Counter(line.split(" ")[2] for line in edge_lines)
+    only = next(line for line in edge_lines if in_degree[line.split(" ")[2]] == 1)
+    for broken in (
+        base.replace(f"\n{only}\n", "\n"),  # a node or more cut off
+        base.replace(" indirect\n", " direct\n"),  # nodes with two Direct parents
+    ):
+        assert_same_verdict(broken)
+        assert not parse(broken).graph._lines.valid
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10_000), st.data())
+def test_the_reads_verdict_after_random_breaks_is_the_line_readers(seed, data):
+    level = parse(_texts(seed)[0]).graph
+    ids, pairs = level.node_ids(), sorted(level._edges)
+    patch = _Patch(level)
+    for _ in range(data.draw(st.integers(1, 3))):
+        action = data.draw(st.sampled_from(["add", "drop", "flip", "ref", "asset"]))
+        if action == "add":
+            parent, child = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+            if parent != child:
+                patch.set_edge(parent, child, data.draw(st.sampled_from([D, I])))
+        elif action in ("drop", "flip"):
+            parent, child = data.draw(st.sampled_from(pairs))
+            kind = patch.edge_kind(parent, child)
+            if action == "drop" or kind is None:
+                patch.remove_edge(parent, child)
+            else:
+                patch.set_edge(parent, child, I if kind is D else D)
+        else:
+            node = patch.nodes[data.draw(st.sampled_from(ids))]
+            value = ref("nowhere") if action == "ref" else asset("nowhere.png")
+            patch.set_node(Node(node.id, node.kind, {**node.properties, "zz": value}))
+    assert_same_verdict(serialize(LevelDocument(FORMAT_VERSION, patch.to_graph())))
+
+
+# -- the short literal pattern --------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.from_regex(_SECTION_LINES[2], fullmatch=True))
+@example("prop a b real 0.0001")
+@example("prop a b real -0.00010001")
+@example("prop a b real 999999.99999999")
+@example("prop a b real -100000.0")
+@example("prop a b real 0.0")
+@example("prop a b int 0")
+@example("prop a b int -999999999999999999")
+@example("prop a b ref x")
+def test_format_value_spells_each_literal_the_short_pattern_takes_as_written(line):
+    value = line.split(" ", 3)[3]
+    assert format_value(_parse_value(value.split(" "), 0, value, 0)) == value
+    # the third group holds a ref or asset value, and nothing else
+    held = _SECTION_LINES[2].fullmatch(line)[3]
+    assert held == (value if value.split(" ")[0] in ("ref", "asset") else None)
+
+
+@pytest.mark.parametrize("value, canonical", [
+    ("real 0.00001", False),  # written 1e-05
+    ("real 1e-05", True),
+    ("real 0.30000000000000004", True),
+    ("real 1234567.0", True),
+    ("real -0.0", False),
+    ("int -0", False),
+    ("int 007", False),
+    ("int 1234567890123456789", True),
+    ("int " + "7" * 5000, False),  # past the digits `int` converts
+    ("real 1\u0660.0", False),  # a digit `float` reads and a bare token does not hold
+])
+def test_a_literal_the_short_pattern_does_not_take_reads_as_before(value, canonical):
+    lines = _texts(7)[0].split("\n")
+    _set_value(lines, next(n for n, line in enumerate(lines) if line.startswith("prop ")), value)
+    text = "\n".join(lines)
+    read, whole = _outcome(parse, text), _outcome(_read_lines, text)
+    if isinstance(whole, tuple):
+        assert read == whole  # the same error, at the same line and column
+        return
+    assert_same_document(read, whole)
+    assert (read.graph._lines is not None) == canonical
 
 
 def _set_token(line: str, index: int, token: str) -> str:
@@ -274,7 +440,7 @@ def copied_lines(doc: LevelDocument, base: LevelDocument, write=serialize) -> in
     if kept is None:
         return 0
     marked = re.sub(r"^((?:node|prop|edge) .*).$", r"\1~", kept.text, flags=re.MULTILINE)
-    base.graph._lines = _Canonical(marked, kept.bounds, kept.keys, kept.marks)
+    base.graph._lines = _Canonical(marked, kept.bounds, kept.keys, kept.marks, kept.valid)
     try:
         return write(doc).count("~\n")
     finally:
