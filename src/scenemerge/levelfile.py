@@ -60,7 +60,7 @@ from collections import deque
 from contextlib import contextmanager, suppress
 from itertools import accumulate, compress, count, repeat
 from operator import eq, itemgetter, le, lt
-from typing import Callable, Container, Iterator, TextIO
+from typing import Callable, Container, Iterable, Iterator, TextIO
 
 from .graph import (
     DepKind,
@@ -412,23 +412,23 @@ def _read_lines(text: str) -> LevelDocument:
 _SECTIONS = ("root", "node", "prop", "edge", "asset")  # in the order `serialize` writes them
 _RANKS = {directive: rank for rank, directive in enumerate(_SECTIONS)}
 _HEADER = f"lvl {FORMAT_VERSION}\n"
-# a literal as `format_value` spells it, of the short kinds a level mostly holds: a real
-# of at most 6 integer and 8 fraction digits, at least 1e-4 in size, with no zero after
-# its last digit but in ``.0`` and not ``-0.0``; an int of at most 18 digits, with no
-# leading zero and not ``-0``; a bool; a text; and, the third group, a ref or an asset
-# (ASCII digits only: `float` reads other digits too)
-_SHORT_VALUE = (
+# a prop line's value: first a literal whose characters alone show that `format_value`
+# spells it so (a real of at most 6 integer and 8 fraction digits, at least 1e-4 in
+# size, with no zero after its last digit but in ``.0`` and not ``-0.0``; an int of at
+# most 18 digits, with no leading zero and not ``-0``; a bool; a text; ASCII digits
+# only, as `float` reads other digits too); else, the third group, a ref or an asset;
+# else, the fourth, any other ``<tag> <literal>``, which the read checks in bulk
+_PROP_VALUE = (
     r"(?:real -?(?:[1-9][0-9]{{0,5}}\.(?:0|[0-9]{{0,7}}[1-9])|0\.(?!0000)[0-9]{{0,7}}[1-9])|real 0\.0"
-    r"|int (?:0|-?[1-9][0-9]{{0,17}})|bool (?:true|false)|text {t}|((?:ref|asset) {t}))"
+    r"|int (?:0|-?[1-9][0-9]{{0,17}})|bool (?:true|false)|text {t}|((?:ref|asset) {t})"
+    r"|([a-z]+ {t}))"
 )
 # a canonical line of each section: bare tokens between single spaces
 _SECTION_LINES = [re.compile(line.format(t=_BARE_TOKEN.pattern), re.MULTILINE) for line in (
-    r"^root ({t})$", r"^node ({t}) ({t})$", r"^prop ({t}) ({t}) " + _SHORT_VALUE + "$",
+    r"^root ({t})$", r"^node ({t}) ({t})$", r"^prop ({t}) ({t}) " + _PROP_VALUE + "$",
     r"^edge ({t}) ({t}) (direct|indirect)$", r"^asset ({t}) ({t})$",
-    r"^prop ({t}) ({t}) ([a-z]+ {t})$",  # a prop line of any tag and literal
 )]
-_ANY_PROP_LINE = _SECTION_LINES.pop()
-_first, _second, _third = itemgetter(0), itemgetter(1), itemgetter(2)
+_first, _second, _third, _fourth = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(3)
 # the start of a node, prop or edge line of a key, after the newline before it
 _LINE_STARTS = ("\nnode {} ".format, "\nprop {} ".format, "\nedge {0[0]} {0[1]} ".format)
 _MARK = 32  # prop lines between two owners whose first prop line a canonical text marks
@@ -476,10 +476,10 @@ def _read_canonical(text: str) -> LevelDocument | None:
 
     The text is not split into lines: `str.find` places each section, one
     pattern per section reads its lines' fields, and every line is checked
-    to match it. The prop pattern takes the literals it can tell are so
-    spelled (`_SHORT_VALUE`) and captures only a ref or asset value; a
-    section with any other literal is read again (`_spelled_rows`), each
-    distinct literal checked in bulk. No property is built: a `Node`
+    to match it. The prop pattern (`_PROP_VALUE`) takes the literals whose
+    characters show they are so spelled, and captures only a ref or asset
+    value and any other literal; each distinct one of those is checked in
+    bulk (`_spelled_as_written`). No property is built: a `Node`
     builds its properties from its own run of prop lines in the text
     (`_Canonical.line_at`) when they are first read, one `PropertyValue`
     per distinct literal, and the graph's ref and asset index
@@ -506,11 +506,8 @@ def _read_canonical(text: str) -> LevelDocument | None:
     bounds = [len(_HEADER), *reversed(bounds)]
     rows = []
     for pattern, lo, hi in zip(_SECTION_LINES, bounds, bounds[1:]):
-        lines = text.count("\n", lo, hi)
         rows.append(pattern.findall(text, lo, hi))  # a match per line that matches
-        if len(rows[-1]) != lines and pattern is _SECTION_LINES[2]:
-            rows[-1] = _spelled_rows(text, lo, hi)
-        if len(rows[-1]) != lines:
+        if len(rows[-1]) != text.count("\n", lo, hi):
             return None
     root, node_rows, prop_rows, edge_rows, asset_rows = rows
 
@@ -529,7 +526,8 @@ def _read_canonical(text: str) -> LevelDocument | None:
     keys, held = list(map(_second, prop_rows)), list(map(_third, prop_rows))
     assets = dict(asset_rows)
     if (
-        (len(ids), len(assets)) != (len(node_rows), len(asset_rows))
+        _spelled_as_written(dict.fromkeys(filter(None, map(_fourth, prop_rows)))) is None
+        or (len(ids), len(assets)) != (len(node_rows), len(asset_rows))
         or any(map(eq, parents, children))  # a self-loop
         # each section strictly increasing in its key columns
         or not all(map(lt, ids, ids[1:]))
@@ -585,30 +583,25 @@ def _read_canonical(text: str) -> LevelDocument | None:
     return LevelDocument(FORMAT_VERSION, graph)
 
 
-def _spelled_rows(text: str, lo: int, hi: int) -> list[tuple[str, str, str]]:
-    """The rows of the prop lines between ``lo`` and ``hi`` read with any tag
-    and literal, the third column cut to a ref or asset value as the short
-    pattern captures it; no rows unless `format_value` spells each distinct
-    ``<tag> <literal>`` as written (not ``real 1.50``, ``real -0.0``, ``int
-    007`` or ``color red``), which is checked in bulk, tag by tag."""
-    rows = _ANY_PROP_LINE.findall(text, lo, hi)
+def _spelled_as_written(values: Iterable[str]) -> dict[str, list[str]] | None:
+    """The literals of the distinct ``<tag> <literal>`` ``values``, each a bare
+    token, by tag; None unless `format_value` spells each value so (it does
+    not spell ``real 1.50``, ``real -0.0``, ``int 007`` or ``color red``).
+    Checked in bulk, tag by tag."""
     by_tag: dict[str, list[str]] = {tag: [] for tag in _VALUE_KINDS}
-    for value in dict.fromkeys(map(_third, rows)):
+    for value in values:
         tag, _, literal = value.partition(" ")
         if tag not in by_tag:
-            return []
+            return None
         by_tag[tag].append(literal)
     reals, ints = by_tag["real"], by_tag["int"]
     try:
         floats = list(map(float, reals))
         spelled = list(map(repr, floats)) == reals and list(map(str, map(int, ints))) == ints
     except ValueError:
-        return []
+        return None
     finite = all(map(math.isfinite, floats)) and "-0.0" not in reals
-    if not (spelled and finite and {*by_tag["bool"]} <= {"true", "false"}):
-        return []
-    held = ("ref ", "asset ")
-    return [(owner, key, value if value.startswith(held) else "") for owner, key, value in rows]
+    return by_tag if spelled and finite and {*by_tag["bool"]} <= {"true", "false"} else None
 
 
 def _is_valid_columns(

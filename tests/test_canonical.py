@@ -56,11 +56,16 @@ def _texts(seed: int) -> tuple[str, str, str]:
 
 
 @functools.lru_cache(maxsize=None)
-def _texts_10k() -> tuple[str, str, str]:
-    """The canonical base, mine and theirs of a 10k-node scenario, 100 edits a branch."""
+def _graphs_10k() -> tuple[LevelGraph, LevelGraph, LevelGraph]:
+    """The generated base, mine and theirs of a 10k-node scenario, 100 edits a branch."""
     sc = generate(2, SizeParams(nodes=10_000, edges=11_000, edits_a=100, edits_b=100))
-    graphs = (sc.base, apply_script(sc.base, sc.script_a), apply_script(sc.base, sc.script_b))
-    return tuple(serialize(LevelDocument(FORMAT_VERSION, graph)) for graph in graphs)
+    return sc.base, apply_script(sc.base, sc.script_a), apply_script(sc.base, sc.script_b)
+
+
+@functools.lru_cache(maxsize=None)
+def _texts_10k() -> tuple[str, str, str]:
+    """`_graphs_10k` as canonical texts."""
+    return tuple(serialize(LevelDocument(FORMAT_VERSION, graph)) for graph in _graphs_10k())
 
 
 def _files_10k(directory) -> list:
@@ -115,7 +120,6 @@ def _built(node: Node) -> bool:
 
 def test_a_clean_file_merge_builds_the_properties_of_the_changed_nodes_only(tmp_path, monkeypatch):
     paths = _files_10k(tmp_path)
-    graphs = [parse(text).graph for text in _texts_10k()]
     docs = []
     read = cli.read_document
 
@@ -127,7 +131,8 @@ def test_a_clean_file_merge_builds_the_properties_of_the_changed_nodes_only(tmp_
     out = tmp_path / "merged.lvl"
     assert cli.main(["merge", *map(str, paths), "--output", str(out)]) == 0
     ancestor, mine, theirs = (doc.graph for doc in docs)
-    assert parse(out.read_text(encoding="utf-8")).graph == merge3(*graphs).merged
+    # the reference is merged from the generated graphs, not from any read of their texts
+    assert parse(out.read_text(encoding="utf-8")).graph == merge3(*_graphs_10k()).merged
     built = [node.id for node in ancestor.nodes() if _built(node)]
     assert len(built) <= len(mine._patch[1] | theirs._patch[1]) < ancestor.node_count // 10
 
@@ -235,11 +240,16 @@ def test_the_reads_verdict_after_random_breaks_is_the_line_readers(seed, data):
     assert_same_verdict(serialize(LevelDocument(FORMAT_VERSION, patch.to_graph())))
 
 
-# -- the short literal pattern --------------------------------------------------------
+# -- the prop pattern's literals -------------------------------------------------------
+
+
+def _taken_as_spelled(line: str) -> bool:
+    """Whether the prop pattern takes ``line``'s literal as spelled, unchecked."""
+    return _SECTION_LINES[2].fullmatch(line)[4] is None
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.from_regex(_SECTION_LINES[2], fullmatch=True))
+@given(st.from_regex(_SECTION_LINES[2], fullmatch=True).filter(_taken_as_spelled))
 @example("prop a b real 0.0001")
 @example("prop a b real -0.00010001")
 @example("prop a b real 999999.99999999")
@@ -248,7 +258,7 @@ def test_the_reads_verdict_after_random_breaks_is_the_line_readers(seed, data):
 @example("prop a b int 0")
 @example("prop a b int -999999999999999999")
 @example("prop a b ref x")
-def test_format_value_spells_each_literal_the_short_pattern_takes_as_written(line):
+def test_format_value_spells_each_literal_the_prop_pattern_takes_unchecked_as_written(line):
     value = line.split(" ", 3)[3]
     assert format_value(_parse_value(value.split(" "), 0, value, 0)) == value
     # the third group holds a ref or asset value, and nothing else
@@ -268,7 +278,7 @@ def test_format_value_spells_each_literal_the_short_pattern_takes_as_written(lin
     ("int " + "7" * 5000, False),  # past the digits `int` converts
     ("real 1\u0660.0", False),  # a digit `float` reads and a bare token does not hold
 ])
-def test_a_literal_the_short_pattern_does_not_take_reads_as_before(value, canonical):
+def test_a_literal_the_prop_pattern_checks_reads_as_before(value, canonical):
     lines = _texts(7)[0].split("\n")
     _set_value(lines, next(n for n, line in enumerate(lines) if line.startswith("prop ")), value)
     text = "\n".join(lines)
@@ -278,6 +288,18 @@ def test_a_literal_the_short_pattern_does_not_take_reads_as_before(value, canoni
         return
     assert_same_document(read, whole)
     assert (read.graph._lines is not None) == canonical
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_a_level_of_full_precision_reals_reads_as_the_line_reader_reads_it(seed):
+    text = re.sub(
+        r"(?m)^(prop \S+ \S+ real )(\S+)$", lambda m: m[1] + repr(float(m[2]) + 1 / 3), _texts(seed)[0]
+    )
+    assert re.search(r" real -?[0-9]+\.[0-9]{9}", text)  # past the digits taken unchecked
+    doc = parse(text)
+    assert doc.graph._lines is not None
+    assert_same_document(doc, _read_lines(text))
+    assert serialize(doc) == text
 
 
 def _set_token(line: str, index: int, token: str) -> str:

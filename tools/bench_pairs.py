@@ -30,10 +30,7 @@ when the change is worse than the parent by no more than the metric's
 parent median over the change median and the pairs in which the change
 was better; the claim holds on a seed when that ratio reaches RATIO, the
 change is better in at least nine of ten pairs, and the medians differ
-by more than the parent's interquartile range. Next to that rule, and
-not part of it, stand each pair's own ratio (parent over change for a
-metric where lower is better, change over parent otherwise) and the
-median and interquartile range of those ratios.
+by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -225,12 +222,6 @@ def claim(summaries: list[dict], runs: list[dict], spec: str) -> dict:
         parent_values = [metric(r, name) for r in mine if r["side"] == "parent"]
         q1, q3 = quartiles([v for v in parent_values if v is not None])
         wins, total = (int(x) for x in s["pairs_change_better"][name].split("/"))
-        by_pair = {(r["side"], r["pair"]): metric(r, name) for r in mine}
-        pair_ratios = []
-        for pair in sorted({r["pair"] for r in mine}):
-            before, after = by_pair.get(("parent", pair)), by_pair.get(("change", pair))
-            if before and after:
-                pair_ratios.append(round(before / after if lower else after / before, 4))
         out[f"seed_{s['seed']}"] = {
             "ratio": round(ratio, 2),
             "pairs_change_better": f"{wins}/{total}",
@@ -238,9 +229,6 @@ def claim(summaries: list[dict], runs: list[dict], spec: str) -> dict:
             "change_iqr": s["change"][f"{name}_iqr"] if name == "merge_p50_s" else None,
             "median_gap_over_parent_iqr": round(abs(parent - change) / (q3 - q1), 2) if q3 > q1 else None,
             "holds": ratio >= float(target) and wins * 10 >= total * 9 and abs(parent - change) > q3 - q1,
-            "pair_ratios": pair_ratios,
-            "pair_ratio_median": round(statistics.median(pair_ratios), 4) if pair_ratios else None,
-            "pair_ratio_iqr": quartiles(pair_ratios),
         }
     return out
 
